@@ -71,7 +71,14 @@ chaos-smoke:
 # exactly. Leg 2: the churn sweep experiment (E26) killed mid-run by a
 # die@N plan (exit 137) must --resume from the checkpoint at a
 # different job count byte-identically, restoring finished chunks
-# (value cells) instead of recomputing them.
+# (value cells) instead of recomputing them. Leg 3: the engine's
+# scheduling must not move a byte of simulate's output — four protocols
+# on a faulty 10-cube and the churned flood on mesh2:200 are compared
+# with the committed examples/netsim/simulate-golden.txt. Leg 4: an
+# out-of-range --source/--target fails cleanly with empty stdout and a
+# single error line naming the vertex (simulate adds its usage block):
+# exit 2 for simulate, 1 for route and mincut. Leg 4 runs the binary
+# directly so that no dune output mixes into the stderr it counts.
 churn-smoke:
 	mkdir -p artifacts
 	rm -rf artifacts/CHURN_ckpt
@@ -87,6 +94,23 @@ churn-smoke:
 	dune exec bin/faultroute.exe -- exp E26 --quick --jobs 4 --seed 1 --checkpoint artifacts/CHURN_ckpt --resume --metrics-out artifacts/CHURN_metrics.json > artifacts/CHURN_e26_resumed.txt
 	cmp artifacts/CHURN_e26_clean.txt artifacts/CHURN_e26_resumed.txt
 	grep -q '"checkpoint.chunks.restored": [1-9]' artifacts/CHURN_metrics.json
+	rm -f artifacts/NETSIM_sim.txt
+	for p in flood gossip greedy walk; do dune exec bin/faultroute.exe -- simulate hypercube:10 -p 0.6 --seed 5 --rounds 300 --protocol $$p >> artifacts/NETSIM_sim.txt || exit 1; done
+	dune exec bin/faultroute.exe -- simulate mesh2:200 -p 0.7 --protocol flood --churn 'fail=0.05,repair=0.3,seed=7' >> artifacts/NETSIM_sim.txt
+	cmp examples/netsim/simulate-golden.txt artifacts/NETSIM_sim.txt
+	dune build bin/faultroute.exe
+	./_build/default/bin/faultroute.exe simulate hypercube:4 --source 99 > artifacts/NETSIM_oor.out 2> artifacts/NETSIM_oor.err; test $$? -eq 2
+	test ! -s artifacts/NETSIM_oor.out
+	test "$$(grep -vc '^usage:\|^ ' artifacts/NETSIM_oor.err)" -eq 1
+	grep -q 'vertex 99 out of range' artifacts/NETSIM_oor.err
+	./_build/default/bin/faultroute.exe route hypercube:4 --source 99 > artifacts/NETSIM_oor.out 2> artifacts/NETSIM_oor.err; test $$? -eq 1
+	test ! -s artifacts/NETSIM_oor.out
+	test "$$(wc -l < artifacts/NETSIM_oor.err)" -eq 1
+	grep -q 'vertex 99 out of range' artifacts/NETSIM_oor.err
+	./_build/default/bin/faultroute.exe mincut hypercube:4 --target 99 > artifacts/NETSIM_oor.out 2> artifacts/NETSIM_oor.err; test $$? -eq 1
+	test ! -s artifacts/NETSIM_oor.out
+	test "$$(wc -l < artifacts/NETSIM_oor.err)" -eq 1
+	grep -q 'vertex 99 out of range' artifacts/NETSIM_oor.err
 
 # The query service end to end. Leg 1: replay the committed 10k-query
 # file, concatenated to 100k, against the 3-world example manifest at

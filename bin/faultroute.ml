@@ -437,13 +437,25 @@ let cmd_check quick baseline_path out update evidence_files common supervision =
   else if shortfall <> Verdict.Exit_code.ok then shortfall
   else code
 
+(* The [--source]/[--target] endpoints on [graph] (defaults: its first
+   and last vertex), or the one-line range error naming the vertex. *)
+let endpoints graph source target =
+  let source = Option.value source ~default:0 in
+  let target = Option.value target ~default:(graph.Topology.Graph.vertex_count - 1) in
+  match List.iter (Topology.Graph.check_vertex graph) [ source; target ] with
+  | () -> Ok (source, target)
+  | exception Invalid_argument message -> Error message
+
 let cmd_route topology size p source target router_name budget common =
   let seed = common.seed in
   let stream = Prng.Stream.create seed in
   with_instance topology ~size (Prng.Stream.split stream 0) @@ fun instance ->
   let graph = instance.Topology.Registry.graph in
-  let source = Option.value source ~default:0 in
-  let target = Option.value target ~default:(graph.Topology.Graph.vertex_count - 1) in
+  match endpoints graph source target with
+  | Error message ->
+      prerr_endline message;
+      Verdict.Exit_code.error
+  | Ok (source, target) ->
   let router =
     Result.bind (Routing.Registry.of_spec router_name) (fun entry ->
         entry.Routing.Registry.build ~instance ~source ~target
@@ -562,8 +574,11 @@ let cmd_mincut topology size seed source target =
   let stream = Prng.Stream.create seed in
   with_instance topology ~size stream @@ fun instance ->
   let graph = instance.Topology.Registry.graph in
-  let source = Option.value source ~default:0 in
-  let target = Option.value target ~default:(graph.Topology.Graph.vertex_count - 1) in
+  match endpoints graph source target with
+  | Error message ->
+      prerr_endline message;
+      Verdict.Exit_code.error
+  | Ok (source, target) ->
   let flow = Topology.Mincut.max_flow graph ~source ~sink:target in
   let cut = Topology.Mincut.min_cut graph ~source ~sink:target in
   Printf.printf "%s: edge connectivity of (%d, %d) = %d\n" graph.Topology.Graph.name
@@ -587,9 +602,18 @@ let cmd_simulate topology size p protocol_name source target max_rounds rounds
      ^ Netsim.Churn.spec_syntax ^ "]");
     2
   in
-  match Option.map Netsim.Churn.of_spec churn_spec with
-  | Some (Error message) -> die message
-  | (None | Some (Ok _)) as parsed_churn ->
+  let protocol =
+    List.assoc_opt
+      (String.lowercase_ascii protocol_name)
+      [ ("flood", `Flood); ("gossip", `Gossip); ("greedy", `Greedy); ("walk", `Walk) ]
+  in
+  match (Option.map Netsim.Churn.of_spec churn_spec, protocol) with
+  | Some (Error message), _ -> die message
+  | _, None ->
+      die
+        (Printf.sprintf "unknown protocol %S (try flood, gossip, greedy, walk)"
+           protocol_name)
+  | (None | Some (Ok _)) as parsed_churn, Some protocol ->
   if (match rounds with Some n -> n < 1 | None -> false) then
     die "--rounds must be >= 1"
   else begin
@@ -600,9 +624,10 @@ let cmd_simulate topology size p protocol_name source target max_rounds rounds
   let stream = Prng.Stream.create seed in
   with_instance topology ~size stream @@ fun instance ->
   let graph = instance.Topology.Registry.graph in
+  match endpoints graph source target with
+  | Error message -> die message
+  | Ok (source, target) ->
   let world = Percolation.World.create graph ~p ~seed in
-  let source = Option.value source ~default:0 in
-  let target = Option.value target ~default:(graph.Topology.Graph.vertex_count - 1) in
   with_common ~cmd:"simulate" common @@ fun () ->
   Printf.printf "world: %s, p = %.4f, seed = %Ld; %s from %d to %d%s\n"
     graph.Topology.Graph.name p seed protocol_name source target
@@ -707,8 +732,8 @@ let cmd_simulate topology size p protocol_name source target max_rounds rounds
     extra engine;
     describe metrics result
   in
-  match String.lowercase_ascii protocol_name with
-  | "flood" ->
+  match protocol with
+  | `Flood ->
       let engine = Netsim.Engine.create ?churn world Netsim.Flood.protocol in
       Netsim.Flood.start engine ~source;
       run_and_describe engine
@@ -717,14 +742,14 @@ let cmd_simulate topology size p protocol_name source target max_rounds rounds
           match Netsim.Flood.latency e ~source ~target with
           | Some latency -> Printf.printf "flood latency: %d rounds\n" latency
           | None -> ())
-  | "gossip" ->
+  | `Gossip ->
       let engine = Netsim.Engine.create ?churn world Netsim.Gossip.protocol in
       Netsim.Gossip.start engine ~source;
       run_and_describe engine
         ~until:(fun e -> Netsim.Gossip.informed_at e target <> None)
         ~extra:(fun e ->
           Printf.printf "informed nodes: %d\n" (Netsim.Gossip.informed_count e))
-  | "greedy" -> (
+  | `Greedy -> (
       match graph.Topology.Graph.distance with
       | None ->
           prerr_endline "greedy simulation needs a topology with a metric";
@@ -741,7 +766,7 @@ let cmd_simulate topology size p protocol_name source target max_rounds rounds
               match Netsim.Greedy_forward.dropped e with
               | Some node -> Printf.printf "token dropped at node %d\n" node
               | None -> ()))
-  | "walk" ->
+  | `Walk ->
       let engine =
         Netsim.Engine.create ?churn world (Netsim.Random_walk.protocol ~target)
       in
@@ -749,9 +774,6 @@ let cmd_simulate topology size p protocol_name source target max_rounds rounds
       run_and_describe engine
         ~until:(fun e -> Netsim.Random_walk.arrived e ~target <> None)
         ~extra:(fun _ -> ())
-  | other ->
-      Printf.eprintf "unknown protocol %S (try flood, gossip, greedy, walk)\n" other;
-      1
   end
 
 let cmd_trace file =

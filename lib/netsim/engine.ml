@@ -6,9 +6,14 @@ type ('state, 'message) t = {
       (* max deliveries per directed link per round; None = unbounded *)
   churn : Churn.state option;
       (* round-indexed up/down overlay on top of the percolation world *)
-  mutable pending : (int, (int * 'message) list) Hashtbl.t;
+  mutable pending : (int * 'message) list array;
       (* node -> inbox for the next round, newest first *)
+  mutable spare : (int * 'message) list array; (* empty; swapped with [pending] *)
   mutable pending_count : int;
+  mutable wake : int list;
+      (* nodes to step next round, unordered: those with mail or not idle.
+         Any other node is idle with no mail, so its step changes nothing. *)
+  woken : Bytes.t; (* node -> '\001' iff it is in [wake] *)
   queued : (int * int, 'message Queue.t) Hashtbl.t;
       (* directed link (u,v) -> store-and-forward backlog, used only
          when link_capacity is set *)
@@ -19,6 +24,12 @@ type ('state, 'message) t = {
   metrics : Metrics.t;
   mutable round : int;
 }
+
+let wake t node =
+  if Bytes.get t.woken node = '\000' then begin
+    Bytes.set t.woken node '\001';
+    t.wake <- node :: t.wake
+  end
 
 let create ?seed ?link_capacity ?churn world protocol =
   (match link_capacity with
@@ -31,7 +42,7 @@ let create ?seed ?link_capacity ?churn world protocol =
     | Some s -> s
     | None -> Prng.Coin.derive (Percolation.World.seed world) 0x51
   in
-  {
+  let t = {
     world;
     protocol;
     states = Array.init n (fun node -> protocol.Protocol.init ~node);
@@ -41,8 +52,11 @@ let create ?seed ?link_capacity ?churn world protocol =
         (fun plan ->
           Churn.instantiate plan ~world_seed:(Percolation.World.seed world))
         churn;
-    pending = Hashtbl.create 64;
+    pending = Array.make n [];
+    spare = Array.make n [];
     pending_count = 0;
+    wake = [];
+    woken = Bytes.make n '\000';
     queued = Hashtbl.create 64;
     queued_count = 0;
     probed = Hashtbl.create 256;
@@ -50,7 +64,9 @@ let create ?seed ?link_capacity ?churn world protocol =
     stream_seed;
     metrics = Metrics.create ();
     round = 0;
-  }
+  } in
+  Array.iteri (fun node s -> if not (protocol.Protocol.idle s) then wake t node) t.states;
+  t
 
 let world t = t.world
 let churned t = Option.is_some t.churn
@@ -69,11 +85,13 @@ let state t node = t.states.(node)
 let in_flight t = t.pending_count + t.queued_count
 
 let queue_delivery t ~node ~sender message =
-  let inbox = Option.value (Hashtbl.find_opt t.pending node) ~default:[] in
-  Hashtbl.replace t.pending node ((sender, message) :: inbox);
-  t.pending_count <- t.pending_count + 1
+  t.pending.(node) <- (sender, message) :: t.pending.(node);
+  t.pending_count <- t.pending_count + 1;
+  wake t node
 
-let inject t ~node ~sender message = queue_delivery t ~node ~sender message
+let inject t ~node ~sender message =
+  Topology.Graph.check_vertex (Percolation.World.graph t.world) node;
+  queue_delivery t ~node ~sender message
 
 let node_stream t node =
   match Hashtbl.find_opt t.node_streams node with
@@ -117,14 +135,22 @@ let drain_links t capacity =
       end)
     t.queued
 
+(* Only woken nodes step, in ascending order: inboxes and trace/v1 probe
+   events come out in the order stepping every node would give. *)
 let run_round t =
   let graph = Percolation.World.graph t.world in
   let inboxes = t.pending in
-  t.pending <- Hashtbl.create 64;
+  t.pending <- t.spare;
+  t.spare <- inboxes;
   t.pending_count <- 0;
+  let active = Array.of_list t.wake in
+  Array.sort Int.compare active;
+  Array.iter (fun node -> Bytes.set t.woken node '\000') active;
+  t.wake <- [];
   t.round <- t.round + 1;
   Metrics.tick_round t.metrics;
-  for node = 0 to Array.length t.states - 1 do
+  for i = 0 to Array.length active - 1 do
+    let node = active.(i) in
     let probe v =
       let id = graph.Topology.Graph.edge_id node v in
       Metrics.tick_raw_probe t.metrics;
@@ -165,15 +191,18 @@ let run_round t =
         random_int = (fun bound -> Prng.Stream.int_in (node_stream t node) bound);
       }
     in
-    let inbox = Option.value (Hashtbl.find_opt inboxes node) ~default:[] in
-    t.states.(node) <- t.protocol.Protocol.step api t.states.(node) (List.rev inbox)
+    let inbox = List.rev inboxes.(node) in
+    inboxes.(node) <- [];
+    let state = t.protocol.Protocol.step api t.states.(node) inbox in
+    t.states.(node) <- state;
+    if not (t.protocol.Protocol.idle state) then wake t node
   done;
   match t.link_capacity with
   | Some capacity -> drain_links t capacity
   | None -> ()
 
-let quiescent t =
-  in_flight t = 0 && Array.for_all t.protocol.Protocol.idle t.states
+(* With nothing in flight, [wake] holds exactly the nodes that are not idle. *)
+let quiescent t = in_flight t = 0 && t.wake = []
 
 let run ?(max_rounds = 10_000) ~until t =
   let rec loop () =

@@ -1,8 +1,13 @@
 (** The synchronous simulation engine.
 
-    Rounds proceed in lockstep: at round [r] every node receives the
-    messages that were sent to it over open links during round [r-1],
-    runs its protocol step, and queues its own sends for round [r+1].
+    Rounds proceed in lockstep: at round [r] each node receives the
+    messages that were sent to it over open links during round [r-1]
+    and queues its own sends for round [r+1]. A node runs its protocol
+    step in round [r] only if it has mail or its state is not idle
+    (the protocol's [idle]); the nodes that step do so in ascending
+    id order, so a round costs time in proportion to the traffic, not
+    to the number of nodes.
+
     Link liveness comes from the percolation world; nodes learn it only
     through probes and deliveries, so the engine is a distributed
     realization of the paper's probe model (messages double as free
@@ -52,7 +57,9 @@ val inject : ('state, 'message) t -> node:int -> sender:int -> 'message -> unit
 (** [inject t ~node ~sender m] delivers [m] to [node] at the start of
     the next round, bypassing any link (used to start protocols:
     conventionally [sender] is the node itself). Not counted as a sent
-    message. *)
+    message.
+    @raise Invalid_argument naming the vertex if [node] is not a vertex
+    of the world's graph. *)
 
 val in_flight : ('state, 'message) t -> int
 (** Messages queued for delivery next round, plus any backlog sitting in

@@ -23,7 +23,7 @@ let probing_protocol =
         if Array.length api.Netsim.Api.neighbors > 0 then
           ignore (api.Netsim.Api.probe api.Netsim.Api.neighbors.(0) : bool);
         { received = state.received + List.length inbox });
-    idle = (fun _ -> true);
+    idle = (fun _ -> false);
   }
 
 let test_engine_round_counting () =
@@ -44,13 +44,31 @@ let test_engine_distinct_probe_accounting () =
   Alcotest.(check int) "raw" 16 (Netsim.Metrics.raw_probes metrics);
   Alcotest.(check int) "distinct" 4 (Netsim.Metrics.distinct_probes metrics)
 
+(* A protocol that only counts its own steps and is always idle: it
+   steps only in rounds in which it has mail. *)
+let counting_protocol =
+  {
+    Netsim.Protocol.name = "step-count";
+    init = (fun ~node:_ -> 0);
+    step = (fun _ steps _ -> steps + 1);
+    idle = (fun _ -> true);
+  }
+
 let test_engine_injection_and_delivery () =
-  let engine = Netsim.Engine.create (world (cube 3)) probing_protocol in
-  Netsim.Engine.inject engine ~node:5 ~sender:5 Netsim.Flood.Rumor;
-  ignore engine;
-  (* type mismatch guard: this test only checks injection counting via
-     a fresh, correctly-typed engine below *)
-  ()
+  let engine = Netsim.Engine.create (world (cube 3)) counting_protocol in
+  let stepped () =
+    Netsim.Engine.fold_states engine ~init:[] ~f:(fun acc node steps ->
+        if steps > 0 then (node, steps) :: acc else acc)
+  in
+  Netsim.Engine.inject engine ~node:5 ~sender:5 ();
+  Netsim.Engine.run_round engine;
+  Alcotest.(check (list (pair int int))) "only node 5 stepped, once" [ (5, 1) ] (stepped ());
+  Netsim.Engine.run_round engine;
+  Alcotest.(check (list (pair int int))) "a round without mail steps no node"
+    [ (5, 1) ] (stepped ());
+  match Netsim.Engine.run ~until:(fun _ -> false) engine with
+  | `Quiescent _ -> ()
+  | `Stopped _ | `Out_of_rounds -> Alcotest.fail "expected quiescence"
 
 let test_engine_message_loss_on_closed_links () =
   (* In an all-closed world flooding informs only the source. *)
@@ -429,7 +447,7 @@ let test_probe_non_neighbour_raises () =
         (fun api () _ ->
           if api.Netsim.Api.node = 0 then
             ignore (api.Netsim.Api.probe 2 : bool));
-      idle = (fun _ -> true);
+      idle = (fun _ -> false);
     }
   in
   let engine = Netsim.Engine.create (world (path_graph 4)) bad in
@@ -447,6 +465,12 @@ let test_inject_delivers_at_round_one () =
   (* Injection is a bootstrap, not traffic. *)
   Alcotest.(check int) "not counted as sent" 0
     (Netsim.Metrics.messages_sent (Netsim.Engine.metrics engine))
+
+let test_inject_out_of_range_raises () =
+  let engine = Netsim.Engine.create (world (cube 3)) counting_protocol in
+  Alcotest.check_raises "vertex 8 of an 8-node cube"
+    (Invalid_argument "hypercube(n=3): vertex 8 out of range [0,8)") (fun () ->
+      Netsim.Engine.inject engine ~node:8 ~sender:0 ())
 
 (* ------------------------------------------------------------------ *)
 (* Churn                                                               *)
@@ -538,6 +562,111 @@ let test_churn_blocked_accounting () =
     (Netsim.Metrics.messages_delivered m + Netsim.Metrics.churn_blocked m)
 
 (* ------------------------------------------------------------------ *)
+(* Active-set scheduling                                               *)
+
+(* The contract the engine's wake set rests on: an idle state stepped
+   with no mail comes back unchanged and calls nothing on [api].
+   Checked on every idle state a protocol reaches in a faulty run. *)
+let check_idle_steps_are_no_ops world protocol start =
+  let name = protocol.Netsim.Protocol.name in
+  let graph = P.World.graph world in
+  let engine = Netsim.Engine.create world protocol in
+  start engine;
+  let states () =
+    Netsim.Engine.fold_states engine ~init:[] ~f:(fun acc node s -> (node, s) :: acc)
+  in
+  let reached = ref (states ()) in
+  for _ = 1 to 30 do
+    Netsim.Engine.run_round engine;
+    reached := states () @ !reached
+  done;
+  let forbidden call = Alcotest.failf "%s: an idle step called api.%s" name call in
+  List.iter
+    (fun (node, state) ->
+      if protocol.Netsim.Protocol.idle state then begin
+        let api =
+          {
+            Netsim.Api.node;
+            round = 31;
+            neighbors = graph.Topology.Graph.neighbors node;
+            probe = (fun _ -> forbidden "probe");
+            send = (fun _ _ -> forbidden "send");
+            random_int = (fun _ -> forbidden "random_int");
+          }
+        in
+        if protocol.Netsim.Protocol.step api state [] <> state then
+          Alcotest.failf "%s: an idle step changed node %d's state" name node
+      end)
+    !reached
+
+let test_idle_steps_are_no_ops () =
+  let w = world ~p:0.6 ~seed:7L (cube 5) in
+  check_idle_steps_are_no_ops w Netsim.Flood.protocol (fun e ->
+      Netsim.Flood.start e ~source:0);
+  check_idle_steps_are_no_ops w Netsim.Gossip.protocol (fun e ->
+      Netsim.Gossip.start e ~source:0);
+  check_idle_steps_are_no_ops w
+    (Netsim.Greedy_forward.protocol ~target:31 ~metric:hamming_metric)
+    (fun e -> Netsim.Greedy_forward.start e ~source:0);
+  check_idle_steps_are_no_ops w (Netsim.Random_walk.protocol ~target:31) (fun e ->
+      Netsim.Random_walk.start e ~source:0);
+  let n = 3 in
+  check_idle_steps_are_no_ops
+    (world ~p:0.8 ~seed:7L (Topology.Butterfly.graph n))
+    (Netsim.Butterfly_route.protocol ~n)
+    (fun e ->
+      Netsim.Butterfly_route.inject_permutation (Prng.Stream.create 7L) e ~n ~passes:2)
+
+let test_woken_nodes_step_in_ascending_order () =
+  let order = ref [] in
+  let recorder =
+    {
+      counting_protocol with
+      Netsim.Protocol.step =
+        (fun api steps _ ->
+          order := api.Netsim.Api.node :: !order;
+          steps + 1);
+    }
+  in
+  let engine = Netsim.Engine.create (world (cube 3)) recorder in
+  List.iter (fun node -> Netsim.Engine.inject engine ~node ~sender:node ()) [ 6; 1; 4; 1 ];
+  Netsim.Engine.run_round engine;
+  Alcotest.(check (list int)) "ascending, each once" [ 1; 4; 6 ] (List.rev !order)
+
+(* Everything a run exposes after [rounds] rounds: every node's state,
+   the metric counters and the trace/v1 lines of its probes. *)
+let observe ?link_capacity ?churn ~rounds world protocol start =
+  let engine = Netsim.Engine.create ~seed:5L ?link_capacity ?churn world protocol in
+  start engine;
+  let (), record =
+    Obs.Trace.capture ~index:1 (fun () ->
+        for _ = 1 to rounds do
+          Netsim.Engine.run_round engine
+        done)
+  in
+  ( Netsim.Engine.fold_states engine ~init:[] ~f:(fun acc node s -> (node, s) :: acc),
+    Obs.Metrics.counters (Netsim.Metrics.snapshot (Netsim.Engine.metrics engine)),
+    Obs.Trace.record_lines record )
+
+(* [protocol] as is against the same protocol declared never idle, which
+   the engine must step at every node in every round (counted). *)
+let same_as_stepping_every_node ?link_capacity ?churn ~rounds world protocol start =
+  let steps = ref 0 in
+  let every_node =
+    {
+      protocol with
+      Netsim.Protocol.idle = (fun _ -> false);
+      step =
+        (fun api state inbox ->
+          incr steps;
+          protocol.Netsim.Protocol.step api state inbox);
+    }
+  in
+  let run protocol = observe ?link_capacity ?churn ~rounds world protocol start in
+  run protocol = run every_node
+  && !steps = rounds * (P.World.graph world).Topology.Graph.vertex_count
+
+(* ------------------------------------------------------------------ *)
 (* QCheck properties                                                   *)
 
 let qcheck_tests =
@@ -601,6 +730,35 @@ let qcheck_tests =
             Netsim.Metrics.churn_blocked m )
         in
         run () = run ());
+    Test.make ~name:"active-set schedule = stepping every node" ~count:60
+      (quad int64 (float_range 0.3 1.0) bool bool)
+      (fun (seed, p, churned, capped) ->
+        let churn =
+          if churned then Some (Netsim.Churn.make ~fail:0.1 ~repair:0.3 ~seed ())
+          else None
+        in
+        let link_capacity = if capped then Some 1 else None in
+        let same world protocol start =
+          same_as_stepping_every_node ?link_capacity ?churn ~rounds:40 world protocol
+            start
+        in
+        let cube_world = P.World.create (cube 5) ~p ~seed in
+        let source = Int64.to_int (Int64.logand seed 31L) and target = 31 in
+        let n = 3 in
+        let butterfly_world = P.World.create (Topology.Butterfly.graph n) ~p ~seed in
+        Obs.Trace.enable ~sink:ignore;
+        Fun.protect ~finally:Obs.Trace.disable (fun () ->
+            same cube_world Netsim.Flood.protocol (fun e -> Netsim.Flood.start e ~source)
+            && same cube_world Netsim.Gossip.protocol (fun e ->
+                   Netsim.Gossip.start e ~source)
+            && same cube_world
+                 (Netsim.Greedy_forward.protocol ~target ~metric:hamming_metric)
+                 (fun e -> Netsim.Greedy_forward.start e ~source)
+            && same cube_world (Netsim.Random_walk.protocol ~target) (fun e ->
+                   Netsim.Random_walk.start e ~source)
+            && same butterfly_world (Netsim.Butterfly_route.protocol ~n) (fun e ->
+                   Netsim.Butterfly_route.inject_permutation (Prng.Stream.create seed) e
+                     ~n ~passes:2)));
   ]
 
 let () =
@@ -655,6 +813,12 @@ let () =
         [
           case "non-neighbour probe raises" test_probe_non_neighbour_raises;
           case "inject delivers at round 1" test_inject_delivers_at_round_one;
+          case "inject out of range raises" test_inject_out_of_range_raises;
+        ] );
+      ( "scheduling",
+        [
+          case "idle steps are no-ops" test_idle_steps_are_no_ops;
+          case "ascending order" test_woken_nodes_step_in_ascending_order;
         ] );
       ( "churn",
         [
