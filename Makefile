@@ -71,14 +71,20 @@ chaos-smoke:
 # exactly. Leg 2: the churn sweep experiment (E26) killed mid-run by a
 # die@N plan (exit 137) must --resume from the checkpoint at a
 # different job count byte-identically, restoring finished chunks
-# (value cells) instead of recomputing them. Leg 3: the engine's
-# scheduling must not move a byte of simulate's output — four protocols
-# on a faulty 10-cube and the churned flood on mesh2:200 are compared
-# with the committed examples/netsim/simulate-golden.txt. Leg 4: an
-# out-of-range --source/--target fails cleanly with empty stdout and a
-# single error line naming the vertex (simulate adds its usage block):
-# exit 2 for simulate, 1 for route and mincut. Leg 4 runs the binary
-# directly so that no dune output mixes into the stderr it counts.
+# (value cells) instead of recomputing them. Leg 3: neither the
+# engine's scheduling nor the churn trajectories may move a byte of
+# simulate's output — four protocols on a faulty 10-cube, the churned
+# flood on mesh2:200, churned gossip and walk on an 8-cube (node
+# streams drawn under churn), a churned flood whose links never recover
+# (repair=0) and a greedy run whose links toggle every round
+# (fail=repair=1) are compared with the committed
+# examples/netsim/simulate-golden.txt. Leg 4: an out-of-range
+# --source/--target fails cleanly with empty stdout and a single error
+# line naming the vertex (simulate adds its usage block): exit 2 for
+# simulate, 1 for route and mincut; a churn spec repeating a key and
+# --max-rounds 0 are rejected by simulate the same way. Leg 4 runs the
+# binary directly so that no dune output mixes into the stderr it
+# counts.
 churn-smoke:
 	mkdir -p artifacts
 	rm -rf artifacts/CHURN_ckpt
@@ -97,12 +103,21 @@ churn-smoke:
 	rm -f artifacts/NETSIM_sim.txt
 	for p in flood gossip greedy walk; do dune exec bin/faultroute.exe -- simulate hypercube:10 -p 0.6 --seed 5 --rounds 300 --protocol $$p >> artifacts/NETSIM_sim.txt || exit 1; done
 	dune exec bin/faultroute.exe -- simulate mesh2:200 -p 0.7 --protocol flood --churn 'fail=0.05,repair=0.3,seed=7' >> artifacts/NETSIM_sim.txt
+	for p in 'gossip --rounds 60' walk; do dune exec bin/faultroute.exe -- simulate hypercube:8 -p 0.9 --seed 11 --churn 'fail=0.05,repair=0.3,seed=7' --protocol $$p >> artifacts/NETSIM_sim.txt || exit 1; done
+	dune exec bin/faultroute.exe -- simulate mesh2:60 -p 0.8 --seed 11 --protocol flood --churn 'fail=0.02,repair=0,seed=3' >> artifacts/NETSIM_sim.txt
+	dune exec bin/faultroute.exe -- simulate hypercube:8 -p 0.9 --seed 11 --protocol greedy --churn 'fail=1,repair=1,seed=5' >> artifacts/NETSIM_sim.txt
 	cmp examples/netsim/simulate-golden.txt artifacts/NETSIM_sim.txt
 	dune build bin/faultroute.exe
 	./_build/default/bin/faultroute.exe simulate hypercube:4 --source 99 > artifacts/NETSIM_oor.out 2> artifacts/NETSIM_oor.err; test $$? -eq 2
 	test ! -s artifacts/NETSIM_oor.out
 	test "$$(grep -vc '^usage:\|^ ' artifacts/NETSIM_oor.err)" -eq 1
 	grep -q 'vertex 99 out of range' artifacts/NETSIM_oor.err
+	./_build/default/bin/faultroute.exe simulate hypercube:4 --churn 'fail=0.1,fail=0.9' > artifacts/NETSIM_bad.out 2> artifacts/NETSIM_bad.err; test $$? -eq 2
+	test ! -s artifacts/NETSIM_bad.out
+	grep -q 'duplicate fail=' artifacts/NETSIM_bad.err
+	./_build/default/bin/faultroute.exe simulate hypercube:4 --max-rounds 0 > artifacts/NETSIM_bad.out 2> artifacts/NETSIM_bad.err; test $$? -eq 2
+	test ! -s artifacts/NETSIM_bad.out
+	grep -q 'max-rounds must be >= 1' artifacts/NETSIM_bad.err
 	./_build/default/bin/faultroute.exe route hypercube:4 --source 99 > artifacts/NETSIM_oor.out 2> artifacts/NETSIM_oor.err; test $$? -eq 1
 	test ! -s artifacts/NETSIM_oor.out
 	test "$$(wc -l < artifacts/NETSIM_oor.err)" -eq 1

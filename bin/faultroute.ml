@@ -616,6 +616,7 @@ let cmd_simulate topology size p protocol_name source target max_rounds rounds
   | (None | Some (Ok _)) as parsed_churn, Some protocol ->
   if (match rounds with Some n -> n < 1 | None -> false) then
     die "--rounds must be >= 1"
+  else if max_rounds < 1 then die "--max-rounds must be >= 1"
   else begin
   let churn =
     match parsed_churn with Some (Ok plan) -> Some plan | _ -> None

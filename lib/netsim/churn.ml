@@ -118,15 +118,17 @@ let of_spec spec =
   in
   if items = [] then Error "churn spec: empty"
   else
+    let key = function `Fail _ -> "fail" | `Repair _ -> "repair" | `Seed _ -> "seed" in
     let* parsed =
       List.fold_left
         (fun acc item ->
           let* acc = acc in
           let* p = parse_item item in
-          Ok (p :: acc))
+          if List.exists (fun q -> key q = key p) acc then
+            Error (Printf.sprintf "churn spec: duplicate %s= in %S" (key p) spec)
+          else Ok (p :: acc))
         (Ok []) items
     in
-    let parsed = List.rev parsed in
     let* fail =
       match List.find_map (function `Fail f -> Some f | _ -> None) parsed with
       | Some f -> Ok f
@@ -147,28 +149,42 @@ let of_spec spec =
     | exception Invalid_argument message -> Error message
 
 (* ------------------------------------------------------------------ *)
-(* Runtime: per-edge renewal trajectories, memoized on demand.         *)
+(* Runtime: one renewal cursor per edge, extended on demand.           *)
 
-(* One edge's trajectory is the list of toggle rounds: the link starts
-   up at round 1 and flips state at each recorded round. Durations are
+(* One edge's trajectory is its sequence of toggle rounds: the link
+   starts up at round 1 and flips state at each toggle. Durations are
    geometric — a link that is up fails each round with probability
    [fail] (so stays up Geometric(fail) rounds), a down link repairs
    with probability [repair]. Each duration is drawn by inverse CDF
    from the edge's own stream, so extending a trajectory never touches
    another edge's randomness and the whole schedule is pure in
-   (plan seed, world seed, edge id). *)
-type trajectory = {
-  stream : Prng.Stream.t;
-  mutable toggles : int array;  (* ascending toggle rounds *)
-  mutable count : int;          (* used prefix of [toggles] *)
-  mutable horizon : int;        (* rounds < horizon are fully decided *)
+   (plan seed, world seed, edge id).
+
+   A cursor keeps only the newest decided segment [prev, last) of that
+   sequence: [count] toggles have been drawn, the newest at round
+   [last], and [prev] is the one before it (round 1 if there is none;
+   a fresh cursor has [prev = last = 1]). The link is up on the segment
+   iff [count - 1] is even. From [last] on nothing is drawn yet —
+   unless the current state's hazard is zero, which freezes it there
+   forever. *)
+type cursor = {
+  gen : Prng.Xoshiro256.t;
+  mutable count : int;
+  mutable prev : int;
+  mutable last : int;
 }
 
 type state = {
   plan : plan;
   edge_seed : int64;
-  cells : (int, trajectory) Hashtbl.t;
+  log_fail : float;  (* log1p (-. fail), the inverse-CDF denominator *)
+  log_repair : float;
+  mutable cursors : cursor array;  (* by edge id; [unseen] if never asked *)
 }
+
+(* The shared "not drawn yet" slot; it is never extended. *)
+let unseen =
+  { gen = Prng.Xoshiro256.of_state (1L, 0L, 0L, 0L); count = 0; prev = 1; last = 1 }
 
 let instantiate plan ~world_seed =
   (* Decorrelate from every other consumer of the two seeds: the world
@@ -177,69 +193,68 @@ let instantiate plan ~world_seed =
   let edge_seed =
     Int64.logxor (Prng.Coin.derive plan.seed 0xC4) world_seed
   in
-  { plan; edge_seed; cells = Hashtbl.create 64 }
+  {
+    plan;
+    edge_seed;
+    log_fail = Float.log1p (-.plan.fail);
+    log_repair = Float.log1p (-.plan.repair);
+    cursors = [||];
+  }
 
 let plan t = t.plan
 
-(* Geometric(rate) on {1, 2, ...} by inverse CDF. rate = 0 never
-   fires (caller special-cases); rate = 1 fires immediately. *)
-let geometric stream rate =
+(* The generator of [Prng.Stream.create (derive edge_seed edge)]. *)
+let fresh t edge =
+  let gen = Prng.Xoshiro256.create (Prng.Coin.derive t.edge_seed edge) in
+  { gen; count = 0; prev = 1; last = 1 }
+
+let cursor t edge =
+  let size = Array.length t.cursors in
+  if edge >= size then
+    t.cursors <- Array.append t.cursors (Array.make (max (edge + 1 - size) size) unseen);
+  if t.cursors.(edge) == unseen then t.cursors.(edge) <- fresh t edge;
+  t.cursors.(edge)
+
+(* Geometric(rate) on {1, 2, ...} by inverse CDF, given
+   [log_rate = log1p (-. rate)]. rate = 0 never fires (caller
+   special-cases); rate = 1 fires immediately. *)
+let geometric gen rate log_rate =
   if rate >= 1.0 then 1
   else
-    let u = Prng.Stream.float_unit stream in
-    let k = Float.ceil (Float.log1p (-.u) /. Float.log1p (-.rate)) in
+    let u = Prng.Xoshiro256.next_float gen in
+    let k = Float.ceil (Float.log1p (-.u) /. log_rate) in
     if Float.is_finite k && k < 1073741823.0 then max 1 (int_of_float k)
     else max_int / 4
 
-let trajectory t edge =
-  match Hashtbl.find_opt t.cells edge with
-  | Some cell -> cell
-  | None ->
-      let stream = Prng.Stream.create (Prng.Coin.derive t.edge_seed edge) in
-      let cell = { stream; toggles = Array.make 8 0; count = 0; horizon = 1 } in
-      Hashtbl.replace t.cells edge cell;
-      cell
-
-let push_toggle cell round =
-  if cell.count = Array.length cell.toggles then begin
-    let grown = Array.make (2 * cell.count) 0 in
-    Array.blit cell.toggles 0 grown 0 cell.count;
-    cell.toggles <- grown
-  end;
-  cell.toggles.(cell.count) <- round;
-  cell.count <- cell.count + 1
-
-(* Extend the trajectory until it covers [round]. The state at the
-   horizon alternates up/down with the toggle count; a zero hazard for
-   the current state freezes the trajectory there forever. *)
-let extend t cell ~round =
-  let continue = ref true in
-  while !continue && cell.horizon <= round do
-    let up = cell.count land 1 = 0 in
+(* Draw toggles until the undrawn part starts after [round]; a zero
+   hazard for the current state freezes the cursor there forever. *)
+let rec extend t c ~round =
+  if c.last <= round then begin
+    let up = c.count land 1 = 0 in
     let rate = if up then t.plan.fail else t.plan.repair in
-    if rate <= 0.0 then continue := false
-    else begin
-      let duration = geometric cell.stream rate in
-      let next = cell.horizon + duration in
-      if next < cell.horizon then continue := false (* overflow guard *)
-      else begin
-        push_toggle cell next;
-        cell.horizon <- next
+    if rate > 0.0 then begin
+      let next =
+        c.last + geometric c.gen rate (if up then t.log_fail else t.log_repair)
+      in
+      if next >= c.last (* overflow guard *) then begin
+        c.prev <- c.last;
+        c.last <- next;
+        c.count <- c.count + 1;
+        extend t c ~round
       end
     end
-  done
+  end
 
 let link_up t ~edge ~round =
-  if t.plan.fail <= 0.0 then true
+  if edge < 0 then
+    invalid_arg (Printf.sprintf "Netsim.Churn.link_up: negative edge id %d" edge);
+  (* Every toggle falls at round 2 or later. *)
+  if t.plan.fail <= 0.0 || round <= 1 then true
   else begin
-    let cell = trajectory t edge in
-    extend t cell ~round;
-    (* State at [round] = parity of toggles at rounds <= round; binary
-       search for the count of such toggles. *)
-    let lo = ref 0 and hi = ref cell.count in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if cell.toggles.(mid) <= round then lo := mid + 1 else hi := mid
-    done;
-    !lo land 1 = 0
+    (* The engine's rounds never decrease, so the kept cursor serves it;
+       an earlier round replays the edge from its seed instead. *)
+    let kept = cursor t edge in
+    let c = if round >= kept.prev then kept else fresh t edge in
+    extend t c ~round;
+    (if round < c.last then c.count - 1 else c.count) land 1 = 0
   end

@@ -56,9 +56,10 @@ val of_spec : string -> (plan, string) result
 (** {2 Runtime} *)
 
 type state
-(** Memoized per-edge trajectories for one (plan, world) pairing.
-    Mutable only as a cache: answers are deterministic and
-    order-independent. *)
+(** One trajectory cursor per edge for one (plan, world) pairing, in
+    an array indexed by edge id: the edge's stream, its toggle count
+    and its last two toggle rounds. Mutable only as a cache: answers
+    are deterministic and order-independent. *)
 
 val instantiate : plan -> world_seed:int64 -> state
 (** Bind the plan to a world. The world seed enters the per-edge
@@ -69,5 +70,10 @@ val plan : state -> plan
 
 val link_up : state -> edge:int -> round:int -> bool
 (** Whether edge [edge] is up at round [round] (rounds start at 1).
-    Pure in [(plan seed, world seed, edge, round)]; cached trajectories
-    only ever extend, so queries may arrive in any order. *)
+    Pure in [(plan seed, world seed, edge, round)], so queries may
+    arrive in any order. Cost: amortized O(1) while an edge's rounds do
+    not decrease (the engine's pattern), allocating only the edge's
+    cursor at its first query; a round before the edge's kept segment
+    replays the edge from its seed, in time linear in its toggles up to
+    that round. The table grows to the largest edge id asked.
+    @raise Invalid_argument naming the edge if [edge] is negative. *)

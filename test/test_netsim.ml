@@ -496,7 +496,8 @@ let test_churn_spec_parsing () =
       match Netsim.Churn.of_spec spec with
       | Ok _ -> Alcotest.fail (Printf.sprintf "spec %S should be rejected" spec)
       | Error _ -> ())
-    [ ""; "fail=oops"; "repair=0.2"; "fail=1.5"; "fail=0.1,bogus=3" ]
+    [ ""; "fail=oops"; "repair=0.2"; "fail=1.5"; "fail=0.1,bogus=3";
+      "fail=0.1,fail=0.9,repair=0.2,repair=0.8"; "fail=0.1,seed=1,seed=2" ]
 
 let test_churn_every_link_starts_up () =
   let g = cube 5 in
@@ -540,6 +541,47 @@ let test_churn_query_order_irrelevant () =
           (Netsim.Churn.link_up scattered ~edge ~round)
       done)
     edges
+
+let test_churn_negative_edge_rejected () =
+  let plan = Netsim.Churn.make ~fail:0.3 ~repair:0.4 ~seed:11L () in
+  let state = Netsim.Churn.instantiate plan ~world_seed:5L in
+  Alcotest.check_raises "edge -3"
+    (Invalid_argument "Netsim.Churn.link_up: negative edge id -3") (fun () ->
+      ignore (Netsim.Churn.link_up state ~edge:(-3) ~round:4 : bool))
+
+(* The earlier trajectory code, kept as the oracle for [Churn.link_up]:
+   per edge, a toggle-round array extended from the edge's stream on
+   demand (a zero hazard or an overflow freezes it) and answered by
+   binary search over it. *)
+let reference_link_up ~fail ~repair ~seed ~world_seed =
+  let edge_seed = Int64.logxor (Prng.Coin.derive seed 0xC4) world_seed in
+  let cells = Hashtbl.create 16 in
+  let geometric stream rate =
+    if rate >= 1.0 then 1
+    else
+      let u = Prng.Stream.float_unit stream in
+      let k = Float.ceil (Float.log1p (-.u) /. Float.log1p (-.rate)) in
+      if Float.is_finite k && k < 1073741823.0 then max 1 (int_of_float k)
+      else max_int / 4
+  in
+  fun ~edge ~round ->
+    if not (Hashtbl.mem cells edge) then
+      Hashtbl.replace cells edge
+        (Prng.Stream.create (Prng.Coin.derive edge_seed edge), ref [||], ref 1);
+    let stream, toggles, horizon = Hashtbl.find cells edge in
+    let continue = ref (fail > 0.0) in
+    while !continue && !horizon <= round do
+      let rate = if Array.length !toggles land 1 = 0 then fail else repair in
+      let next = if rate <= 0.0 then min_int else !horizon + geometric stream rate in
+      if next < !horizon then continue := false
+      else (toggles := Array.append !toggles [| next |]; horizon := next)
+    done;
+    let lo = ref 0 and hi = ref (Array.length !toggles) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if !toggles.(mid) <= round then lo := mid + 1 else hi := mid
+    done;
+    !lo land 1 = 0
 
 let test_churn_blocked_accounting () =
   (* On a fault-free world with unlimited capacity every sent message
@@ -730,6 +772,27 @@ let qcheck_tests =
             Netsim.Metrics.churn_blocked m )
         in
         run () = run ());
+    Test.make ~name:"churn cursors = reference trajectories" ~count:150
+      (quad
+         (pair (oneofl [ 0.0; 1e-9; 0.05; 0.5; 1.0 ]) (oneofl [ 0.0; 0.3; 1.0 ]))
+         (pair int64 int64)
+         (list_of_size Gen.(1 -- 6) (int_bound 100_000))
+         (int_range 1 120))
+      (fun ((fail, repair), (seed, world_seed), edges, rounds) ->
+        let plan = Netsim.Churn.make ~seed ~fail ~repair () in
+        let state = Netsim.Churn.instantiate plan ~world_seed in
+        let reference = reference_link_up ~fail ~repair ~seed ~world_seed in
+        let agree round edge =
+          Netsim.Churn.link_up state ~edge ~round = reference ~edge ~round
+        in
+        let ascending = List.init (rounds + 1) Fun.id in
+        let shuffled = Array.of_list ascending in
+        Prng.Stream.shuffle_in_place (Prng.Stream.create seed) shuffled;
+        (* One instance, asked engine-style (ascending rounds, every
+           edge per round), then backwards, then in a random order. *)
+        List.for_all
+          (fun order -> List.for_all (fun round -> List.for_all (agree round) edges) order)
+          [ ascending; List.rev ascending; Array.to_list shuffled ]);
     Test.make ~name:"active-set schedule = stepping every node" ~count:60
       (quad int64 (float_range 0.3 1.0) bool bool)
       (fun (seed, p, churned, capped) ->
@@ -826,6 +889,7 @@ let () =
           case "every link starts up" test_churn_every_link_starts_up;
           case "zero fail never fires" test_churn_zero_fail_never_fires;
           case "query order irrelevant" test_churn_query_order_irrelevant;
+          case "negative edge rejected" test_churn_negative_edge_rejected;
           case "blocked accounting" test_churn_blocked_accounting;
         ] );
       ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests);

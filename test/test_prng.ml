@@ -90,6 +90,84 @@ let test_xoshiro_known_values () =
   Alcotest.(check int64) "second" 0L (Prng.Xoshiro256.next g);
   Alcotest.(check int64) "third" 1509978240L (Prng.Xoshiro256.next g)
 
+(* Known-answer pins for the seeded generator: every stream in the
+   repository (worlds, trials, churn trajectories, serve shuffles) reads
+   these sequences, so a change to the state layout or arithmetic must
+   leave each of them bit-identical. *)
+
+let check_outputs name g expected =
+  List.iteri
+    (fun i want ->
+      Alcotest.(check int64) (Printf.sprintf "%s output %d" name i) want
+        (Prng.Xoshiro256.next g))
+    expected
+
+let test_xoshiro_create_pins () =
+  List.iter
+    (fun (seed, expected) ->
+      check_outputs (Printf.sprintf "create %Ld" seed) (Prng.Xoshiro256.create seed)
+        expected)
+    [
+      ( 0L,
+        [ 0x99EC5F36CB75F2B4L; 0xBF6E1F784956452AL; 0x1A5F849D4933E6E0L;
+          0x6AA594F1262D2D2CL; 0xBBA5AD4A1F842E59L; 0xFFEF8375D9EBCACAL;
+          0x6C160DEED2F54C98L; 0x8920AD648FC30A3FL ] );
+      ( 1L,
+        [ 0xB3F2AF6D0FC710C5L; 0x853B559647364CEAL; 0x92F89756082A4514L;
+          0x642E1C7BC266A3A7L; 0xB27A48E29A233673L; 0x24C123126FFDA722L;
+          0x123004EF8DF510E6L; 0x61954DCC47B1E89DL ] );
+      ( -1L,
+        [ 0x8F5520D52A7EAD08L; 0xC476A018CAA1802DL; 0x81DE31C0D260469EL;
+          0xBF658D7E065F3C2FL; 0x913593FDA1BCA32AL; 0xBB535E93941BA525L;
+          0x5ECDA415C3C6DFDEL; 0xC487398FC9DE9AE2L ] );
+      ( 0xDEADBEEFL,
+        [ 0xC5555444A74D7E83L; 0x65C30D37B4B16E38L; 0x54F773200A4EFA23L;
+          0x429AED75FB958AF7L; 0xFB0E1DD69C255B2EL; 0x9D6D02EC58814A27L;
+          0xF4199B9DA2E4B2A3L; 0x54BC5B2C11A4540AL ] );
+    ]
+
+let test_xoshiro_derived_draw_pins () =
+  let g = Prng.Xoshiro256.create 42L in
+  List.iteri
+    (fun i want ->
+      Alcotest.(check int64) (Printf.sprintf "next_float %d bits" i)
+        (Int64.bits_of_float want)
+        (Int64.bits_of_float (Prng.Xoshiro256.next_float g)))
+    [ 0x1.5780b2e0c2ecp-4; 0x1.84136619b444ep-2; 0x1.5c2ea66473c93p-1;
+      0x1.d9715a8e0766cp-1 ];
+  let g = Prng.Xoshiro256.create 42L in
+  Alcotest.(check (list bool)) "next_bool"
+    [ false; false; true; true; true; true; true; true; true; true; true; false;
+      true; false; true; true ]
+    (List.init 16 (fun _ -> Prng.Xoshiro256.next_bool g));
+  List.iter
+    (fun (bound, expected) ->
+      let g = Prng.Xoshiro256.create 42L in
+      Alcotest.(check (list int)) (Printf.sprintf "next_int_in %d" bound) expected
+        (List.init 6 (fun _ -> Prng.Xoshiro256.next_int_in g bound)))
+    [
+      (1, [ 0; 0; 0; 0; 0; 0 ]);
+      (3, [ 1; 0; 0; 1; 2; 0 ]);
+      (1000, [ 453; 671; 616; 40; 921; 142 ]);
+      ( 1 lsl 40,
+        [ 874076942789; 419216772767; 878563632744; 351129098280; 137316997017;
+          327497438350 ] );
+    ]
+
+let test_xoshiro_jump_and_copy_pins () =
+  let g = Prng.Xoshiro256.create 5L in
+  Prng.Xoshiro256.jump g;
+  check_outputs "after jump" g
+    [ 0x293C8FEF77AC8C03L; 0x331920439BB93680L; 0xA9EF27C549382A2CL;
+      0xD2ABEFD7067932F0L ];
+  (* Draining the copy first must leave the source where it was. *)
+  let source = Prng.Xoshiro256.create 9L in
+  ignore (Prng.Xoshiro256.next source : int64);
+  let copy = Prng.Xoshiro256.copy source in
+  let expected = [ 0x40619B85D152FBF9L; 0x21E90BC830805B17L; 0xBB91DCA2EDEE4C4CL ] in
+  check_outputs "copy" copy expected;
+  check_outputs "source after copy drained" source expected
+
 let test_xoshiro_zero_state_rejected () =
   Alcotest.check_raises "all-zero"
     (Invalid_argument "Xoshiro256.of_state: all-zero state") (fun () ->
@@ -202,6 +280,30 @@ let test_stream_shuffle_permutation () =
   let sorted = Array.copy a in
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 100 (fun i -> i)) sorted
+
+let test_stream_split_and_shuffle_pins () =
+  let root = Prng.Stream.create 4L in
+  List.iter
+    (fun (label, expected) ->
+      let child = Prng.Stream.split root label in
+      List.iteri
+        (fun i want ->
+          Alcotest.(check int64) (Printf.sprintf "split %d output %d" label i) want
+            (Prng.Stream.int64 child))
+        expected)
+    [
+      ( 1,
+        [ 0x958CB2F1B5861BB5L; 0x3964CFFFABC3FC78L; 0x982D71CC9F034D66L;
+          0x86C298F1BA771C44L ] );
+      ( 2,
+        [ 0x13022658DF5B5C46L; 0x21257CF047C240B2L; 0xB9677D2CBF8377BEL;
+          0x2499270313C7A083L ] );
+    ];
+  let a = Array.init 20 Fun.id in
+  Prng.Stream.shuffle_in_place (Prng.Stream.create 8L) a;
+  Alcotest.(check (array int)) "shuffle of 0..19"
+    [| 13; 3; 16; 12; 4; 10; 19; 14; 5; 6; 0; 8; 18; 7; 2; 9; 17; 1; 11; 15 |]
+    a
 
 let test_stream_pick_member () =
   let t = Prng.Stream.create 8L in
@@ -387,6 +489,9 @@ let () =
         [
           case "deterministic" test_xoshiro_deterministic;
           case "known values" test_xoshiro_known_values;
+          case "create pins" test_xoshiro_create_pins;
+          case "derived draw pins" test_xoshiro_derived_draw_pins;
+          case "jump and copy pins" test_xoshiro_jump_and_copy_pins;
           case "zero state rejected" test_xoshiro_zero_state_rejected;
           case "jump" test_xoshiro_jump_changes_stream;
           case "uniformity" test_xoshiro_uniformity;
@@ -405,6 +510,7 @@ let () =
           case "split stable" test_stream_split_stable;
           case "split labels" test_stream_split_label_sensitivity;
           case "shuffle permutation" test_stream_shuffle_permutation;
+          case "split and shuffle pins" test_stream_split_and_shuffle_pins;
           case "pick member" test_stream_pick_member;
           case "pick empty" test_stream_pick_empty;
         ] );
