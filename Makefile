@@ -45,11 +45,20 @@ smoke:
 # Fault tolerance end to end. Leg 1: the quick catalog under a
 # recoverable fault plan (injected crashes, a stall, a flaky chunk)
 # must be byte-identical to the fault-free run at --jobs 1 and 4, with
-# the faults/v1 summary confined to stderr. Leg 2: a die@N plan kills
+# the faults/v1 summary confined to stderr. Leg 2: a die@3 plan kills
 # the process mid-run (exit 137) while completed chunks stream to an
 # append-only checkpoint; --resume at a different job count completes
 # the run byte-identically, restoring rather than recomputing the
-# finished chunks (checkpoint.chunks.restored > 0 in metrics/v1).
+# finished chunks (checkpoint.chunks.restored > 0 in metrics/v1). The
+# jobs-1 run appends 4 chunks and a --jobs 2 run appends at least those
+# (contiguous prefix), so the third append always happens; die@6 fired
+# in only some --jobs 2 schedules. Leg 3: the committed
+# examples/checkpoint/e2-v1.jsonl, a partial journal written before the
+# single cell format, resumes at --jobs 4 byte-identically, restoring
+# all 3 of its chunks. Leg 4: a malformed supervision flag (--retries
+# below 1, a zero, negative, nan or inf --chunk-deadline, --resume
+# without --checkpoint) exits 1 with one stderr line and empty stdout;
+# it runs the binary directly so no dune output mixes into stderr.
 chaos-smoke:
 	mkdir -p artifacts
 	rm -rf artifacts/CHAOS_ckpt
@@ -60,10 +69,23 @@ chaos-smoke:
 	cmp artifacts/CHAOS_clean.txt artifacts/CHAOS_fault_j4.txt
 	grep -q '"schema": "faults/v1"' artifacts/CHAOS_faults.json
 	dune exec bin/faultroute.exe -- exp E2 --quick --jobs 2 --seed 1 > artifacts/CHAOS_e2_clean.txt
-	dune exec bin/faultroute.exe -- exp E2 --quick --jobs 2 --seed 1 --checkpoint artifacts/CHAOS_ckpt --inject 'die@6' > /dev/null 2>&1; test $$? -eq 137
+	dune exec bin/faultroute.exe -- exp E2 --quick --jobs 2 --seed 1 --checkpoint artifacts/CHAOS_ckpt --inject 'die@3' > /dev/null 2>&1; test $$? -eq 137
 	dune exec bin/faultroute.exe -- exp E2 --quick --jobs 4 --seed 1 --checkpoint artifacts/CHAOS_ckpt --resume --metrics-out artifacts/CHAOS_metrics.json > artifacts/CHAOS_e2_resumed.txt
 	cmp artifacts/CHAOS_e2_clean.txt artifacts/CHAOS_e2_resumed.txt
 	grep -q '"checkpoint.chunks.restored": [1-9]' artifacts/CHAOS_metrics.json
+	rm -rf artifacts/CHAOS_v1_ckpt
+	mkdir -p artifacts/CHAOS_v1_ckpt
+	cp examples/checkpoint/e2-v1.jsonl artifacts/CHAOS_v1_ckpt/checkpoint.jsonl
+	dune exec bin/faultroute.exe -- exp E2 --quick --jobs 4 --seed 1 --checkpoint artifacts/CHAOS_v1_ckpt --resume --metrics-out artifacts/CHAOS_v1_metrics.json > artifacts/CHAOS_v1_resumed.txt
+	cmp artifacts/CHAOS_e2_clean.txt artifacts/CHAOS_v1_resumed.txt
+	grep -q '"checkpoint.chunks.restored": \([3-9]\|[1-9][0-9]\)' artifacts/CHAOS_v1_metrics.json
+	dune build bin/faultroute.exe
+	for flag in '--retries 0' '--retries=-3' '--chunk-deadline=0' '--chunk-deadline=-1' '--chunk-deadline nan' '--chunk-deadline inf' '--resume'; do \
+	  ./_build/default/bin/faultroute.exe exp E1 --quick $$flag > artifacts/CHAOS_flag.out 2> artifacts/CHAOS_flag.err; \
+	  test $$? -eq 1 || { echo "$$flag: want exit 1"; exit 1; }; \
+	  test ! -s artifacts/CHAOS_flag.out || { echo "$$flag: stdout not empty"; exit 1; }; \
+	  test "$$(wc -l < artifacts/CHAOS_flag.err)" -eq 1 || { echo "$$flag: want one stderr line"; exit 1; }; \
+	done
 
 # Dynamic faults end to end. Leg 1: a churned gossip simulation must
 # be byte-identical across --jobs values (link trajectories are pure
@@ -71,7 +93,9 @@ chaos-smoke:
 # exactly. Leg 2: the churn sweep experiment (E26) killed mid-run by a
 # die@N plan (exit 137) must --resume from the checkpoint at a
 # different job count byte-identically, restoring finished chunks
-# (value cells) instead of recomputing them. Leg 3: neither the
+# (float-vector cells) instead of recomputing them; so must the
+# committed examples/checkpoint/e26-v1.jsonl, a partial journal whose
+# 2 chunks are older vchunk lines, restoring both. Leg 3: neither the
 # engine's scheduling nor the churn trajectories may move a byte of
 # simulate's output — four protocols on a faulty 10-cube, the churned
 # flood on mesh2:200, churned gossip and walk on an 8-cube (node
@@ -100,6 +124,12 @@ churn-smoke:
 	dune exec bin/faultroute.exe -- exp E26 --quick --jobs 4 --seed 1 --checkpoint artifacts/CHURN_ckpt --resume --metrics-out artifacts/CHURN_metrics.json > artifacts/CHURN_e26_resumed.txt
 	cmp artifacts/CHURN_e26_clean.txt artifacts/CHURN_e26_resumed.txt
 	grep -q '"checkpoint.chunks.restored": [1-9]' artifacts/CHURN_metrics.json
+	rm -rf artifacts/CHURN_v1_ckpt
+	mkdir -p artifacts/CHURN_v1_ckpt
+	cp examples/checkpoint/e26-v1.jsonl artifacts/CHURN_v1_ckpt/checkpoint.jsonl
+	dune exec bin/faultroute.exe -- exp E26 --quick --jobs 4 --seed 1 --checkpoint artifacts/CHURN_v1_ckpt --resume --metrics-out artifacts/CHURN_v1_metrics.json > artifacts/CHURN_v1_resumed.txt
+	cmp artifacts/CHURN_e26_clean.txt artifacts/CHURN_v1_resumed.txt
+	grep -q '"checkpoint.chunks.restored": \([2-9]\|[1-9][0-9]\)' artifacts/CHURN_v1_metrics.json
 	rm -f artifacts/NETSIM_sim.txt
 	for p in flood gossip greedy walk; do dune exec bin/faultroute.exe -- simulate hypercube:10 -p 0.6 --seed 5 --rounds 300 --protocol $$p >> artifacts/NETSIM_sim.txt || exit 1; done
 	dune exec bin/faultroute.exe -- simulate mesh2:200 -p 0.7 --protocol flood --churn 'fail=0.05,repair=0.3,seed=7' >> artifacts/NETSIM_sim.txt

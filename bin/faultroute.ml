@@ -193,20 +193,30 @@ let strict_shortfall_exit ~strict reports =
   else Verdict.Exit_code.ok
 
 (* ------------------------------------------------------------------ *)
-(* Supervision plumbing: resolve the fault plan, arm the supervisor
-   policy and the checkpoint around a campaign body, then surface the
-   fault summary. Recovered faults go to stderr only — stdout must stay
-   byte-identical to a fault-free run when every chunk eventually
-   succeeded. Unrecoverable losses (quarantined chunks, failed
-   experiments) escalate the exit code to 5. *)
+(* Supervision plumbing: check the flags and resolve the fault plan,
+   arm the supervisor policy and the checkpoint around a campaign body,
+   then surface the fault summary. A bad flag is one stderr line and
+   exit 1, before anything is armed or printed. Recovered faults go to
+   stderr only — stdout must stay byte-identical to a fault-free run
+   when every chunk eventually succeeded. Unrecoverable losses
+   (quarantined chunks, failed experiments) escalate the exit code
+   to 5. *)
 
 let with_supervision { inject; fault_plan; checkpoint; resume; retries; deadline }
     k =
   let plan =
-    match (inject, fault_plan) with
-    | Some spec, _ -> Result.map Option.some (Faultsim.Plan.of_spec spec)
-    | None, Some path -> Result.map Option.some (Faultsim.Plan.load path)
-    | None, None -> Ok None
+    match (retries, deadline, inject, fault_plan) with
+    | Some n, _, _, _ when n < 1 ->
+        Error (Printf.sprintf "--retries must be at least 1, got %d" n)
+    | _, Some d, _, _ when not (Float.is_finite d && d > 0.0) ->
+        Error
+          (Printf.sprintf
+             "--chunk-deadline must be a positive finite number of seconds, got %g"
+             d)
+    | _ when resume && checkpoint = None -> Error "--resume needs --checkpoint DIR"
+    | _, _, Some spec, _ -> Result.map Option.some (Faultsim.Plan.of_spec spec)
+    | _, _, None, Some path -> Result.map Option.some (Faultsim.Plan.load path)
+    | _, _, None, None -> Ok None
   in
   match plan with
   | Error message ->
@@ -1226,7 +1236,7 @@ let fault_plan_arg =
 
 let checkpoint_arg =
   let doc =
-    "Journal every completed trial chunk to $(docv)/checkpoint.jsonl \
+    "Journal every completed chunk to $(docv)/checkpoint.jsonl \
      ($(b,checkpoint/v1)) so an interrupted campaign can be resumed with \
      $(b,--resume)."
   in
@@ -1234,23 +1244,23 @@ let checkpoint_arg =
 
 let resume_arg =
   let doc =
-    "With $(b,--checkpoint), restore completed chunks from the existing \
-     journal instead of truncating it; only missing chunks are recomputed and \
-     the report is byte-identical to an uninterrupted run."
+    "With $(b,--checkpoint) (required), restore completed chunks from the \
+     existing journal instead of truncating it; only missing chunks are \
+     recomputed and the report is byte-identical to an uninterrupted run."
   in
   Arg.(value & flag & info [ "resume" ] ~doc)
 
 let retries_arg =
   let doc =
-    "Attempts per trial chunk before it is quarantined (arms the supervised \
-     worker pool; default 3 once armed)."
+    "Attempts per trial chunk before it is quarantined, at least 1 (arms the \
+     supervised worker pool; default 3 once armed)."
   in
   Arg.(value & opt (some int) None & info [ "retries" ] ~docv:"N" ~doc)
 
 let deadline_arg =
   let doc =
-    "Cooperative per-chunk deadline in seconds: a chunk past its budget is \
-     failed and retried (arms the supervised worker pool)."
+    "Cooperative per-chunk deadline in seconds, positive and finite: a chunk \
+     past its budget is failed and retried (arms the supervised worker pool)."
   in
   Arg.(
     value & opt (some float) None & info [ "chunk-deadline" ] ~docv:"SECONDS" ~doc)

@@ -36,7 +36,7 @@ let validate_policy p =
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Arming: the ambient policy the trial engine picks up. One atomic
+(* Arming: the ambient policy the chunked runner picks up. One atomic
    read decides whether a run takes the supervised path at all, so the
    disabled path costs nothing.                                        *)
 
@@ -91,7 +91,7 @@ let with_deadline deadline_s f =
 type summary = {
   retries : int;
   failures : failure list;  (** Sorted by (chunk, attempt). *)
-  quarantined : int list;  (** Sorted chunk indices. *)
+  quarantined : int list;  (** Sorted chunk indices, one per lost chunk per run. *)
   failed_units : string list;
       (** Units supervised outside the pool (e.g. whole experiments in
           [Catalog.run_all]) that failed unrecoverably. *)
@@ -107,7 +107,7 @@ let sort_summary s =
   {
     s with
     failures = List.sort compare_failure s.failures;
-    quarantined = List.sort_uniq compare s.quarantined;
+    quarantined = List.sort compare s.quarantined;
     failed_units = List.sort compare s.failed_units;
   }
 

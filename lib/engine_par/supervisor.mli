@@ -57,7 +57,7 @@ val default_policy : policy
 
 (** {2 Arming}
 
-    The CLI arms a policy process-wide; {!Experiments.Trial} routes its
+    The CLI arms a policy process-wide; {!Experiments.Runner} routes its
     chunks through the supervised pool exactly when {!armed} (or when a
     fault plan or checkpoint is active), so unsupervised runs keep the
     plain {!Pool} path and its cost profile. *)
@@ -85,7 +85,12 @@ val poll : unit -> unit
 type summary = {
   retries : int;  (** Failed attempts that were retried (or exhausted). *)
   failures : failure list;  (** Sorted by (chunk, attempt). *)
-  quarantined : int list;  (** Sorted chunk indices. *)
+  quarantined : int list;
+      (** Sorted chunk indices, one entry per lost chunk per run: chunk
+          indices restart at 0 in every {!collect_prefix} call, so in
+          the global summary an index repeats when several runs (the
+          trial campaigns of one experiment, say) each lost a chunk of
+          that index. Its length is the number of chunks lost. *)
   failed_units : string list;
       (** Non-pool units (whole experiments) that failed unrecoverably,
           as ["unit: message"]. *)
@@ -120,8 +125,7 @@ val record_unit_failure : unit:string -> message:string -> unit
 val record_unit_retry : unit -> unit
 
 val global_summary : unit -> summary
-(** Everything absorbed since {!reset_global}, sorted and
-    deduplicated. *)
+(** Everything absorbed since {!reset_global}, sorted. *)
 
 val reset_global : unit -> unit
 

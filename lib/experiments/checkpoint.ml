@@ -1,102 +1,31 @@
-type cell =
-  | Rejected
-  | Accepted of { distance : int; outcome : Routing.Outcome.t }
+type 'a codec = { to_json : 'a -> Obs.Json.t; of_json : Obs.Json.t -> 'a option }
 
 let schema = "checkpoint/v1"
 let file ~dir = Filename.concat dir "checkpoint.jsonl"
 let digest_key canonical = Digest.to_hex (Digest.string canonical)
 
-(* ------------------------------------------------------------------ *)
-(* Cell wire format. Compact single-letter tags — a journal line per
-   chunk at every chunk of a long campaign adds up. A Found path is
-   stored as its hop count only and reconstructed as a synthetic
-   0..hops vertex list: the accumulator fold consumes nothing but the
-   length, and pretending otherwise would bloat every line with a full
-   path. *)
+(* Decode every item or nothing: a chunk with one bad cell is a miss. *)
+let decode_all decode items =
+  let decoded = List.filter_map decode items in
+  if List.compare_lengths decoded items = 0 then Some (Array.of_list decoded)
+  else None
 
-let cell_to_json = function
-  | Rejected -> Obs.Json.Obj [ ("t", Obs.Json.String "r") ]
-  | Accepted { distance; outcome } -> (
-      match outcome with
-      | Routing.Outcome.Found { path; probes; raw_probes } ->
-          Obs.Json.Obj
-            [
-              ("t", Obs.Json.String "f");
-              ("d", Obs.Json.Int distance);
-              ("p", Obs.Json.Int probes);
-              ("rp", Obs.Json.Int raw_probes);
-              ("h", Obs.Json.Int (List.length path - 1));
-            ]
-      | Routing.Outcome.No_path { probes } ->
-          Obs.Json.Obj
-            [
-              ("t", Obs.Json.String "n");
-              ("d", Obs.Json.Int distance);
-              ("p", Obs.Json.Int probes);
-            ]
-      | Routing.Outcome.Budget_exceeded { probes } ->
-          Obs.Json.Obj
-            [
-              ("t", Obs.Json.String "b");
-              ("d", Obs.Json.Int distance);
-              ("p", Obs.Json.Int probes);
-            ])
-
-let cell_of_json json =
-  let int_field name = Option.bind (Obs.Json.member name json) Obs.Json.to_int in
-  match Option.bind (Obs.Json.member "t" json) Obs.Json.to_str with
-  | Some "r" -> Some Rejected
-  | Some "f" -> (
-      match (int_field "d", int_field "p", int_field "rp", int_field "h") with
-      | Some d, Some p, Some rp, Some h when h >= 0 ->
-          let path = List.init (h + 1) Fun.id in
-          Some
-            (Accepted
-               {
-                 distance = d;
-                 outcome = Routing.Outcome.Found { path; probes = p; raw_probes = rp };
-               })
-      | _ -> None)
-  | Some "n" -> (
-      match (int_field "d", int_field "p") with
-      | Some d, Some p ->
-          Some (Accepted { distance = d; outcome = Routing.Outcome.No_path { probes = p } })
-      | _ -> None)
-  | Some "b" -> (
-      match (int_field "d", int_field "p") with
-      | Some d, Some p ->
-          Some
-            (Accepted
-               { distance = d; outcome = Routing.Outcome.Budget_exceeded { probes = p } })
-      | _ -> None)
-  | _ -> None
-
-(* Value cells (the generic simulation runner's currency): one float
-   array per work item, serialized as IEEE-754 bit patterns in hex —
-   decimal printing would round through the parser and break the
+(* Float vectors, one per cell, serialized as IEEE-754 bit patterns in
+   hex — decimal printing would round through the parser and break the
    byte-identical resume guarantee. *)
-
-let value_to_json v =
-  Obs.Json.String (Printf.sprintf "%Lx" (Int64.bits_of_float v))
-
-let value_of_json = function
-  | Obs.Json.String s -> (
-      match Int64.of_string_opt ("0x" ^ s) with
-      | Some bits -> Some (Int64.float_of_bits bits)
-      | None -> None)
-  | _ -> None
-
-let values_to_json vs =
-  Obs.Json.List (Array.to_list (Array.map value_to_json vs))
-
-let values_of_json json =
-  match Obs.Json.to_list json with
-  | None -> None
-  | Some items ->
-      let parsed = List.map value_of_json items in
-      if List.for_all Option.is_some parsed then
-        Some (Array.of_list (List.filter_map Fun.id parsed))
-      else None
+let floats =
+  let float_to_json v =
+    Obs.Json.String (Printf.sprintf "%Lx" (Int64.bits_of_float v))
+  in
+  let float_of_json = function
+    | Obs.Json.String s ->
+        Option.map Int64.float_of_bits (Int64.of_string_opt ("0x" ^ s))
+    | _ -> None
+  in
+  {
+    to_json = (fun vs -> Obs.Json.List (Array.to_list (Array.map float_to_json vs)));
+    of_json = (fun json -> Option.bind (Obs.Json.to_list json) (decode_all float_of_json));
+  }
 
 let chunk_line ~key ~chunk cells =
   Obs.Json.to_string
@@ -106,19 +35,7 @@ let chunk_line ~key ~chunk cells =
          ("ev", Obs.Json.String "chunk");
          ("key", Obs.Json.String key);
          ("chunk", Obs.Json.Int chunk);
-         ("cells", Obs.Json.List (Array.to_list (Array.map cell_to_json cells)));
-       ])
-  ^ "\n"
-
-let vchunk_line ~key ~chunk cells =
-  Obs.Json.to_string
-    (Obs.Json.Obj
-       [
-         ("schema", Obs.Json.String schema);
-         ("ev", Obs.Json.String "vchunk");
-         ("key", Obs.Json.String key);
-         ("chunk", Obs.Json.Int chunk);
-         ("cells", Obs.Json.List (Array.to_list (Array.map values_to_json cells)));
+         ("cells", Obs.Json.List cells);
        ])
   ^ "\n"
 
@@ -129,13 +46,13 @@ let meta_line () =
   ^ "\n"
 
 (* ------------------------------------------------------------------ *)
-(* Journal state. One table keyed by (config digest, chunk index); the
-   channel stays open with a per-line flush, so a kill can tear at most
-   the line in flight — which the loader below shrugs off.             *)
+(* Journal state. One table of raw JSON cells keyed by (config digest,
+   chunk index), decoded by the caller's codec at lookup; the channel
+   stays open with a per-line flush, so a kill can tear at most the
+   line in flight — which the loader below shrugs off.                 *)
 
 type journal = {
-  table : (string * int, cell array) Hashtbl.t;
-  vtable : (string * int, float array array) Hashtbl.t;
+  table : (string * int, Obs.Json.t list) Hashtbl.t;
   channel : out_channel;
 }
 
@@ -154,8 +71,10 @@ let active () = Atomic.get is_active
 
 (* Tolerant load: a torn final line (the kill case) or any other
    unparseable line is skipped, never fatal — losing one chunk to a
-   crash costs recomputing it, not the resume. *)
-let load_journal path table vtable =
+   crash costs recomputing it, not the resume. [vchunk] is how older
+   journals tagged float-vector chunks; their cells are the same JSON
+   the [floats] codec reads. *)
+let load_journal path table =
   In_channel.with_open_text path (fun ic ->
       let rec loop () =
         match In_channel.input_line ic with
@@ -170,16 +89,8 @@ let load_journal path table vtable =
                     Option.bind (Obs.Json.member "chunk" json) Obs.Json.to_int,
                     Option.bind (Obs.Json.member "cells" json) Obs.Json.to_list )
                 with
-                | Some "chunk", Some key, Some chunk, Some cells_json -> (
-                    let cells = List.map cell_of_json cells_json in
-                    if List.for_all Option.is_some cells then
-                      Hashtbl.replace table (key, chunk)
-                        (Array.of_list (List.filter_map Fun.id cells)))
-                | Some "vchunk", Some key, Some chunk, Some cells_json -> (
-                    let cells = List.map values_of_json cells_json in
-                    if List.for_all Option.is_some cells then
-                      Hashtbl.replace vtable (key, chunk)
-                        (Array.of_list (List.filter_map Fun.id cells)))
+                | Some ("chunk" | "vchunk"), Some key, Some chunk, Some cells ->
+                    Hashtbl.replace table (key, chunk) cells
                 | _ -> ()));
             loop ()
       in
@@ -206,9 +117,8 @@ let configure ~dir ~resume =
       Obs.Atomic_file.mkdir_p dir;
       let path = file ~dir in
       let table = Hashtbl.create 256 in
-      let vtable = Hashtbl.create 256 in
       let fresh = (not resume) || not (Sys.file_exists path) in
-      if not fresh then load_journal path table vtable;
+      if not fresh then load_journal path table;
       let channel =
         open_out_gen
           (Open_wronly :: Open_creat
@@ -219,7 +129,7 @@ let configure ~dir ~resume =
         output_string channel (meta_line ());
         flush channel
       end;
-      state := Some { table; vtable; channel };
+      state := Some { table; channel };
       Atomic.set is_active true;
       Atomic.set restored_count 0;
       Atomic.set appended_count 0;
@@ -232,20 +142,21 @@ let configure ~dir ~resume =
   Mutex.unlock lock;
   result
 
-let lookup ~key ~chunk =
+let lookup codec ~key ~chunk =
   Mutex.lock lock;
-  let hit =
+  let raw =
     match !state with
     | None -> None
     | Some j -> Hashtbl.find_opt j.table (key, chunk)
   in
   Mutex.unlock lock;
+  let hit = Option.bind raw (decode_all codec.of_json) in
   if hit <> None then Atomic.incr restored_count;
   hit
 
-(* Shared append path for both cell kinds: replace in the journal's
-   table, write one line, then count it against the kill budget. *)
-let append_chunk record line =
+let store codec ~key ~chunk cells =
+  let cells = Array.to_list (Array.map codec.to_json cells) in
+  let line = chunk_line ~key ~chunk cells in
   let stored =
     Mutex.lock lock;
     Fun.protect
@@ -254,7 +165,7 @@ let append_chunk record line =
         match !state with
         | None -> false
         | Some j ->
-            record j;
+            Hashtbl.replace j.table (key, chunk) cells;
             output_string j.channel line;
             flush j.channel;
             true)
@@ -268,27 +179,6 @@ let append_chunk record line =
     | Some threshold when n >= threshold -> Unix._exit 137
     | _ -> ()
   end
-
-let store ~key ~chunk cells =
-  append_chunk
-    (fun j -> Hashtbl.replace j.table (key, chunk) cells)
-    (chunk_line ~key ~chunk cells)
-
-let lookup_values ~key ~chunk =
-  Mutex.lock lock;
-  let hit =
-    match !state with
-    | None -> None
-    | Some j -> Hashtbl.find_opt j.vtable (key, chunk)
-  in
-  Mutex.unlock lock;
-  if hit <> None then Atomic.incr restored_count;
-  hit
-
-let store_values ~key ~chunk cells =
-  append_chunk
-    (fun j -> Hashtbl.replace j.vtable (key, chunk) cells)
-    (vchunk_line ~key ~chunk cells)
 
 let metrics_snapshot () =
   let registry = Obs.Metrics.create () in

@@ -9,9 +9,9 @@
    delays it — the epidemic reaches the target at every swept rate,
    only later. That contrast is the graceful-degradation claim.
 
-   Trials run through Simrun, so a churn sweep is parallel,
-   fault-injectable and checkpoint/resumable like any trial campaign;
-   each cell is a pure function of its index. *)
+   Trials run through Runner with float-vector cells, so a churn sweep
+   is parallel, fault-injectable and checkpoint/resumable like any
+   trial campaign; each cell is a pure function of its index. *)
 
 let id = "E26"
 let title = "Graceful degradation under link churn"
@@ -34,11 +34,18 @@ let run ?(quick = false) stream =
   let source = 0 in
   let target = Topology.Hypercube.antipode ~n source in
   let rates_arr = Array.of_list rates in
+  let count = Array.length rates_arr * trials in
+  (* The "simrun;" prefix and the count/chunk suffix keep the digest of
+     journals written before Trial and E26 shared one runner, so those
+     journals still resume. *)
   let key =
-    Printf.sprintf "e26;graph=%s;rates=%s;repair=%.17g;gossip_rounds=%d;trials=%d;seed=%Ld"
-      graph.Topology.Graph.name
-      (String.concat "," (List.map (Printf.sprintf "%.17g") rates))
-      repair gossip_rounds trials (Prng.Stream.seed stream)
+    lazy
+      (Printf.sprintf
+         "simrun;e26;graph=%s;rates=%s;repair=%.17g;gossip_rounds=%d;trials=%d;seed=%Ld;count=%d;chunk=%d"
+         graph.Topology.Graph.name
+         (String.concat "," (List.map (Printf.sprintf "%.17g") rates))
+         repair gossip_rounds trials (Prng.Stream.seed stream) count
+         Runner.chunk_size)
   in
   (* One cell per (rate, trial): flood delivery rate, flood informed
      fraction, gossip reached flag, gossip rounds-to-target, churned
@@ -82,7 +89,12 @@ let run ?(quick = false) stream =
     in
     [| flood_delivery; flood_informed; gossip_reached; gossip_latency; blocked |]
   in
-  let cells = Simrun.run ~key ~count:(Array.length rates_arr * trials) compute in
+  let chunks, _faults = Runner.run ~key ~codec:Checkpoint.floats ~count compute in
+  let cell i =
+    Option.map
+      (fun cells -> cells.(i mod Runner.chunk_size))
+      chunks.(i / Runner.chunk_size)
+  in
   let table =
     ref
       (Stats.Table.create
@@ -105,8 +117,8 @@ let run ?(quick = false) stream =
       let latency = ref Stats.Summary.empty in
       let blocked = ref Stats.Summary.empty in
       for trial = 0 to trials - 1 do
-        match cells.((rate_index * trials) + trial) with
-        | [| d; inf; r; l; b |] ->
+        match cell ((rate_index * trials) + trial) with
+        | Some [| d; inf; r; l; b |] ->
             delivery := Stats.Summary.add !delivery d;
             informed := Stats.Summary.add !informed inf;
             reached := Stats.Summary.add !reached r;
@@ -114,7 +126,7 @@ let run ?(quick = false) stream =
                the mean); reach itself is claimed separately. *)
             if r > 0.5 then latency := Stats.Summary.add !latency l;
             blocked := Stats.Summary.add !blocked b
-        | _ -> () (* quarantined cell: skip *)
+        | _ -> () (* quarantined chunk: skip *)
       done;
       if Stats.Summary.count !delivery > 0 then begin
         per_rate :=

@@ -1,0 +1,50 @@
+(* Supervision and checkpointing are ambient process state installed by
+   the CLI. Unless one of them is on, a run takes the plain [Pool] path
+   and keeps its exact cost profile. *)
+
+let chunk_size = 4
+
+let run ?jobs ~key ~codec ~count ?(until = fun _ -> false) compute =
+  if count < 0 then invalid_arg "Runner.run: negative count";
+  let n_chunks = (count + chunk_size - 1) / chunk_size in
+  let work c =
+    let lo = c * chunk_size in
+    Array.init (Stdlib.min count (lo + chunk_size) - lo) (fun k ->
+        if Engine_par.Supervisor.watchdog_armed () then
+          Engine_par.Supervisor.poll ();
+        compute (lo + k))
+  in
+  let plan = Faultsim.Plan.ambient () in
+  if not (Engine_par.Supervisor.armed () || plan <> None || Checkpoint.active ())
+  then
+    ( Array.map Option.some
+        (Engine_par.Pool.collect_prefix ?jobs ~limit:n_chunks ~until work),
+      Engine_par.Supervisor.empty_summary )
+  else begin
+    let work =
+      if not (Checkpoint.active ()) then work
+      else begin
+        (* Forced here, on the calling domain, before any worker runs. *)
+        let key = Checkpoint.digest_key (Lazy.force key) in
+        fun c ->
+          match Checkpoint.lookup codec ~key ~chunk:c with
+          | Some cells -> cells
+          | None ->
+              let cells = work c in
+              Checkpoint.store codec ~key ~chunk:c cells;
+              cells
+      end
+    in
+    let outcomes, summary =
+      Engine_par.Supervisor.collect_prefix ?jobs
+        ?policy:(Engine_par.Supervisor.current_policy ())
+        ?inject:(Option.map Faultsim.Plan.injector plan)
+        ~limit:n_chunks ~until work
+    in
+    ( Array.map
+        (function
+          | Engine_par.Supervisor.Completed cells -> Some cells
+          | Engine_par.Supervisor.Quarantined _ -> None)
+        outcomes,
+      summary )
+  end

@@ -1,0 +1,51 @@
+(** The deterministic chunked runner: one supervised, fault-injectable,
+    checkpointable map over an index space.
+
+    The index space is cut into fixed chunks of {!chunk_size} — a
+    constant, never a function of the job count, so a caller that
+    merges per-chunk results in chunk order gets the same merge tree
+    however many domains ran. Without an armed supervisor policy, a
+    fault plan or a checkpoint this is the plain
+    {!Engine_par.Pool.collect_prefix}; otherwise every chunk runs in
+    {!Engine_par.Supervisor}'s retry loop, with injection from the
+    ambient [faultplan/v1] and lookup/store through {!Checkpoint}.
+
+    Callers: {!Trial} (one routing attempt per index) and E26 (one
+    churned simulation per index, {!Checkpoint.floats} cells).
+
+    The contract: [compute] must be a {e pure} function of its index —
+    derive every random decision from a per-index stream split, never
+    from shared mutable state — and [key] must be a canonical string
+    naming everything the cells depend on except the job count. Then
+    chunk results are pure in [(key, chunk)]: the output is
+    byte-identical at any [--jobs], under any recoverable fault plan
+    and across a resume, and a resume with any parameter changed misses
+    and recomputes. *)
+
+val chunk_size : int
+(** Indices per chunk: 4. *)
+
+val run :
+  ?jobs:int ->
+  key:string Lazy.t ->
+  codec:'a Checkpoint.codec ->
+  count:int ->
+  ?until:('a array -> bool) ->
+  (int -> 'a) ->
+  'a array option array * Engine_par.Supervisor.summary
+(** [run ~key ~codec ~count compute] evaluates [compute i] for the
+    indices [0 .. count - 1] and returns a contiguous prefix of the
+    chunks in index order: chunk [c] holds the cells of indices
+    [c * chunk_size] up to [min count ((c + 1) * chunk_size) - 1], or
+    is [None] if the supervisor quarantined it. The summary lists this
+    run's faults ({!Engine_par.Supervisor.empty_summary} on the plain
+    path); they are also absorbed into the supervisor's global summary.
+
+    [until] is called once per completed chunk, possibly from several
+    domains at once; after it answers [true] no further chunk is
+    dispensed, and the prefix still reaches that chunk (see
+    {!Engine_par.Pool.collect_prefix}). By default every chunk comes
+    back. [key] is forced and digested on the calling domain, and only
+    when a checkpoint is active. [jobs] defaults to the ambient pool
+    default.
+    @raise Invalid_argument on negative [count]. *)

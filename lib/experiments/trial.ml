@@ -143,14 +143,14 @@ let observed_attempt spec root_stream index =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain accumulators.
+(* Chunk accumulators.
 
-   Each worker folds the attempts of its chunk into a local [acc];
-   the caller merges chunk accumulators in chunk-index order, so the
-   merged value never depends on which domain computed what. Metric
-   snapshots ride the same fold: integer-only merges are commutative
-   anyway, but keeping them on the accumulator path means the merged
-   snapshot follows the exact chunk discipline of the statistics. *)
+   The attempts of each chunk fold into their own [acc], and chunk
+   accumulators merge in chunk-index order, so the merged value never
+   depends on which domain computed what. Metric snapshots ride the
+   same fold: integer-only merges are commutative anyway, but keeping
+   them on the accumulator path means the merged snapshot follows the
+   exact chunk discipline of the statistics. *)
 
 type acc = {
   observations : Stats.Censored.t;
@@ -202,15 +202,92 @@ let acc_merge a b =
   }
 
 (* ------------------------------------------------------------------ *)
+(* Checkpoint cells. Compact single-letter tags — a journal line per
+   chunk at every chunk of a long campaign adds up. A Found path is
+   stored as its hop count only and reconstructed as a synthetic
+   0..hops vertex list: the accumulator fold consumes nothing but the
+   length, and pretending otherwise would bloat every line with a full
+   path. A restored cell carries no trace record and empty metrics. *)
+
+let attempt_to_json = function
+  | Rejected -> Obs.Json.Obj [ ("t", Obs.Json.String "r") ]
+  | Accepted { distance; outcome } -> (
+      match outcome with
+      | Routing.Outcome.Found { path; probes; raw_probes } ->
+          Obs.Json.Obj
+            [
+              ("t", Obs.Json.String "f");
+              ("d", Obs.Json.Int distance);
+              ("p", Obs.Json.Int probes);
+              ("rp", Obs.Json.Int raw_probes);
+              ("h", Obs.Json.Int (List.length path - 1));
+            ]
+      | Routing.Outcome.No_path { probes } ->
+          Obs.Json.Obj
+            [
+              ("t", Obs.Json.String "n");
+              ("d", Obs.Json.Int distance);
+              ("p", Obs.Json.Int probes);
+            ]
+      | Routing.Outcome.Budget_exceeded { probes } ->
+          Obs.Json.Obj
+            [
+              ("t", Obs.Json.String "b");
+              ("d", Obs.Json.Int distance);
+              ("p", Obs.Json.Int probes);
+            ])
+
+let attempt_of_json json =
+  let int_field name = Option.bind (Obs.Json.member name json) Obs.Json.to_int in
+  match Option.bind (Obs.Json.member "t" json) Obs.Json.to_str with
+  | Some "r" -> Some Rejected
+  | Some "f" -> (
+      match (int_field "d", int_field "p", int_field "rp", int_field "h") with
+      | Some d, Some p, Some rp, Some h when h >= 0 ->
+          let path = List.init (h + 1) Fun.id in
+          Some
+            (Accepted
+               {
+                 distance = d;
+                 outcome = Routing.Outcome.Found { path; probes = p; raw_probes = rp };
+               })
+      | _ -> None)
+  | Some "n" -> (
+      match (int_field "d", int_field "p") with
+      | Some d, Some p ->
+          Some (Accepted { distance = d; outcome = Routing.Outcome.No_path { probes = p } })
+      | _ -> None)
+  | Some "b" -> (
+      match (int_field "d", int_field "p") with
+      | Some d, Some p ->
+          Some
+            (Accepted
+               { distance = d; outcome = Routing.Outcome.Budget_exceeded { probes = p } })
+      | _ -> None)
+  | _ -> None
+
+let codec =
+  {
+    Checkpoint.to_json = (fun (cell : cell) -> attempt_to_json cell.attempt);
+    of_json =
+      (fun json ->
+        Option.map
+          (fun attempt -> { attempt; trace = None; metrics = Obs.Metrics.empty })
+          (attempt_of_json json));
+  }
+
+(* ------------------------------------------------------------------ *)
 (* The engine.
 
-   The attempt index space 1..max_attempts is cut into fixed chunks of
-   [chunk_size] — a constant, never a function of the job count, so
-   the accumulator-merge tree is identical however many domains run.
-   Chunks are dispensed dynamically; once enough acceptances exist in
-   the completed prefix the pool stops dispensing, and a final ordered
-   scan truncates at the exact attempt of the [trials]-th acceptance,
-   replaying the boundary chunk attempt by attempt.
+   Attempt [i] is index [i - 1] of a {!Runner} over 1..max_attempts, so
+   the attempt space is cut into Runner's fixed chunks. The runner stops
+   dispensing once the completed chunks hold [trials] acceptances; a
+   final ordered scan folds each chunk into its own accumulator, merges
+   whole chunks in chunk order, and replays the boundary chunk attempt
+   by attempt up to the exact attempt of the [trials]-th acceptance. A
+   quarantined chunk is dropped from the merge: its attempts never
+   happened as far as the statistics are concerned, and the CLI
+   surfaces the loss via the faults summary and exit code.
 
    Tracing rides the same machinery: each attempt's events are captured
    into its cell on whatever domain computed it, and the final ordered
@@ -219,10 +296,6 @@ let acc_merge a b =
    to the sink in a single call. The trace bytes therefore cannot
    depend on the job count, and runs from concurrent Trial calls cannot
    interleave. *)
-
-let chunk_size = 4
-
-type chunk = { cells : cell array; acc : acc }
 
 let policy_string = function
   | Percolation.Oracle.Local -> "local"
@@ -252,21 +325,6 @@ let trace_header spec stream ~trials ~max_attempts =
       ("max_attempts", Obs.Json.Int max_attempts);
     ]
 
-(* ------------------------------------------------------------------ *)
-(* Supervision and checkpointing.
-
-   Both are ambient process state installed by the CLI: a run takes the
-   plain [Pool] path — and its exact cost profile — unless a supervisor
-   policy is armed, a fault plan is installed, or a checkpoint is
-   configured. The supervised path wraps every chunk in the retry loop
-   of [Engine_par.Supervisor]; because [work] is a pure function of
-   [(spec, root seed, chunk)], a retried chunk recomputes the identical
-   value and the merged report stays byte-identical to a fault-free run
-   whenever every chunk eventually succeeds. A quarantined chunk is
-   dropped from the ordered merge: its attempts never happened as far
-   as the statistics are concerned, and the CLI surfaces the loss via
-   the faults summary and exit code. *)
-
 let checkpoint_key spec stream ~trials ~max_attempts =
   (* Everything a chunk's cells depend on — and nothing they don't (the
      job count shapes scheduling, never results, so resuming under a
@@ -277,98 +335,31 @@ let checkpoint_key spec stream ~trials ~max_attempts =
       ~target:spec.target
   in
   let opt = function Some v -> string_of_int v | None -> "none" in
-  Checkpoint.digest_key
-    (Printf.sprintf
-       "graph=%s;p=%.17g;source=%d;target=%d;router=%s;policy=%s;budget=%s;reveal_limit=%s;seed=%Ld;trials=%d;max_attempts=%d;chunk=%d"
-       spec.graph.Topology.Graph.name spec.p spec.source spec.target
-       router.Routing.Router.name
-       (policy_string router.Routing.Router.policy)
-       (opt spec.budget) (opt spec.reveal_limit)
-       (Prng.Stream.seed stream) trials max_attempts chunk_size)
-
-let cell_to_checkpoint (cell : cell) =
-  match cell.attempt with
-  | Rejected -> Checkpoint.Rejected
-  | Accepted { distance; outcome } -> Checkpoint.Accepted { distance; outcome }
-
-let cell_of_checkpoint = function
-  | Checkpoint.Rejected ->
-      { attempt = Rejected; trace = None; metrics = Obs.Metrics.empty }
-  | Checkpoint.Accepted { distance; outcome } ->
-      {
-        attempt = Accepted { distance; outcome };
-        trace = None;
-        metrics = Obs.Metrics.empty;
-      }
+  Printf.sprintf
+    "graph=%s;p=%.17g;source=%d;target=%d;router=%s;policy=%s;budget=%s;reveal_limit=%s;seed=%Ld;trials=%d;max_attempts=%d;chunk=%d"
+    spec.graph.Topology.Graph.name spec.p spec.source spec.target
+    router.Routing.Router.name
+    (policy_string router.Routing.Router.policy)
+    (opt spec.budget) (opt spec.reveal_limit)
+    (Prng.Stream.seed stream) trials max_attempts Runner.chunk_size
 
 let run_engine ?jobs stream ~trials ?max_attempts spec =
   if trials <= 0 then invalid_arg "Trial.run: trials must be positive";
   let max_attempts = Option.value max_attempts ~default:(100 * trials) in
-  let n_chunks = (max_attempts + chunk_size - 1) / chunk_size in
   let accepted_so_far = Atomic.make 0 in
-  let work c =
-    let lo = (c * chunk_size) + 1 in
-    let hi = Stdlib.min max_attempts ((c + 1) * chunk_size) in
-    let cells =
-      Array.init (hi - lo + 1) (fun k ->
-          if Engine_par.Supervisor.watchdog_armed () then
-            Engine_par.Supervisor.poll ();
-          observed_attempt spec stream (lo + k))
+  let until cells =
+    let accepted =
+      Array.fold_left
+        (fun n cell -> match cell.attempt with Accepted _ -> n + 1 | Rejected -> n)
+        0 cells
     in
-    { cells; acc = Array.fold_left acc_add acc_empty cells }
+    Atomic.fetch_and_add accepted_so_far accepted + accepted >= trials
   in
-  let until chunk =
-    Atomic.fetch_and_add accepted_so_far chunk.acc.accepted + chunk.acc.accepted
-    >= trials
-  in
-  let plan = Faultsim.Plan.ambient () in
-  let supervised =
-    Engine_par.Supervisor.armed () || plan <> None || Checkpoint.active ()
-  in
-  let chunks, fault_summary =
-    if not supervised then
-      (Engine_par.Pool.collect_prefix ?jobs ~limit:n_chunks ~until work, None)
-    else begin
-      let work =
-        if not (Checkpoint.active ()) then work
-        else begin
-          let key = checkpoint_key spec stream ~trials ~max_attempts in
-          fun c ->
-            match Checkpoint.lookup ~key ~chunk:c with
-            | Some stored ->
-                let cells = Array.map cell_of_checkpoint stored in
-                { cells; acc = Array.fold_left acc_add acc_empty cells }
-            | None ->
-                let chunk = work c in
-                Checkpoint.store ~key ~chunk:c
-                  (Array.map cell_to_checkpoint chunk.cells);
-                chunk
-        end
-      in
-      let policy =
-        Option.value
-          (Engine_par.Supervisor.current_policy ())
-          ~default:Engine_par.Supervisor.default_policy
-      in
-      let inject =
-        match plan with
-        | Some plan ->
-            fun ~chunk ~attempt -> Faultsim.Plan.injector plan ~chunk ~attempt
-        | None -> fun ~chunk:_ ~attempt:_ -> Engine_par.Supervisor.Pass
-      in
-      let outcomes, summary =
-        Engine_par.Supervisor.collect_prefix ?jobs ~policy ~inject
-          ~limit:n_chunks ~until work
-      in
-      let completed =
-        Array.to_list outcomes
-        |> List.filter_map (function
-             | Engine_par.Supervisor.Completed chunk -> Some chunk
-             | Engine_par.Supervisor.Quarantined _ -> None)
-        |> Array.of_list
-      in
-      (completed, Some summary)
-    end
+  let chunks, faults =
+    Runner.run ?jobs
+      ~key:(lazy (checkpoint_key spec stream ~trials ~max_attempts))
+      ~codec ~count:max_attempts ~until
+      (fun i -> observed_attempt spec stream (i + 1))
   in
   (* Ordered truncation: merge whole chunks while they cannot contain
      the [trials]-th acceptance, then replay the boundary chunk. *)
@@ -381,20 +372,21 @@ let run_engine ?jobs stream ~trials ?max_attempts spec =
   let attempts_used = ref 0 in
   (try
      Array.iter
-       (fun chunk ->
-         if !final.accepted + chunk.acc.accepted < trials then begin
-           final := acc_merge !final chunk.acc;
-           attempts_used := !attempts_used + Array.length chunk.cells;
-           if tracing then Array.iter push_trace chunk.cells
-         end
-         else
-           Array.iter
-             (fun cell ->
-               final := acc_add !final cell;
-               incr attempts_used;
-               if tracing then push_trace cell;
-               if !final.accepted >= trials then raise Exit)
-             chunk.cells)
+       (Option.iter (fun cells ->
+            let acc = Array.fold_left acc_add acc_empty cells in
+            if !final.accepted + acc.accepted < trials then begin
+              final := acc_merge !final acc;
+              attempts_used := !attempts_used + Array.length cells;
+              if tracing then Array.iter push_trace cells
+            end
+            else
+              Array.iter
+                (fun cell ->
+                  final := acc_add !final cell;
+                  incr attempts_used;
+                  if tracing then push_trace cell;
+                  if !final.accepted >= trials then raise Exit)
+                cells))
        chunks
    with Exit -> ());
   let final = !final in
@@ -407,15 +399,12 @@ let run_engine ?jobs stream ~trials ?max_attempts spec =
       (List.rev !traces);
     (* Supervision events ride the trace as run-level lines: sorted by
        (chunk, attempt), so their bytes are schedule-independent too. *)
-    (match fault_summary with
-    | Some (s : Engine_par.Supervisor.summary) ->
-        List.iter
-          (fun (f : Engine_par.Supervisor.failure) ->
-            Buffer.add_string buffer
-              (Obs.Trace.fault_line ~chunk:f.chunk ~attempt:f.attempt
-                 ~kind:(Engine_par.Supervisor.kind_string f.kind)))
-          s.failures
-    | None -> ());
+    List.iter
+      (fun (f : Engine_par.Supervisor.failure) ->
+        Buffer.add_string buffer
+          (Obs.Trace.fault_line ~chunk:f.chunk ~attempt:f.attempt
+             ~kind:(Engine_par.Supervisor.kind_string f.kind)))
+      faults.Engine_par.Supervisor.failures;
     Buffer.add_string buffer
       (Obs.Trace.end_line ~attempts:!attempts_used ~accepted:final.accepted);
     Obs.Trace.write_line (Buffer.contents buffer)

@@ -51,9 +51,10 @@ val die_after_chunks : t -> int option
 
 (** {2 Ambient plan}
 
-    The CLI installs the loaded plan process-wide; the trial engine
-    picks it up without threading a parameter through 24 experiment
-    signatures (the same pattern as [Obs.Trace]'s ambient sink). *)
+    The CLI installs the loaded plan process-wide; the chunked runner
+    ([Experiments.Runner]) picks it up without threading a parameter
+    through the experiment signatures (the same pattern as
+    [Obs.Trace]'s ambient sink). *)
 
 val set_ambient : t option -> unit
 val ambient : unit -> t option

@@ -144,6 +144,28 @@ let test_quarantine_after_budget () =
   Alcotest.(check bool) "global sees it" true
     (Supervisor.unrecoverable (Supervisor.global_summary ()))
 
+let test_quarantine_counted_per_run () =
+  (* Two runs that each lose their chunk 0 have lost two chunks: the
+     global summary keeps one entry per lost chunk per run. *)
+  with_clean_supervision @@ fun () ->
+  let inject ~chunk ~attempt:_ =
+    if chunk = 0 then Supervisor.Crash else Supervisor.Pass
+  in
+  let policy =
+    { Supervisor.default_policy with Supervisor.max_attempts = 1 }
+  in
+  for _ = 1 to 2 do
+    ignore
+      (Supervisor.collect_prefix ~jobs:1 ~policy ~inject ~limit:3
+         ~until:(fun _ -> false)
+         (fun i -> i))
+  done;
+  Alcotest.(check (list int)) "one entry per run" [ 0; 0 ]
+    (Supervisor.global_summary ()).Supervisor.quarantined;
+  Alcotest.(check (option int)) "supervisor.quarantined" (Some 2)
+    (List.assoc_opt "supervisor.quarantined"
+       (Obs.Metrics.counters (Supervisor.metrics_snapshot ())))
+
 let test_deadline_expiry () =
   with_clean_supervision @@ fun () ->
   let policy =
@@ -296,23 +318,50 @@ let configure_exn ~dir ~resume =
   | Ok () -> ()
   | Error message -> Alcotest.fail message
 
+let contains haystack needle =
+  let hl = String.length haystack and nl = String.length needle in
+  let rec at i = i + nl <= hl && (String.sub haystack i nl = needle || at (i + 1)) in
+  at 0
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* A probe budget most conditioned routings exceed: its journal holds
+   [Budget_exceeded] cells ("t": "b") next to the found ones. *)
+let run_budgeted_trial ?jobs () =
+  Experiments.Trial.run_par ?jobs (Prng.Stream.create 17L) ~trials:6
+    (Experiments.Trial.spec ~budget:12 ~graph:cube ~p:0.7 ~source:0 ~target:31
+       (fun _rand ~source:_ ~target:_ -> Routing.Local_bfs.router))
+
 let test_checkpoint_round_trip () =
-  with_dir @@ fun dir ->
-  with_clean_supervision @@ fun () ->
-  configure_exn ~dir ~resume:false;
-  let first = run_trial ~jobs:2 () in
-  let written = Experiments.Checkpoint.appended () in
-  Alcotest.(check bool) "journal grew" true (written > 0);
-  Experiments.Checkpoint.deconfigure ();
-  (* Resume: every chunk restores, none recomputes, result identical —
-     including under a different job count. *)
-  configure_exn ~dir ~resume:true;
-  let second = run_trial ~jobs:4 () in
-  Alcotest.(check bool) "resumed result identical" true
-    (Stdlib.compare first second = 0);
-  Alcotest.(check int) "nothing recomputed" 0 (Experiments.Checkpoint.appended ());
-  Alcotest.(check bool) "chunks restored" true
-    (Experiments.Checkpoint.restored () > 0)
+  List.iter
+    (fun (run, needle) ->
+      with_dir @@ fun dir ->
+      with_clean_supervision @@ fun () ->
+      configure_exn ~dir ~resume:false;
+      let first = run ~jobs:2 () in
+      let written = Experiments.Checkpoint.appended () in
+      Alcotest.(check bool) "journal grew" true (written > 0);
+      Experiments.Checkpoint.deconfigure ();
+      Option.iter
+        (fun needle ->
+          Alcotest.(check bool)
+            (Printf.sprintf "journal holds %s cells" needle)
+            true
+            (contains (read_file (Experiments.Checkpoint.file ~dir)) needle))
+        needle;
+      (* Resume: every chunk restores, none recomputes, result identical —
+         including under a different job count. *)
+      configure_exn ~dir ~resume:true;
+      let second = run ~jobs:4 () in
+      Alcotest.(check bool) "resumed result identical" true
+        (Stdlib.compare first second = 0);
+      Alcotest.(check int) "nothing recomputed" 0 (Experiments.Checkpoint.appended ());
+      Alcotest.(check bool) "chunks restored" true
+        (Experiments.Checkpoint.restored () > 0))
+    [
+      ((fun ~jobs -> run_trial ~jobs), None);
+      ((fun ~jobs -> run_budgeted_trial ~jobs), Some "\"t\": \"b\"");
+    ]
 
 let test_checkpoint_key_isolation () =
   (* A different seed must miss the journal, not restore a wrong
@@ -357,13 +406,80 @@ let test_resume_after_torn_line () =
   Alcotest.(check bool) "the torn chunk recomputed" true
     (Experiments.Checkpoint.appended () > 0)
 
+let replace_first ~sub ~by s =
+  let sl = String.length sub in
+  let rec find i =
+    if i + sl > String.length s then Alcotest.failf "%S not found" sub
+    else if String.sub s i sl = sub then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + sl) (String.length s - i - sl)
+
+let test_resume_after_rejected_cells () =
+  (* A chunk line under the right key whose cells the codec cannot
+     decode is a miss: recomputed, appended again, and the result is
+     byte-identical. *)
+  with_dir @@ fun dir ->
+  with_clean_supervision @@ fun () ->
+  configure_exn ~dir ~resume:false;
+  let reference = run_trial ~jobs:1 () in
+  let written = Experiments.Checkpoint.appended () in
+  Experiments.Checkpoint.deconfigure ();
+  let path = Experiments.Checkpoint.file ~dir in
+  let contents = read_file path in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc
+        (replace_first ~sub:"{\"t\": \"" ~by:"{\"t\": \"?" contents));
+  configure_exn ~dir ~resume:true;
+  let resumed = run_trial ~jobs:1 () in
+  Alcotest.(check bool) "byte-identical" true
+    (Stdlib.compare reference resumed = 0);
+  Alcotest.(check int) "the rejected chunk recomputed" 1
+    (Experiments.Checkpoint.appended ());
+  Alcotest.(check int) "the others restored" (written - 1)
+    (Experiments.Checkpoint.restored ());
+  Experiments.Checkpoint.deconfigure ();
+  let lines text = List.length (String.split_on_char '\n' text) in
+  Alcotest.(check int) "one line appended to the journal"
+    (lines contents + 1) (lines (read_file path))
+
+let floats_round_trip_qcheck =
+  (* Through the journal's text form, as a resume reads it. *)
+  let special =
+    [
+      nan; -.nan; Int64.float_of_bits 0x7ff0_0000_0000_0001L;
+      Int64.float_of_bits 0xfff8_dead_beef_0001L; 0.0; -0.0; infinity;
+      neg_infinity; Float.min_float; 4.9e-324; -2.2e-310; Float.max_float;
+      Float.epsilon;
+    ]
+  in
+  let gen =
+    QCheck2.Gen.(
+      array_size (int_bound 6)
+        (oneof [ map Int64.float_of_bits int64; oneofl special; float ]))
+  in
+  QCheck2.Test.make ~count:300 ~name:"Checkpoint.floats round-trips bit for bit"
+    gen (fun cell ->
+      let codec = Experiments.Checkpoint.floats in
+      match Obs.Json.of_string (Obs.Json.to_string (codec.to_json cell)) with
+      | Error message -> QCheck2.Test.fail_report message
+      | Ok json -> (
+          match codec.of_json json with
+          | None -> false
+          | Some back ->
+              Array.length back = Array.length cell
+              && Array.for_all2
+                   (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+                   cell back))
+
 (* ------------------------------------------------------------------ *)
-(* Simrun: the generic chunked runner for non-trial workloads          *)
+(* Runner over float-vector cells: the non-trial workload path       *)
 
 (* One churned gossip run per index — the unit of work E26 puts through
    the runner, so these tests pin the dynamic-fault determinism story
    end to end: pure per-index streams in, byte-identical cells out. *)
-let simrun_compute stream index =
+let runner_compute stream index =
   let substream = Prng.Stream.split stream index in
   let world =
     Percolation.World.create cube ~p:1.0
@@ -386,14 +502,17 @@ let simrun_compute stream index =
     float_of_int (Netsim.Metrics.churn_blocked m);
   |]
 
-let run_simrun ?jobs () =
+let run_runner ?jobs () =
   let stream = Prng.Stream.create 23L in
-  Experiments.Simrun.run ?jobs ~key:"test-simrun;seed=23" ~count:10
-    (simrun_compute stream)
+  let chunks, _faults =
+    Experiments.Runner.run ?jobs ~key:(lazy "test-runner;seed=23")
+      ~codec:Experiments.Checkpoint.floats ~count:10 (runner_compute stream)
+  in
+  Array.concat (Array.to_list (Array.map Option.get chunks))
 
-let test_simrun_jobs_identical () =
+let test_runner_jobs_identical () =
   with_clean_supervision @@ fun () ->
-  let reference = run_simrun ~jobs:1 () in
+  let reference = run_runner ~jobs:1 () in
   Alcotest.(check bool) "cells non-trivial" true
     (Array.exists (fun cell -> cell.(2) > 0.0) reference);
   List.iter
@@ -401,34 +520,34 @@ let test_simrun_jobs_identical () =
       Alcotest.(check bool)
         (Printf.sprintf "jobs %d identical" jobs)
         true
-        (Stdlib.compare reference (run_simrun ~jobs ()) = 0))
+        (Stdlib.compare reference (run_runner ~jobs ()) = 0))
     [ 2; 4 ]
 
-let test_simrun_crash_plan_identical () =
+let test_runner_crash_plan_identical () =
   (* A recoverable crash@K plan retries the chunk exactly; the churned
      cells must come out bit-identical to the fault-free run. *)
-  let reference = with_clean_supervision (fun () -> run_simrun ~jobs:1 ()) in
+  let reference = with_clean_supervision (fun () -> run_runner ~jobs:1 ()) in
   with_clean_supervision @@ fun () ->
   Plan.set_ambient
     (Some (Plan.make ~seed:5L [ Plan.Crash_on_chunk 1; Plan.Crash_on_chunk 2 ]));
-  let chaotic = run_simrun ~jobs:4 () in
+  let chaotic = run_runner ~jobs:4 () in
   Alcotest.(check bool) "crash plan byte-identical" true
     (Stdlib.compare reference chaotic = 0);
   let summary = Supervisor.global_summary () in
   Alcotest.(check bool) "the plan actually fired" true
     (summary.Supervisor.retries > 0)
 
-let test_simrun_checkpoint_resume () =
+let test_runner_checkpoint_resume () =
   with_dir @@ fun dir ->
-  let reference = with_clean_supervision (fun () -> run_simrun ~jobs:1 ()) in
+  let reference = with_clean_supervision (fun () -> run_runner ~jobs:1 ()) in
   with_clean_supervision @@ fun () ->
   configure_exn ~dir ~resume:false;
-  let first = run_simrun ~jobs:1 () in
+  let first = run_runner ~jobs:1 () in
   Alcotest.(check bool) "value chunks journaled" true
     (Experiments.Checkpoint.appended () > 0);
   Experiments.Checkpoint.deconfigure ();
   configure_exn ~dir ~resume:true;
-  let resumed = run_simrun ~jobs:4 () in
+  let resumed = run_runner ~jobs:4 () in
   Alcotest.(check bool) "resume byte-identical" true
     (Stdlib.compare first resumed = 0);
   Alcotest.(check bool) "and matches the unsupervised run" true
@@ -436,6 +555,35 @@ let test_simrun_checkpoint_resume () =
   Alcotest.(check int) "nothing recomputed" 0 (Experiments.Checkpoint.appended ());
   Alcotest.(check bool) "cells restored from the journal" true
     (Experiments.Checkpoint.restored () > 0)
+
+let test_runner_vchunk_resume () =
+  (* Journals written before the single cell format tagged float-vector
+     chunks [vchunk]; they must still restore every chunk. *)
+  with_dir @@ fun dir ->
+  with_clean_supervision @@ fun () ->
+  configure_exn ~dir ~resume:false;
+  let first = run_runner ~jobs:1 () in
+  let written = Experiments.Checkpoint.appended () in
+  Experiments.Checkpoint.deconfigure ();
+  let path = Experiments.Checkpoint.file ~dir in
+  let contents =
+    String.split_on_char '\n' (read_file path)
+    |> List.map (fun line ->
+           if contains line "\"ev\": \"chunk\"" then
+             replace_first ~sub:"\"ev\": \"chunk\"" ~by:"\"ev\": \"vchunk\"" line
+           else line)
+    |> String.concat "\n"
+  in
+  Alcotest.(check bool) "rewritten as vchunk lines" true
+    (contains contents "vchunk" && not (contains contents "\"ev\": \"chunk\""));
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents);
+  configure_exn ~dir ~resume:true;
+  let resumed = run_runner ~jobs:4 () in
+  Alcotest.(check bool) "resume byte-identical" true
+    (Stdlib.compare first resumed = 0);
+  Alcotest.(check int) "nothing recomputed" 0 (Experiments.Checkpoint.appended ());
+  Alcotest.(check int) "every chunk restored" written
+    (Experiments.Checkpoint.restored ())
 
 (* ------------------------------------------------------------------ *)
 (* Atomic_file                                                         *)
@@ -475,6 +623,7 @@ let () =
         [
           case "retry recovers byte-identically" test_retry_recovers;
           case "quarantine after budget" test_quarantine_after_budget;
+          case "quarantines counted per run" test_quarantine_counted_per_run;
           case "deadline expiry" test_deadline_expiry;
           case "faults/v1 json" test_faults_json;
           case "exit codes" test_exit_codes;
@@ -489,12 +638,15 @@ let () =
           case "round-trip" test_checkpoint_round_trip;
           case "key isolation" test_checkpoint_key_isolation;
           case "resume after torn line" test_resume_after_torn_line;
+          case "resume after rejected cells" test_resume_after_rejected_cells;
+          QCheck_alcotest.to_alcotest floats_round_trip_qcheck;
         ] );
-      ( "simrun",
+      ( "runner",
         [
-          case "jobs identical" test_simrun_jobs_identical;
-          case "crash plan identical" test_simrun_crash_plan_identical;
-          case "checkpoint resume" test_simrun_checkpoint_resume;
+          case "jobs identical" test_runner_jobs_identical;
+          case "crash plan identical" test_runner_crash_plan_identical;
+          case "checkpoint resume" test_runner_checkpoint_resume;
+          case "vchunk lines resume" test_runner_vchunk_resume;
         ] );
       ("atomic_file", [ case "write and append" test_atomic_file ]);
     ]
