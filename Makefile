@@ -11,22 +11,19 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# Quick percolation hot-path bench (cached vs lazy worlds, plus the
-# bitset reveal engine) plus a schema check on the emitted JSON, then
+# Quick percolation hot-path bench (cached vs lazy worlds) plus a
+# schema check on the emitted JSON and the appended history line, then
 # the observability surface: a traced quick experiment must produce
 # valid trace/v1 + metrics/v1 documents whose probe accounting replays
 # exactly, and an instrumented run must leave the disabled-path cost
-# unchanged. The bitset engine's timing must land both in the snapshot
-# and in the appended history line (the regression flag covers it).
-# Everything lands under artifacts/ (gitignored), not the repo root.
+# unchanged. Everything lands under artifacts/ (gitignored), not the
+# repo root.
 bench-smoke:
 	mkdir -p artifacts
-	dune exec bench/main.exe -- --percolation-only --quick --out artifacts/SMOKE_bench.json --history artifacts/SMOKE_history.jsonl
+	dune exec bench/main.exe -- --quick --out artifacts/SMOKE_bench.json --history artifacts/SMOKE_history.jsonl
 	grep -q '"schema": "bench_percolation/v3"' artifacts/SMOKE_bench.json
 	grep -q '"speedup"' artifacts/SMOKE_bench.json
-	grep -q '"bitset_ns"' artifacts/SMOKE_bench.json
-	grep -q '"bitset_speedup"' artifacts/SMOKE_bench.json
-	tail -1 artifacts/SMOKE_history.jsonl | grep -q '"bitset_ns"'
+	tail -1 artifacts/SMOKE_history.jsonl | grep -q '"churn_step"'
 	grep -q '"commit"' artifacts/SMOKE_bench.json
 	grep -q '"timestamp"' artifacts/SMOKE_bench.json
 	dune exec bin/faultroute.exe -- exp E1 --quick --strict-shortfall --trace artifacts/SMOKE_trace.jsonl --metrics-out artifacts/SMOKE_metrics.json > /dev/null
@@ -38,9 +35,27 @@ bench-smoke:
 
 # The quick catalog on two domains — exercises the parallel engine end
 # to end; output must match a --jobs 1 run byte for byte, and any
-# under-sampled report fails the run (exit 3).
+# under-sampled report fails the run (exit 3). Then malformed numeric
+# options: a -p outside [0, 1] (NaN and inf included), --trials 0 and
+# --budget 0 exit 1 with empty stdout and one stderr line; simulate
+# rejects a bad -p with exit 2 and one line beside its usage block. The
+# binary runs directly so no dune output mixes into the stderr counted.
 smoke:
+	mkdir -p artifacts
 	dune exec bin/faultroute.exe -- all --quick --jobs 2 --strict-shortfall > /dev/null
+	dune build bin/faultroute.exe
+	for args in 'route hypercube:8 -p 1.5' 'route hypercube:8 -p nan' 'census hypercube:8 -p 1.5' 'census hypercube:8 -p inf' 'threshold mesh2:8 --trials 0' 'route hypercube:8 --budget 0'; do \
+	  ./_build/default/bin/faultroute.exe $$args > artifacts/SMOKE_opt.out 2> artifacts/SMOKE_opt.err; \
+	  test $$? -eq 1 || { echo "$$args: want exit 1"; exit 1; }; \
+	  test ! -s artifacts/SMOKE_opt.out || { echo "$$args: stdout not empty"; exit 1; }; \
+	  test "$$(wc -l < artifacts/SMOKE_opt.err)" -eq 1 || { echo "$$args: want one stderr line"; exit 1; }; \
+	done
+	for p in 1.5 nan; do \
+	  ./_build/default/bin/faultroute.exe simulate hypercube:8 -p $$p > artifacts/SMOKE_opt.out 2> artifacts/SMOKE_opt.err; \
+	  test $$? -eq 2 || { echo "simulate -p $$p: want exit 2"; exit 1; }; \
+	  test ! -s artifacts/SMOKE_opt.out || { echo "simulate -p $$p: stdout not empty"; exit 1; }; \
+	  test "$$(grep -vc '^usage:\|^ ' artifacts/SMOKE_opt.err)" -eq 1 || { echo "simulate -p $$p: want one error line"; exit 1; }; \
+	done
 
 # Fault tolerance end to end. Leg 1: the quick catalog under a
 # recoverable fault plan (injected crashes, a stall, a flaky chunk)

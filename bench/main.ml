@@ -1,297 +1,4 @@
-(* Benchmark harness.
-
-   Two layers:
-
-   1. A bechamel suite with one Test.make per experiment (E1..E13), each
-      exercising that experiment's core routing/percolation kernel at a
-      small fixed size — wall-clock and allocation profiles of the
-      machinery itself.
-
-   2. The experiment tables: every report from the catalog, in quick
-      mode by default (pass --full for paper-scale parameters). These are
-      the reproduction's "figures"; EXPERIMENTS.md records a full-scale
-      run. *)
-
-open Bechamel
-open Toolkit
-
-let seed = 0xBE7CAL
-
-(* All fixed topologies go through the registry, like the CLI and the
-   examples; only parametrised families outside it (small-world) are
-   built directly. *)
-let topo name ~size =
-  match Topology.Registry.of_spec name with
-  | Ok spec ->
-      (Topology.Registry.build spec ~default_size:size (Prng.Stream.create seed))
-        .Topology.Registry.graph
-  | Error message -> failwith message
-
-(* ------------------------------------------------------------------ *)
-(* Kernels: one per experiment, small enough to run repeatedly.        *)
-
-let conditioned_route graph ~p ~source ~target router_of =
-  (* One conditioned routing attempt: scan derived seeds for a connected
-     world (bounded), then route. Mirrors Trial.run's inner loop. *)
-  let rec attempt k =
-    if k > 50 then 0
-    else begin
-      let world_seed = Prng.Coin.derive seed k in
-      let world = Percolation.World.create graph ~p ~seed:world_seed in
-      match Percolation.Reveal.connected world source target with
-      | Percolation.Reveal.Connected _ ->
-          let outcome = Routing.Router.run (router_of ()) world ~source ~target in
-          Routing.Outcome.probes outcome
-      | Percolation.Reveal.Disconnected | Percolation.Reveal.Unknown -> attempt (k + 1)
-    end
-  in
-  attempt 1
-
-let bench_e1 () =
-  let n = 10 in
-  let graph = topo "hypercube" ~size:n in
-  let target = Topology.Hypercube.antipode ~n 0 in
-  conditioned_route graph ~p:(float_of_int n ** -0.3) ~source:0 ~target (fun () ->
-      Routing.Path_follow.hypercube ~n ~source:0 ~target)
-
-let bench_e2 () =
-  let n = 12 in
-  let graph = topo "hypercube" ~size:n in
-  let target = Topology.Hypercube.antipode ~n 0 in
-  conditioned_route graph ~p:(float_of_int n ** -0.4) ~source:0 ~target (fun () ->
-      Routing.Path_follow.hypercube ~n ~source:0 ~target)
-
-let bench_e3 () =
-  let n = 10 in
-  let graph = topo "hypercube" ~size:n in
-  let target = Topology.Hypercube.antipode ~n 0 in
-  conditioned_route graph ~p:(float_of_int n ** -0.7) ~source:0 ~target (fun () ->
-      Routing.Local_bfs.router)
-
-let bench_e4 () =
-  let d = 2 and m = 40 in
-  let graph = topo "mesh2" ~size:m in
-  let source = Topology.Mesh.index ~m [| 10; 20 |] in
-  let target = Topology.Mesh.index ~m [| 30; 20 |] in
-  conditioned_route graph ~p:0.7 ~source ~target (fun () ->
-      Routing.Path_follow.mesh ~d ~m ~source ~target)
-
-let bench_e5 () =
-  let m = 30 in
-  let graph = topo "mesh2" ~size:m in
-  let world = Percolation.World.create graph ~p:0.5 ~seed in
-  (Percolation.Clusters.census world).Percolation.Clusters.largest
-
-let bench_e6 () =
-  let n = 10 in
-  let graph = topo "double-tree" ~size:n in
-  let world = Percolation.World.create graph ~p:0.75 ~seed in
-  match
-    Percolation.Reveal.connected world Topology.Double_tree.root1
-      (Topology.Double_tree.root2 ~n)
-  with
-  | Percolation.Reveal.Connected d -> d
-  | Percolation.Reveal.Disconnected | Percolation.Reveal.Unknown -> -1
-
-let bench_e7 () =
-  let n = 10 in
-  let graph = topo "double-tree" ~size:n in
-  let target = Topology.Double_tree.root2 ~n in
-  conditioned_route graph ~p:0.8 ~source:Topology.Double_tree.root1 ~target (fun () ->
-      Routing.Tree_pair_dfs.router ~n)
-
-let bench_e8 () =
-  let n = 300 in
-  let graph = topo "complete" ~size:n in
-  conditioned_route graph ~p:(3.0 /. float_of_int n) ~source:0 ~target:(n - 1)
-    (fun () -> Routing.Local_bfs.router)
-
-let bench_e9 () =
-  let n = 300 in
-  let graph = topo "complete" ~size:n in
-  conditioned_route graph ~p:(3.0 /. float_of_int n) ~source:0 ~target:(n - 1)
-    (fun () -> Routing.Bidirectional.router)
-
-let bench_e10 () =
-  let d = 256 in
-  let graph = topo "theta" ~size:d in
-  conditioned_route graph
-    ~p:(1.0 /. sqrt (float_of_int d))
-    ~source:Topology.Theta.endpoint_u ~target:Topology.Theta.endpoint_v (fun () ->
-      Routing.Local_bfs.router)
-
-let bench_e11 () =
-  let n = 12 in
-  let graph = topo "hypercube" ~size:n in
-  let world = Percolation.World.create graph ~p:(1.5 /. float_of_int n) ~seed in
-  (Percolation.Clusters.census world).Percolation.Clusters.largest
-
-let bench_e12 () =
-  let graph = topo "de-bruijn" ~size:10 in
-  conditioned_route graph ~p:0.6 ~source:1
-    ~target:(graph.Topology.Graph.vertex_count - 2) (fun () -> Routing.Local_bfs.router)
-
-let bench_e13 () =
-  let m = 40 in
-  let graph = topo "mesh2" ~size:m in
-  let world = Percolation.World.create graph ~p:0.7 ~seed in
-  let source = Topology.Mesh.index ~m [| 10; 20 |] in
-  let target = Topology.Mesh.index ~m [| 30; 20 |] in
-  match Percolation.Chemical.distance world source target with
-  | Some dist -> dist
-  | None -> -1
-
-let bench_e14 () =
-  let n = 10 in
-  let graph = topo "hypercube" ~size:n in
-  let target = Topology.Hypercube.antipode ~n 0 in
-  conditioned_route graph ~p:(float_of_int n ** -0.7) ~source:0 ~target (fun () ->
-      Routing.Bidirectional.router)
-
-let bench_e15 () =
-  let n = 10 in
-  let graph = topo "hypercube" ~size:n in
-  let target = (1 lsl (n / 2)) - 1 in
-  conditioned_route graph ~p:(float_of_int n ** -0.35) ~source:0 ~target (fun () ->
-      let backbone =
-        Array.of_list (Topology.Hypercube.fixed_path_desc ~n 0 target)
-      in
-      Routing.Path_follow.router ~backbone)
-
-let bench_e16 () =
-  let d = 2 and m = 30 in
-  let graph = topo "torus2" ~size:m in
-  let source = 0 in
-  let target = Topology.Mesh.index ~m [| 15; 0 |] in
-  conditioned_route graph ~p:0.7 ~source ~target (fun () ->
-      Routing.Path_follow.torus ~d ~m ~source ~target)
-
-let bench_e17 () =
-  Routing.Ball_walks.count_walks ~n:10 ~center:0 ~radius:3
-    ~target:(Routing.Ball_walks.boundary_vertex ~l:3)
-    ~length:9
-  |> int_of_float
-
-let bench_e18 () =
-  let n = 8 in
-  let graph = topo "hypercube" ~size:n in
-  let world = Percolation.World.create graph ~p:0.6 ~seed in
-  let engine = Netsim.Engine.create world Netsim.Flood.protocol in
-  Netsim.Flood.start engine ~source:0;
-  let target = Topology.Hypercube.antipode ~n 0 in
-  match
-    Netsim.Engine.run engine ~until:(fun e -> Netsim.Flood.informed_at e target <> None)
-  with
-  | `Stopped rounds -> rounds
-  | `Quiescent rounds -> rounds
-  | `Out_of_rounds -> -1
-
-let bench_e19 () =
-  let stream = Prng.Stream.create seed in
-  let curve =
-    Percolation.Scaling.measure_giant_curve stream
-      ~graph_of_size:(fun m -> topo "mesh2" ~size:m)
-      ~size:16
-      ~ps:[ 0.45; 0.5; 0.55 ]
-      ~trials:3
-  in
-  List.length curve.Percolation.Scaling.points
-
-let bench_e20 () =
-  let n = 10 in
-  let graph = topo "hypercube" ~size:n in
-  let world = Percolation.World.create graph ~p:(float_of_int n ** -0.3) ~seed in
-  if Routing.Good_vertex.is_good world 0 then 1 else 0
-
-let bench_e21 () =
-  let stream = Prng.Stream.create seed in
-  let graph = Topology.Small_world.graph stream ~m:12 ~r:2.0 in
-  let world = Percolation.World.create graph ~p:1.0 ~seed in
-  match Routing.Router.run Routing.Greedy.router world ~source:0 ~target:(graph.Topology.Graph.vertex_count - 1) with
-  | Routing.Outcome.Found { probes; _ } -> probes
-  | Routing.Outcome.No_path { probes } | Routing.Outcome.Budget_exceeded { probes } -> probes
-
-let bench_e22 () =
-  let graph = topo "hypercube" ~size:8 in
-  Topology.Mincut.max_flow graph ~source:0 ~sink:255
-
-let bench_e23 () =
-  let graph = topo "mesh2" ~size:30 in
-  let world = Percolation.World.create ~site_p:0.7 graph ~p:1.0 ~seed in
-  (Percolation.Clusters.census world).Percolation.Clusters.largest
-
-let bench_e24 () =
-  let n = 5 in
-  let graph = topo "butterfly" ~size:n in
-  let world = Percolation.World.create graph ~p:0.95 ~seed in
-  let engine =
-    Netsim.Engine.create ~link_capacity:1 world (Netsim.Butterfly_route.protocol ~n)
-  in
-  Netsim.Butterfly_route.inject_permutation (Prng.Stream.create seed) engine ~n
-    ~passes:3;
-  ignore (Netsim.Engine.run ~max_rounds:500 engine ~until:(fun _ -> false));
-  Netsim.Butterfly_route.delivered engine
-
-let tests =
-  [
-    ("E1:hypercube-segment", bench_e1);
-    ("E2:hypercube-segment-12", bench_e2);
-    ("E3:hypercube-bfs-hard", bench_e3);
-    ("E4:mesh-path-follow", bench_e4);
-    ("E5:mesh-census", bench_e5);
-    ("E6:double-tree-reveal", bench_e6);
-    ("E7:tree-pair-dfs", bench_e7);
-    ("E8:gnp-local-bfs", bench_e8);
-    ("E9:gnp-bidirectional", bench_e9);
-    ("E10:theta-bfs", bench_e10);
-    ("E11:hypercube-census", bench_e11);
-    ("E12:de-bruijn-bfs", bench_e12);
-    ("E13:mesh-chemical", bench_e13);
-    ("E14:hypercube-oracle", bench_e14);
-    ("E15:segment-desc", bench_e15);
-    ("E16:torus-path-follow", bench_e16);
-    ("E17:ball-walk-count", bench_e17);
-    ("E18:netsim-flood", bench_e18);
-    ("E19:scaling-curve", bench_e19);
-    ("E20:good-vertex", bench_e20);
-    ("E21:small-world-greedy", bench_e21);
-    ("E22:mincut", bench_e22);
-    ("E23:site-census", bench_e23);
-    ("E24:butterfly-permutation", bench_e24);
-  ]
-
-let benchmark () =
-  let test =
-    Test.make_grouped ~name:"experiments"
-      (List.map
-         (fun (name, kernel) ->
-           Test.make ~name (Staged.stage (fun () -> Sys.opaque_identity (kernel ()))))
-         tests)
-  in
-  let instances = Instance.[ monotonic_clock; minor_allocated ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances test in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = List.map (fun instance -> Analyze.all ols instance raw) instances in
-  Analyze.merge ols instances results
-
-let report_benchmarks results =
-  let () =
-    List.iter
-      (fun instance -> Bechamel_notty.Unit.add instance (Measure.unit instance))
-      Instance.[ monotonic_clock; minor_allocated ]
-  in
-  let window = { Bechamel_notty.w = 100; h = 1 } in
-  let image =
-    Bechamel_notty.Multiple.image_of_ols_results ~rect:window
-      ~predictor:Measure.run results
-  in
-  Notty_unix.eol image |> Notty_unix.output_image
-
-(* ------------------------------------------------------------------ *)
-(* Percolation hot path: cached vs lazy worlds.
+(* Percolation hot-path benchmark: cached vs lazy worlds.
 
    Three kernels per size-gated topology, each run over both world
    representations with the same seeds (identical coins, identical
@@ -301,14 +8,26 @@ let report_benchmarks results =
      fresh world per iteration (arena BFS + memoised coins vs Hashtbl
      frontier + rehash-per-query);
    - oracle-probe: an unrestricted probe sweep over every edge followed
-     by a full re-probe pass (bitset probe memory vs Hashtbl), plus a
-     local-BFS routing attempt (the realistic mix of oracle bookkeeping
-     and world queries);
+     by a full re-probe pass (bitset probe memory vs Hashtbl);
    - trial-run: a whole [Trial.run] under the default (cached)
      representation — the end-to-end number the catalog feels.
 
-   Results land in BENCH_percolation.json (schema
-   bench_percolation/v3) so the perf trajectory is tracked in-repo.    *)
+   A fourth row times the churn stepper. Results land in
+   BENCH_percolation.json (schema bench_percolation/v3) and, with
+   --history, are appended to a JSONL trail. End-to-end timings of the
+   catalog, serve and simulate live in perfbench/; this harness keeps
+   the kernel rows perfbench lacks, plus the --obs-guard check. *)
+
+let seed = 0xBE7CAL
+
+(* All fixed topologies go through the registry, like the CLI and the
+   examples. *)
+let topo name ~size =
+  match Topology.Registry.of_spec name with
+  | Ok spec ->
+      (Topology.Registry.build spec ~default_size:size (Prng.Stream.create seed))
+        .Topology.Registry.graph
+  | Error message -> failwith message
 
 let perc_bench_seed = 0xB37CA5EL
 
@@ -395,23 +114,22 @@ let world_of case ~cache k =
   Percolation.World.create ~cache case.graph ~p:case.p
     ~seed:(Prng.Coin.derive perc_bench_seed k)
 
-let reveal_kernel case ~worlds ~cache ~engine () =
+let reveal_kernel case ~worlds ~cache () =
   (* Four BFS passes per world — the Trial.run pattern (conditioning
      reveal, chemical distance, routing ground truth) revisits the same
      world's coins repeatedly, which is what the cache amortises. The
-     engine is pinned explicitly so each timing measures one path:
-     Table over lazy worlds is the historical reference, Arena and
-     Bitset over cached worlds are the two production engines. *)
+     representation picks the engine: Table over lazy worlds (the
+     reference), Arena over cached ones (production). *)
   let acc = ref 0 in
   for k = 1 to worlds do
     let world = world_of case ~cache k in
     (* Resident worlds are prefilled in production (worldpool/serve), so
-       the cached engines are measured the same way: one sequential row
+       the cached engine is measured the same way: one sequential row
        sweep — timed here — instead of random-order fills during the
        first BFS. *)
     if cache then Percolation.World.prefill world;
     for _pass = 1 to 4 do
-      let size, _ = Percolation.Reveal.cluster_size_via engine world case.source in
+      let size, _ = Percolation.Reveal.cluster_size world case.source in
       acc := !acc + size
     done
   done;
@@ -456,33 +174,12 @@ let trial_kernel case ~trials () =
 
 type perc_timing = { lazy_ns : float; cached_ns : float }
 
-(* Reveal additionally times the bitset engine, the third kernel beside
-   the queue pair; lazy/cached keep their historical meaning (Table on
-   a lazy world vs Arena on a cached one) so the regression history
-   stays comparable across schema versions. *)
-type reveal_timing = { reveal : perc_timing; bitset_ns : float }
-
 let perc_speedup t = t.lazy_ns /. t.cached_ns
-let bitset_speedup t = t.reveal.lazy_ns /. t.bitset_ns
 
 let compare_paths ~reps kernel =
   let lazy_s = time_median ~reps (fun () -> kernel ~cache:false ()) in
   let cached_s = time_median ~reps (fun () -> kernel ~cache:true ()) in
   { lazy_ns = lazy_s *. 1e9; cached_ns = cached_s *. 1e9 }
-
-let compare_reveal ~reps case ~worlds =
-  let time engine ~cache =
-    time_median ~reps (fun () -> reveal_kernel case ~worlds ~cache ~engine ())
-    *. 1e9
-  in
-  {
-    reveal =
-      {
-        lazy_ns = time Percolation.Reveal.Table ~cache:false;
-        cached_ns = time Percolation.Reveal.Arena ~cache:true;
-      };
-    bitset_ns = time Percolation.Reveal.Bitset ~cache:true;
-  }
 
 (* Provenance for bench snapshots: where and when the numbers came
    from. Best-effort — a missing git (tarball build) yields null. *)
@@ -524,13 +221,6 @@ let perc_json ~mode ~worlds ~churn_step results =
     Printf.sprintf "{\"lazy_ns\": %.0f, \"cached_ns\": %.0f, \"speedup\": %.2f}"
       t.lazy_ns t.cached_ns (perc_speedup t)
   in
-  let reveal_fields r =
-    Printf.sprintf
-      "{\"lazy_ns\": %.0f, \"cached_ns\": %.0f, \"speedup\": %.2f, \
-       \"bitset_ns\": %.0f, \"bitset_speedup\": %.2f}"
-      r.reveal.lazy_ns r.reveal.cached_ns (perc_speedup r.reveal) r.bitset_ns
-      (bitset_speedup r)
-  in
   Buffer.add_string buffer "{\n";
   Buffer.add_string buffer "  \"schema\": \"bench_percolation/v3\",\n";
   Buffer.add_string buffer
@@ -543,16 +233,16 @@ let perc_json ~mode ~worlds ~churn_step results =
   Buffer.add_string buffer (Printf.sprintf "  \"mode\": \"%s\",\n" mode);
   Buffer.add_string buffer (Printf.sprintf "  \"worlds_per_kernel\": %d,\n" worlds);
   Buffer.add_string buffer "  \"topologies\": [\n";
-  List.iteri
-    (fun _i (case, cached, reveal, oracle, trial_ns, trials) ->
+  List.iter
+    (fun (case, cached, reveal, oracle, trial_ns, trials) ->
       Buffer.add_string buffer
         (Printf.sprintf
            "    {\"name\": %S, \"cached\": %b,\n\
            \     \"reveal_bfs\": %s,\n\
            \     \"oracle_probe\": %s,\n\
-           \     \"trial_run\": {\"ns\": %.0f, \"trials\": %d}}%s\n"
-           case.case_name cached (reveal_fields reveal) (timing_fields oracle)
-           trial_ns trials ","))
+           \     \"trial_run\": {\"ns\": %.0f, \"trials\": %d}},\n"
+           case.case_name cached (timing_fields reveal) (timing_fields oracle)
+           trial_ns trials))
     results;
   (let churn_ns, churn_queries = churn_step in
    Buffer.add_string buffer
@@ -576,15 +266,13 @@ let report_percolation ~quick ~out =
           Percolation.World.cached
             (Percolation.World.create case.graph ~p:case.p ~seed:1L)
         in
-        let reveal = compare_reveal ~reps case ~worlds in
+        let reveal = compare_paths ~reps (fun ~cache -> reveal_kernel case ~worlds ~cache) in
         let oracle = compare_paths ~reps (fun ~cache -> oracle_kernel case ~worlds ~cache) in
         let trial_ns = time_median ~reps:3 (trial_kernel case ~trials) *. 1e9 in
         Printf.printf
-          "%-18s reveal-BFS %6.2fx (bitset %6.2fx)   oracle-probe %6.2fx   \
-           trial %6.2f ms\n\
-           %!"
-          case.case_name (perc_speedup reveal.reveal) (bitset_speedup reveal)
-          (perc_speedup oracle) (trial_ns /. 1e6);
+          "%-18s reveal-BFS %6.2fx   oracle-probe %6.2fx   trial %6.2f ms\n%!"
+          case.case_name (perc_speedup reveal) (perc_speedup oracle)
+          (trial_ns /. 1e6);
         (case, cached, reveal, oracle, trial_ns, trials))
       (perc_cases ())
   in
@@ -613,145 +301,33 @@ let report_percolation ~quick ~out =
         Float.is_finite t.lazy_ns && Float.is_finite t.cached_ns && t.lazy_ns > 0.0
         && t.cached_ns > 0.0
       in
-      if
-        not
-          (ok reveal.reveal && ok oracle
-          && Float.is_finite reveal.bitset_ns
-          && reveal.bitset_ns > 0.0
-          && Float.is_finite trial_ns && trial_ns > 0.0)
+      if not (ok reveal && ok oracle && Float.is_finite trial_ns && trial_ns > 0.0)
       then failwith (Printf.sprintf "bench: bad timing for %s" case.case_name))
     results;
   let channel = open_out out in
   output_string channel json;
   close_out channel;
-  Printf.printf "wrote %s\n\n" out
+  Printf.printf "wrote %s\n" out
 
-(* The --kernels leg: the three reveal engines head-to-head per
-   topology, plus the oracle pair — the quick view of where the
-   word-level kernels stand without running the full percolation
-   report. *)
-let report_kernels ~quick =
-  let worlds = if quick then 10 else 50 in
-  let reps = if quick then 5 else 11 in
-  Printf.printf
-    "== reveal/oracle kernels (table-on-lazy vs arena vs bitset, %s mode) ==\n"
-    (if quick then "quick" else "full");
-  List.iter
-    (fun case ->
-      let r = compare_reveal ~reps case ~worlds in
-      let o = compare_paths ~reps (fun ~cache -> oracle_kernel case ~worlds ~cache) in
-      Printf.printf
-        "%-18s reveal  table %8.0f us  arena %8.0f us (%5.2fx)  bitset %8.0f \
-         us (%5.2fx)\n\
-         %-18s oracle  lazy  %8.0f us  flat  %8.0f us (%5.2fx)\n\
-         %!"
-        case.case_name (r.reveal.lazy_ns /. 1e3) (r.reveal.cached_ns /. 1e3)
-        (perc_speedup r.reveal) (r.bitset_ns /. 1e3) (bitset_speedup r) ""
-        (o.lazy_ns /. 1e3) (o.cached_ns /. 1e3) (perc_speedup o))
-    (perc_cases ())
-
-(* Append the snapshot at [out] to a JSONL history file, flagging
-   cached-path timings more than 15% slower than the trailing snapshot
-   of the same mode. Timing noise makes this advisory: flags print, the
-   exit code stays 0. *)
+(* Append the snapshot at [out] to a JSONL history file. The history is
+   a record, not a gate: host speed moves every timing, so comparing
+   two snapshots is left to [faultroute obs diff]. The snapshot must
+   parse as one, or every later reader of the history would stop at
+   it. *)
 let append_history ~out ~history =
   let contents = In_channel.with_open_text out In_channel.input_all in
-  match Result.bind (Obs.Json.of_string contents) Obs.Bench_history.of_json with
+  match Obs.Json.of_string contents with
   | Error message -> Printf.eprintf "bench history: %s is unusable: %s\n" out message
-  | Ok current ->
-      let past =
-        if Sys.file_exists history then
-          let lines =
-            String.split_on_char '\n'
-              (In_channel.with_open_text history In_channel.input_all)
-          in
-          match Obs.Bench_history.parse_lines lines with
-          | Ok snapshots -> snapshots
-          | Error message ->
-              Printf.eprintf
-                "bench history: ignoring unreadable %s (%s)\n" history message;
-              []
-        else []
-      in
-      (match Obs.Bench_history.trailing_baseline ~mode:current.mode past with
-      | None ->
-          Printf.printf "bench history: no prior %s-mode snapshot to compare\n"
-            current.Obs.Bench_history.mode
-      | Some baseline ->
-          let slow = Obs.Bench_history.regressions ~baseline current in
-          if slow = [] then
-            Printf.printf
-              "bench history: no >15%% cached-path slowdowns vs %s\n"
-              (Option.value baseline.Obs.Bench_history.commit ~default:"(uncommitted)")
-          else
-            List.iter
-              (fun r ->
-                Printf.printf
-                  "BENCH SLOWDOWN %s: %.2fx (%.0f ns -> %.0f ns vs %s)\n"
-                  r.Obs.Bench_history.key r.Obs.Bench_history.ratio
-                  r.Obs.Bench_history.baseline_ns r.Obs.Bench_history.current_ns
-                  (Option.value baseline.Obs.Bench_history.commit
-                     ~default:"(uncommitted)"))
-              slow);
-      (* Atomic append (temp + rename): a kill mid-append must corrupt
-         neither the existing history nor the new line, or every later
-         bench run would drop the whole file as unreadable. *)
-      (match Obs.Json.of_string contents with
-      | Ok json ->
+  | Ok json -> (
+      match Obs.Bench_history.of_json json with
+      | Error message ->
+          Printf.eprintf "bench history: %s is unusable: %s\n" out message
+      | Ok _ ->
+          (* Atomic append (temp + rename): a kill mid-append must
+             corrupt neither the existing history nor the new line. *)
           Obs.Atomic_file.append_line ~path:history
-            ~line:(Obs.Json.to_string json ^ "\n")
-      | Error _ -> ());
-      Printf.printf "appended snapshot to %s (%d entries)\n" history
-        (List.length past + 1)
-
-(* ------------------------------------------------------------------ *)
-(* Parallel engine: wall-clock of the full quick catalog at jobs = 1
-   versus jobs = N, plus a byte-identity check on the rendered reports.
-   Speedup is bounded by the machine's core count — on a single-core
-   host the two times coincide.                                        *)
-
-let timed_run_all ~jobs =
-  Engine_par.Pool.set_default_jobs jobs;
-  Fun.protect
-    ~finally:(fun () -> Engine_par.Pool.set_default_jobs 1)
-    (fun () ->
-      let t0 = Unix.gettimeofday () in
-      let reports = Experiments.Catalog.run_all ~quick:true ~jobs ~seed:0x5EEDL () in
-      let elapsed = Unix.gettimeofday () -. t0 in
-      (elapsed, String.concat "\n" (List.map Experiments.Report.render reports)))
-
-let report_parallel_speedup () =
-  let jobs = Stdlib.max 2 (Engine_par.Pool.recommended_jobs ()) in
-  Printf.printf "== parallel trial engine (quick catalog, %d cores recommended) ==\n"
-    (Engine_par.Pool.recommended_jobs ());
-  let sequential, reference = timed_run_all ~jobs:1 in
-  let parallel, rendered = timed_run_all ~jobs in
-  Printf.printf "jobs=1: %6.2f s\njobs=%d: %6.2f s\nspeedup: %.2fx\n" sequential jobs
-    parallel (sequential /. parallel);
-  Printf.printf "reports byte-identical across job counts: %b\n\n" (rendered = reference)
-
-(* ------------------------------------------------------------------ *)
-(* Observability: profiling spans and the zero-cost-when-off guard.    *)
-
-let report_profile ?profile_out () =
-  Obs.Timing.reset ();
-  Obs.Timing.enable ();
-  let t0 = Unix.gettimeofday () in
-  let reports = Experiments.Catalog.run_all ~quick:true ~seed:0x5EEDL () in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  Obs.Timing.disable ();
-  Printf.printf
-    "== profiling spans (quick catalog, %d reports, %.2f s wall) ==\n"
-    (List.length reports) elapsed;
-  Printf.printf "%s\n"
-    (Format.asprintf "%a" Obs.Timing.pp_report (Obs.Timing.report ()));
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      output_string oc (Obs.Timing.profile_json ());
-      close_out oc;
-      Printf.printf "profile/v1 written to %s\n" path)
-    profile_out
+            ~line:(Obs.Json.to_string json ^ "\n");
+          Printf.printf "appended snapshot to %s\n" history)
 
 (* The zero-cost-when-off contract, checked empirically: the
    oracle-probe kernel is timed with instrumentation disabled, then an
@@ -833,53 +409,29 @@ let obs_guard () =
 
 (* A real single-pass parser (no cmdliner in the bench image): every
    flag is matched exactly, value flags consume the next word, and an
-   unknown argument is a usage error — unlike the old [Array.exists]
-   scans, a typo can no longer silently run the default suite. *)
+   unknown argument is a usage error, so a typo cannot silently run the
+   default. *)
 type bench_args = {
-  mutable full : bool;
   mutable quick : bool;
-  mutable tables_only : bool;
-  mutable perc_only : bool;
-  mutable kernels : bool;
   mutable obs_guard : bool;
-  mutable profile : bool;
-  mutable profile_out : string option;
   mutable out : string;
   mutable history : string option;
 }
 
 let usage_lines =
   [
-    "usage: bench [--full|--quick] [--tables-only] [--percolation-only]";
-    "             [--kernels] [--obs-guard] [--profile] [--profile-out FILE]";
-    "             [--out FILE] [--history FILE]";
+    "usage: bench [--full|--quick] [--obs-guard] [--out FILE] [--history FILE]";
     "";
-    "  --full              full-size tables and percolation cases";
-    "  --quick             smoke-test sizes";
-    "  --tables-only       skip the bechamel micro-benchmarks";
-    "  --percolation-only  only the percolation kernel comparison";
-    "  --kernels           only the reveal/oracle kernel micro-table";
-    "  --obs-guard         check instrumentation costs nothing when off";
-    "  --profile           profile the quick catalog, print the span table";
-    "  --profile-out FILE  also write the profile/v1 span tree to FILE";
+    "  --full              more worlds, repetitions and trials per kernel";
+    "  --quick             the smaller counts (the default)";
+    "  --obs-guard         only check that instrumentation costs nothing when off";
     "  --out FILE          percolation snapshot path (default BENCH_percolation.json)";
-    "  --history FILE      append the snapshot to a JSONL history and flag regressions";
+    "  --history FILE      also append the snapshot to a JSONL history";
   ]
 
 let parse_args () =
   let a =
-    {
-      full = false;
-      quick = false;
-      tables_only = false;
-      perc_only = false;
-      kernels = false;
-      obs_guard = false;
-      profile = false;
-      profile_out = None;
-      out = "BENCH_percolation.json";
-      history = None;
-    }
+    { quick = true; obs_guard = false; out = "BENCH_percolation.json"; history = None }
   in
   let argc = Array.length Sys.argv in
   let die message =
@@ -895,29 +447,14 @@ let parse_args () =
       in
       match Sys.argv.(i) with
       | "--full" ->
-          a.full <- true;
+          a.quick <- false;
           loop (i + 1)
       | "--quick" ->
           a.quick <- true;
           loop (i + 1)
-      | "--tables-only" ->
-          a.tables_only <- true;
-          loop (i + 1)
-      | "--percolation-only" ->
-          a.perc_only <- true;
-          loop (i + 1)
-      | "--kernels" ->
-          a.kernels <- true;
-          loop (i + 1)
       | "--obs-guard" ->
           a.obs_guard <- true;
           loop (i + 1)
-      | "--profile" ->
-          a.profile <- true;
-          loop (i + 1)
-      | "--profile-out" ->
-          a.profile_out <- Some (value "--profile-out");
-          loop (i + 2)
       | "--out" ->
           a.out <- value "--out";
           loop (i + 2)
@@ -935,40 +472,5 @@ let parse_args () =
 let () =
   let args = parse_args () in
   if args.obs_guard then exit (obs_guard ());
-  if args.profile || args.profile_out <> None then begin
-    report_profile ?profile_out:args.profile_out ();
-    exit 0
-  end;
-  let full = args.full in
-  let skip_micro = args.tables_only in
-  let quick_flag = args.quick in
-  let out = args.out in
-  let maybe_history () =
-    Option.iter (fun history -> append_history ~out ~history) args.history
-  in
-  if args.kernels then begin
-    report_kernels ~quick:(quick_flag || not full);
-    exit 0
-  end;
-  if args.perc_only then begin
-    report_percolation ~quick:quick_flag ~out;
-    maybe_history ();
-    exit 0
-  end;
-  if not skip_micro then begin
-    print_endline "== bechamel micro-benchmarks (one kernel per experiment) ==";
-    report_benchmarks (benchmark ());
-    print_newline ()
-  end;
-  if not skip_micro then report_parallel_speedup ();
-  if not skip_micro then begin
-    report_percolation ~quick:(not full) ~out;
-    maybe_history ()
-  end;
-  Printf.printf "== experiment tables (%s mode) ==\n\n" (if full then "full" else "quick");
-  let reports = Experiments.Catalog.run_all ~quick:(not full) ~seed:0x5EEDL () in
-  List.iter
-    (fun r ->
-      Experiments.Report.print r;
-      print_newline ())
-    reports
+  report_percolation ~quick:args.quick ~out:args.out;
+  Option.iter (fun history -> append_history ~out:args.out ~history) args.history

@@ -447,6 +447,24 @@ let cmd_check quick baseline_path out update evidence_files common supervision =
   else if shortfall <> Verdict.Exit_code.ok then shortfall
   else code
 
+(* Numeric options are checked before any world is built or anything
+   is printed: the first malformed one is a single stderr line and
+   exit 1. *)
+let with_valid_options errors k =
+  match List.find_map Fun.id errors with
+  | Some message ->
+      prerr_endline message;
+      Verdict.Exit_code.error
+  | None -> k ()
+
+(* NaN fails both comparisons, so it is rejected too. *)
+let p_error p =
+  if p >= 0.0 && p <= 1.0 then None
+  else Some (Printf.sprintf "-p must be in [0, 1], got %g" p)
+
+let at_least_one name n =
+  if n >= 1 then None else Some (Printf.sprintf "%s must be at least 1, got %d" name n)
+
 (* The [--source]/[--target] endpoints on [graph] (defaults: its first
    and last vertex), or the one-line range error naming the vertex. *)
 let endpoints graph source target =
@@ -457,6 +475,8 @@ let endpoints graph source target =
   | exception Invalid_argument message -> Error message
 
 let cmd_route topology size p source target router_name budget common =
+  with_valid_options [ p_error p; Option.bind budget (at_least_one "--budget") ]
+  @@ fun () ->
   let seed = common.seed in
   let stream = Prng.Stream.create seed in
   with_instance topology ~size (Prng.Stream.split stream 0) @@ fun instance ->
@@ -549,6 +569,7 @@ let cmd_route topology size p source target router_name budget common =
       0
 
 let cmd_census topology size p seed =
+  with_valid_options [ p_error p ] @@ fun () ->
   let stream = Prng.Stream.create seed in
   with_instance topology ~size stream @@ fun instance ->
   let graph = instance.Topology.Registry.graph in
@@ -565,6 +586,7 @@ let cmd_census topology size p seed =
   0
 
 let cmd_threshold topology size seed jobs trials =
+  with_valid_options [ at_least_one "--trials" trials ] @@ fun () ->
   let stream = Prng.Stream.create seed in
   with_instance topology ~size stream @@ fun instance ->
   let graph = instance.Topology.Registry.graph in
@@ -627,7 +649,10 @@ let cmd_simulate topology size p protocol_name source target max_rounds rounds
   if (match rounds with Some n -> n < 1 | None -> false) then
     die "--rounds must be >= 1"
   else if max_rounds < 1 then die "--max-rounds must be >= 1"
-  else begin
+  else
+  match p_error p with
+  | Some message -> die message
+  | None -> begin
   let churn =
     match parsed_churn with Some (Ok plan) -> Some plan | _ -> None
   in
@@ -1333,7 +1358,7 @@ let size_arg =
 let p_arg =
   Arg.(
     value & opt float 0.6
-    & info [ "p" ] ~docv:"P" ~doc:"Edge retention probability.")
+    & info [ "p" ] ~docv:"P" ~doc:"Edge retention probability, in [0, 1].")
 
 let list_cmd =
   Cmd.v
@@ -1419,7 +1444,7 @@ let route_cmd =
     Arg.(
       value
       & opt (some int) None
-      & info [ "budget" ] ~docv:"B" ~doc:"Distinct-probe budget.")
+      & info [ "budget" ] ~docv:"B" ~doc:"Distinct-probe budget, at least 1.")
   in
   Cmd.v
     (Cmd.info "route" ~doc:"Run one routing attempt on one percolated world.")
@@ -1436,7 +1461,7 @@ let threshold_cmd =
   let trials_arg =
     Arg.(
       value & opt int 20
-      & info [ "trials" ] ~docv:"T" ~doc:"Worlds per bisection pivot.")
+      & info [ "trials" ] ~docv:"T" ~doc:"Worlds per bisection pivot, at least 1.")
   in
   Cmd.v
     (Cmd.info "threshold" ~doc:"Estimate a giant-component threshold by bisection.")

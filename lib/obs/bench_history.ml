@@ -49,9 +49,9 @@ let of_json json =
               List.filter_map Fun.id
                 [
                   kernel_ns "reveal_bfs" "cached_ns";
-                  (* v3 snapshots carry the bitset engine's time too, so
-                     the >15% regression flag covers all three reveal
-                     kernels; absent on v1/v2 lines. *)
+                  (* The bitset reveal engine's time, carried by v3
+                     snapshots written before that engine was deleted;
+                     absent from every other line. *)
                   kernel_ns "reveal_bfs" "bitset_ns";
                   kernel_ns "oracle_probe" "cached_ns";
                   kernel_ns "trial_run" "ns";
@@ -95,21 +95,3 @@ let trailing_baseline ~mode history =
   List.fold_left
     (fun acc snapshot -> if snapshot.mode = mode then Some snapshot else acc)
     None history
-
-type regression = {
-  key : string;
-  baseline_ns : float;
-  current_ns : float;
-  ratio : float;
-}
-
-let regressions ?(threshold = 0.15) ~baseline current =
-  List.filter_map
-    (fun (key, current_ns) ->
-      match List.assoc_opt key baseline.metrics with
-      | Some baseline_ns
-        when baseline_ns > 0.0
-             && current_ns > baseline_ns *. (1.0 +. threshold) ->
-          Some { key; baseline_ns; current_ns; ratio = current_ns /. baseline_ns }
-      | _ -> None)
-    current.metrics

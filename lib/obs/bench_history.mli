@@ -1,12 +1,15 @@
-(** Bench snapshot history: parse [bench_percolation/v1|v2|v3] JSON,
-    keep an append-only JSONL trail, and flag slowdowns against the
-    trailing same-mode baseline.
+(** Bench snapshot history: parse [bench_percolation/v1|v2|v3] JSON
+    and the append-only JSONL trail of them. The history is a record:
+    no threshold turns a ratio into a verdict, since host speed moves
+    every timing ([faultroute obs diff] prints the ratios).
 
-    The cached-path timings ([*.cached_ns]), the bitset reveal engine
-    ([reveal_bfs.bitset_ns], v3 only) and the end-to-end
-    [trial_run.ns] are the tracked metrics; lazy-path numbers exist
-    only to compute speedups and are deliberately not compared (they
-    measure the machinery we moved away from). *)
+    The cached-path timings ([*.cached_ns]), the end-to-end
+    [trial_run.ns] and the churn stepper's [churn_step.ns] are the
+    tracked metrics; lazy-path numbers exist only to compute speedups
+    and are deliberately not harvested (they measure the machinery we
+    moved away from). Older v3 lines also carry the since-deleted
+    bitset reveal engine's [reveal_bfs.bitset_ns], harvested when
+    present. *)
 
 type snapshot = {
   mode : string;  (** ["quick"] or ["full"]. *)
@@ -18,8 +21,9 @@ type snapshot = {
 }
 
 val of_json : Json.t -> (snapshot, string) result
-(** Accepts [bench_percolation/v1] (no provenance fields), [/v2], and
-    [/v3] (adds [reveal_bfs.bitset_ns] to the harvested metrics). *)
+(** Accepts [bench_percolation/v1] (no provenance fields), [/v2] and
+    [/v3]. Kernel rows a topology lacks are skipped, but each topology
+    must carry at least one tracked timing. *)
 
 val parse_lines : string list -> (snapshot list, string) result
 (** Parse a JSONL history (one snapshot per line, blanks skipped),
@@ -28,16 +32,3 @@ val parse_lines : string list -> (snapshot list, string) result
 val trailing_baseline : mode:string -> snapshot list -> snapshot option
 (** The most recent snapshot of the same mode, i.e. the last matching
     element of an oldest-first list. *)
-
-type regression = {
-  key : string;
-  baseline_ns : float;
-  current_ns : float;
-  ratio : float;  (** [current/baseline], always above the threshold. *)
-}
-
-val regressions :
-  ?threshold:float -> baseline:snapshot -> snapshot -> regression list
-(** Metrics of the current snapshot slower than the baseline by more
-    than [threshold] (default 0.15, i.e. >15%). Metrics missing from
-    either side are skipped. *)

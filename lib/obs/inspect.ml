@@ -564,22 +564,7 @@ let report ppf = function
             (Option.value s.timestamp ~default:"-")
             (Option.value s.commit ~default:"-")
             (List.length s.metrics))
-        snapshots;
-      let current = List.nth snapshots (List.length snapshots - 1) in
-      let earlier = List.filteri (fun i _ -> i < List.length snapshots - 1) snapshots in
-      (match Bench_history.trailing_baseline ~mode:current.mode earlier with
-      | None -> ()
-      | Some baseline -> (
-          match Bench_history.regressions ~baseline current with
-          | [] ->
-              Format.fprintf ppf
-                "  no regressions vs trailing %s baseline@." current.mode
-          | rs ->
-              List.iter
-                (fun (r : Bench_history.regression) ->
-                  Format.fprintf ppf "  REGRESSION %s: %.0f -> %.0f ns (%.2fx)@."
-                    r.key r.baseline_ns r.current_ns r.ratio)
-                rs))
+        snapshots
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation and diff.                                               *)
@@ -677,16 +662,27 @@ let diff ppf a b =
         vx.Trace.Replay.checked vy.Trace.Replay.checked;
       Ok ()
   | Bench xs, Bench ys ->
-      let last l = List.nth l (List.length l - 1) in
-      let baseline = last xs and current = last ys in
-      (match Bench_history.regressions ~baseline current with
-      | [] -> Format.fprintf ppf "  no regressions@."
-      | rs ->
+      (* The second history's newest snapshot against the first
+         history's newest of the same mode: every metric both carry,
+         with its ratio. Host speed moves every timing, so no threshold
+         turns a ratio into a verdict. *)
+      let current = List.nth ys (List.length ys - 1) in
+      let commit (s : Bench_history.snapshot) = Option.value s.commit ~default:"-" in
+      (match Bench_history.trailing_baseline ~mode:current.mode xs with
+      | None ->
+          Format.fprintf ppf "  no %s-mode snapshot in the first history@."
+            current.mode
+      | Some baseline ->
+          Format.fprintf ppf "  %s mode, %s -> %s@." current.mode (commit baseline)
+            (commit current);
           List.iter
-            (fun (r : Bench_history.regression) ->
-              Format.fprintf ppf "  REGRESSION %s: %.0f -> %.0f ns (%.2fx)@."
-                r.key r.baseline_ns r.current_ns r.ratio)
-            rs);
+            (fun (key, current_ns) ->
+              match List.assoc_opt key baseline.metrics with
+              | Some baseline_ns ->
+                  Format.fprintf ppf "  %-40s %14.0f -> %-14.0f ns  %.2fx@." key
+                    baseline_ns current_ns (current_ns /. baseline_ns)
+              | None -> ())
+            current.metrics);
       Ok ()
   | a, b ->
       Error

@@ -58,8 +58,8 @@ val report : Format.formatter -> artifact -> unit
     histogram quantile rows (p50/p95/p99/max, [_ns] names scaled to
     ms), the indented span tree for profiles, the replay verdict for
     traces (including the query-span lifecycle audit), run rows with
-    their artifact digests for ledgers, and snapshots +
-    trailing-baseline regressions for bench histories. An empty table
+    their artifact digests for ledgers, and the snapshot list (mode,
+    timestamp, commit, metric count) for bench histories. An empty table
     prints an explicit ["(no samples)"] row; telemetry with heartbeat
     [seq] gaps prints a warning line. *)
 
@@ -71,9 +71,10 @@ val diff : Format.formatter -> artifact -> artifact -> (unit, string) result
 (** Print what changed from the first artifact to the second. Both
     must be the same kind: counter/gauge/histogram deltas for metrics
     and telemetry, significant span-time movement for profiles
-    (>1% and >0.1 ms), replay-verdict counts for traces, and
-    regression flags ({!Bench_history.regressions}) for bench
-    histories. *)
+    (>1% and >0.1 ms), replay-verdict counts for traces, and for bench
+    histories every metric shared by the second history's newest
+    snapshot and the first history's newest snapshot of the same mode,
+    as baseline -> current and their ratio. *)
 
 val folded_of_profile : artifact -> (string list, string) result
 (** Flamegraph folded-stack lines ["a;b;c <self-us>"] from a

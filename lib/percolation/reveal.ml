@@ -1,33 +1,24 @@
 type verdict = Connected of int | Disconnected | Unknown
 
-(* Three BFS engines over open edges, selected by the world's
-   representation (and by observability state — see [order_free] below),
-   observationally equivalent on order-free queries (property-tested):
+(* Two BFS engines over open edges, selected by the world's
+   representation and observationally equivalent (property-tested):
 
    - [bfs_table]: the historical Hashtbl-frontier engine, the reference
      path, used for lazy worlds (implicit graphs too large to index by
      vertex).
-   - [bfs_arena]: int-array distances and an int-array queue indexed by
+   - [bfs_arena]: a visited bitset and an int-array queue indexed by
      vertex id, used for cached worlds (the size gate guarantees the
      arrays fit). No hashing, no boxing. Same visit order as
      [bfs_table].
-   - [bfs_bitset]: level-synchronous frontier over word-scanned bitsets,
-     used for cached worlds on queries that do not observe visit order.
-     Within a level it visits vertices in id order, not discovery order,
-     but every vertex is still discovered at its true BFS distance, so
-     distances, full-exploration counts and connectivity verdicts agree
-     with the queue engines.
 
-   Shared limit convention — every engine MUST implement it identically
-   so differential tests can compare truncated counts: a fresh vertex is
+   Shared limit convention — both engines MUST implement it identically
+   so differential tests can compare truncated runs: a fresh vertex is
    checked against [limit] *before* it is recorded. When [limit]
    vertices have already been discovered (the start vertex counts), the
    next fresh vertex triggers `Truncated` without being visited; a
-   truncated run therefore visits exactly [limit] vertices in every
-   engine. (Which [limit] vertices those are depends on visit order, so
-   only the count is engine-independent.)
+   truncated run therefore visits exactly [limit] vertices.
 
-   All engines stop when [stop] returns true for a newly discovered
+   Both engines stop when [stop] returns true for a newly discovered
    vertex, when the cluster is exhausted, or when the limit trips. *)
 
 let bfs_table ?limit world start ~stop ~visit =
@@ -168,123 +159,14 @@ let bfs_arena ?limit world start ~stop ~visit =
     | `Exhausted -> if !truncated then `Truncated else `Exhausted_full
   end
 
-let bfs_bitset ?limit world start ~stop ~visit =
-  let n = (World.graph world).Topology.Graph.vertex_count in
-  let words = (n + 63) / 64 in
-  let bytes = 8 * words in
-  let visited = Bytes.make bytes '\000' in
-  let frontier = Bytes.make bytes '\000' in
-  let next = Bytes.make bytes '\000' in
-  bit_set visited start;
-  bit_set frontier start;
-  visit start 0;
-  if stop start then `Stopped 0
-  else begin
-    let discovered = ref 1 in
-    let truncated = ref false in
-    let result = ref `Exhausted in
-    let depth = ref 0 in
-    let frontier_live = ref true in
-    let grew = ref false in
-    (* [discover] is the one limit/stop/visit body both expansion
-       variants share — allocated once per BFS, called per fresh
-       vertex. *)
-    let discover v d =
-      (* Limit convention: check before recording the fresh vertex. *)
-      match limit with
-      | Some l when !discovered >= l ->
-          truncated := true;
-          raise Exit
-      | Some _ | None ->
-          bit_set visited v;
-          bit_set next v;
-          incr discovered;
-          grew := true;
-          visit v d;
-          if stop v then begin
-            result := `Stopped d;
-            raise Exit
-          end
-    in
-    let view = World.adjacency_view world in
-    let arena = ref [||] in
-    (match view with Some (_, a) -> arena := a | None -> ());
-    let expand u d =
-      match view with
-      | Some (rows, _) ->
-          (* Straight-line array loop over the world's open-adjacency
-             cache; rows materialise on first touch, and growth replaces
-             the arena array, so re-fetch the view after a miss. *)
-          let s = Array.unsafe_get rows (2 * u) in
-          let s =
-            if s >= 0 then s
-            else begin
-              World.ensure_row world u;
-              (match World.adjacency_view world with
-              | Some (_, a) -> arena := a
-              | None -> assert false);
-              Array.unsafe_get rows (2 * u)
-            end
-          in
-          let ar = !arena in
-          for i = s to s + Array.unsafe_get rows ((2 * u) + 1) - 1 do
-            let v = Array.unsafe_get ar i in
-            if not (bit_get visited v) then discover v d
-          done
-      | None ->
-          World.iter_open_neighbors world u (fun v ->
-              if not (bit_get visited v) then discover v d)
-    in
-    (try
-       while !frontier_live do
-         let d = !depth + 1 in
-         grew := false;
-         (* Word-parallel scan of the frontier: one 64-bit load rules
-            out 64 vertices at a time; only non-zero words fall through
-            to per-byte, per-bit expansion. *)
-         for wi = 0 to words - 1 do
-           if Bytes.get_int64_le frontier (8 * wi) <> 0L then
-             for byte = 8 * wi to (8 * wi) + 7 do
-               let bits = Char.code (Bytes.unsafe_get frontier byte) in
-               if bits <> 0 then
-                 for bit = 0 to 7 do
-                   if bits land (1 lsl bit) <> 0 then
-                     expand ((byte lsl 3) lor bit) d
-                 done
-             done
-         done;
-         Bytes.blit next 0 frontier 0 bytes;
-         Bytes.fill next 0 bytes '\000';
-         depth := d;
-         frontier_live := !grew
-       done
-     with Exit -> ());
-    match !result with
-    | `Stopped d -> `Stopped d
-    | `Exhausted -> if !truncated then `Truncated else `Exhausted_full
-  end
-
-type engine = Table | Arena | Bitset
+type engine = Table | Arena
 
 let bfs_via engine ?limit world start ~stop ~visit =
   match engine with
   | Table -> bfs_table ?limit world start ~stop ~visit
   | Arena -> bfs_arena ?limit world start ~stop ~visit
-  | Bitset -> bfs_bitset ?limit world start ~stop ~visit
 
-(* The order-preserving engine for the world's representation — what
-   production used before the bitset engine existed. *)
 let repr_engine world = if World.cached world then Arena else Table
-
-(* Whether a query may run on the bitset engine without any observer
-   noticing: the world must be cached (bitsets index by vertex), no
-   limit may cut a level mid-way (which vertices a truncated run visits
-   is order-dependent), and tracing must be off (Reveal_step event order
-   is a stable artefact). Callers whose visit *count* depends on visit
-   order — early-stopping searches under metrics — add their own
-   guard. *)
-let order_free ?limit world =
-  World.cached world && limit = None && not (Obs.Trace.on ())
 
 (* Observability shims: when tracing/metrics are on, the per-vertex
    [visit] hook additionally emits [Reveal_step] events and counts
@@ -312,7 +194,7 @@ let observed_bfs ~engine ?limit world start ~stop ~visit =
   end;
   result
 
-let connected_with ~engine ?limit world u v =
+let connected_via engine ?limit world u v =
   Topology.Graph.check_vertex (World.graph world) u;
   Topology.Graph.check_vertex (World.graph world) v;
   if u = v then Connected 0
@@ -325,24 +207,11 @@ let connected_with ~engine ?limit world u v =
     | `Truncated -> Unknown
     | `Exhausted_full -> Disconnected
 
-let connected ?limit world u v =
-  (* An early-stopping search visits an order-dependent number of
-     vertices before finding the target, so the bitset engine is only
-     eligible when metrics are not counting them. *)
-  let engine =
-    if order_free ?limit world && not (Obs.Metrics.on ()) then Bitset
-    else repr_engine world
-  in
-  connected_with ~engine ?limit world u v
-
-let connected_via engine ?limit world u v =
-  connected_with ~engine ?limit world u v
+let connected ?limit world u v = connected_via (repr_engine world) ?limit world u v
 
 let cluster_of ?limit world v =
   Topology.Graph.check_vertex (World.graph world) v;
   let members = ref [] in
-  (* Member order follows visit order, so stay on the order-preserving
-     engines; order-free callers wanting speed use cluster_size. *)
   match
     observed_bfs ~engine:(repr_engine world) ?limit world v
       ~stop:(fun _ -> false)
@@ -352,11 +221,9 @@ let cluster_of ?limit world v =
   | `Truncated -> (!members, true)
   | `Exhausted_full -> (!members, false)
 
-let cluster_size_with ~engine ?limit world v =
+let cluster_size_via engine ?limit world v =
   Topology.Graph.check_vertex (World.graph world) v;
-  (* Count in the visit hook — a full exploration visits the same set of
-     vertices in every engine, so the count is engine-independent (and a
-     truncated one visits exactly [limit] by the shared convention). *)
+  (* Count in the visit hook rather than building a member list. *)
   let count = ref 0 in
   match
     observed_bfs ~engine ?limit world v
@@ -367,12 +234,7 @@ let cluster_size_with ~engine ?limit world v =
   | `Truncated -> (!count, true)
   | `Exhausted_full -> (!count, false)
 
-let cluster_size ?limit world v =
-  let engine = if order_free ?limit world then Bitset else repr_engine world in
-  cluster_size_with ~engine ?limit world v
-
-let cluster_size_via engine ?limit world v =
-  cluster_size_with ~engine ?limit world v
+let cluster_size ?limit world v = cluster_size_via (repr_engine world) ?limit world v
 
 let ball_table world v ~radius =
   let dist = Hashtbl.create 256 in

@@ -8,29 +8,23 @@
     Exploration cost is proportional to the open cluster explored, so a
     [limit] on visited vertices is available for huge graphs.
 
-    Three BFS engines serve the queries. Lazy worlds use the
-    Hashtbl-frontier reference engine; cached worlds ({!World.cached})
-    use int-array arena BFS (same visit order as the reference,
-    property-tested), and — for queries that observe no visit order —
-    a level-synchronous bitset engine that scans frontiers a 64-bit
-    word at a time. Every engine discovers each vertex at its true BFS
-    distance and implements one shared limit convention (a truncated
-    run visits exactly [limit] vertices), so verdicts, distances and
-    full-exploration counts are engine-independent; only visit {e order}
-    within a level, and hence {e which} vertices a truncated run
-    reaches, distinguishes the bitset engine from the other two. *)
+    Two BFS engines serve the queries, picked by the world's
+    representation: lazy worlds use the Hashtbl-frontier reference
+    engine, cached worlds ({!World.cached}) an arena engine with a
+    visited bitset and an int-array queue. Both visit vertices in the
+    same order and implement one limit convention (a truncated run
+    visits exactly [limit] vertices), so every answer is
+    engine-independent (property-tested). *)
 
 type verdict = Connected of int | Disconnected | Unknown
 (** [Connected d]: an open path exists and the percolation distance is
     [d]. [Unknown]: the exploration limit was hit first. *)
 
-type engine = Table | Arena | Bitset
-(** Explicit engine selector, for differential tests and benchmarks.
-    Production entry points pick automatically: [Table] for lazy
-    worlds, [Arena] for cached worlds when visit order is observable
-    (tracing on, a [limit] set, or an order-sensitive caller), [Bitset]
-    otherwise. [Arena] and [Bitset] allocate O(vertex count) and so
-    suit any graph small enough to index by vertex. *)
+type engine = Table | Arena
+(** Explicit engine selector. Production entry points pick by
+    representation: [Table] for lazy worlds, [Arena] for cached ones.
+    The [_via] entry points exist so differential tests can run the
+    [Table] reference on a cached world and compare it with [Arena]. *)
 
 val connected : ?limit:int -> World.t -> int -> int -> verdict
 (** [connected w u v] explores the open cluster of [u] breadth-first
@@ -38,12 +32,8 @@ val connected : ?limit:int -> World.t -> int -> int -> verdict
     have been visited. *)
 
 val connected_via : engine -> ?limit:int -> World.t -> int -> int -> verdict
-(** {!connected} on an explicit engine. Without [limit] all engines
-    return the same verdict and distance. With [limit], [Table] and
-    [Arena] still agree exactly, but [Bitset] may reach the target
-    inside the budget when the queue engines truncate first (or vice
-    versa) — its visit order differs, so only truncated {e counts} are
-    comparable across all three. *)
+(** {!connected} on an explicit engine; every engine returns the same
+    verdict and distance, with or without [limit]. *)
 
 val cluster_of : ?limit:int -> World.t -> int -> int list * bool
 (** [cluster_of w v] is the open cluster containing [v] (unordered) and
@@ -52,14 +42,11 @@ val cluster_of : ?limit:int -> World.t -> int -> int list * bool
 val cluster_size : ?limit:int -> World.t -> int -> int * bool
 (** Size variant of {!cluster_of}: the number of vertices visited and
     the truncation flag. Counts during the walk (no intermediate member
-    list), and — the count being engine-independent — runs on the
-    bitset engine whenever the world is cached, no [limit] is set and
-    tracing is off. *)
+    list). *)
 
 val cluster_size_via : engine -> ?limit:int -> World.t -> int -> int * bool
-(** {!cluster_size} on an explicit engine. The result is
-    engine-independent even under [limit] (the shared truncation
-    convention fixes the count at exactly [limit]). *)
+(** {!cluster_size} on an explicit engine; the result is
+    engine-independent. *)
 
 val ball : World.t -> int -> radius:int -> (int, int) Hashtbl.t
 (** [ball w v ~radius] maps every vertex within percolation distance

@@ -789,28 +789,89 @@ let test_bench_history_parse_error_cites_line () =
       Alcotest.(check bool) "cites line 2" true
         (String.length e >= 14 && String.sub e 0 14 = "history line 2")
 
-let test_bench_history_regressions () =
-  let baseline = parse_snapshot (bench_json ~mode:"quick" ~cached:100.0 ~trial:500.0 ()) in
-  (* reveal_bfs 30% slower (flagged), oracle_probe 30% slower (flagged),
-     trial_run 10% slower (under the 15% threshold). *)
-  let current = parse_snapshot (bench_json ~mode:"quick" ~cached:130.0 ~trial:550.0 ()) in
-  let flagged = Obs.Bench_history.regressions ~baseline current in
-  Alcotest.(check (list string)) "only >15% flagged"
-    [ "mesh2(m=40)/reveal_bfs.cached_ns"; "mesh2(m=40)/oracle_probe.cached_ns" ]
-    (List.map (fun r -> r.Obs.Bench_history.key) flagged);
-  List.iter
-    (fun r ->
-      Alcotest.(check (float 1e-9)) "ratio" 1.3 r.Obs.Bench_history.ratio)
-    flagged;
-  (* A looser threshold clears everything; a tighter one adds trial_run. *)
-  Alcotest.(check int) "threshold 0.5 clears" 0
-    (List.length (Obs.Bench_history.regressions ~threshold:0.5 ~baseline current));
-  Alcotest.(check int) "threshold 0.05 flags all" 3
-    (List.length (Obs.Bench_history.regressions ~threshold:0.05 ~baseline current));
-  (* Metrics absent from the baseline are skipped, not flagged. *)
-  let empty_baseline = { baseline with Obs.Bench_history.metrics = [] } in
-  Alcotest.(check int) "missing keys skipped" 0
-    (List.length (Obs.Bench_history.regressions ~baseline:empty_baseline current))
+let test_bench_history_diff () =
+  (* [obs diff] of two histories: the second history's newest snapshot
+     against the first's newest of the same mode, every shared metric
+     as baseline -> current with its ratio, and no verdict however
+     large the ratio. *)
+  let history lines =
+    let one_line json = String.map (fun c -> if c = '\n' then ' ' else c) json in
+    match
+      Obs.Inspect.load
+        (write_temp_file ".jsonl" (String.concat "\n" (List.map one_line lines)))
+    with
+    | Ok artifact -> artifact
+    | Error e -> Alcotest.failf "load: %s" e
+  in
+  let diff a b =
+    Format.asprintf "%a"
+      (fun ppf () ->
+        match Obs.Inspect.diff ppf a b with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "diff: %s" e)
+      ()
+  in
+  let baseline =
+    history
+      [
+        bench_json ~commit:"aaa1111" ~timestamp:"2026-08-06T00:00:00Z"
+          ~mode:"quick" ~cached:100.0 ~trial:500.0 ();
+        bench_json ~commit:"fff9999" ~timestamp:"2026-08-06T00:30:00Z"
+          ~mode:"full" ~cached:900.0 ~trial:4000.0 ();
+      ]
+  in
+  let current =
+    history
+      [
+        bench_json ~commit:"bbb2222" ~timestamp:"2026-08-06T01:00:00Z"
+          ~mode:"quick" ~cached:130.0 ~trial:550.0 ();
+      ]
+  in
+  let squeeze line =
+    String.concat " " (List.filter (( <> ) "") (String.split_on_char ' ' line))
+  in
+  Alcotest.(check (list string)) "one row per shared metric"
+    [
+      "quick mode, aaa1111 -> bbb2222";
+      "mesh2(m=40)/reveal_bfs.cached_ns 100 -> 130 ns 1.30x";
+      "mesh2(m=40)/oracle_probe.cached_ns 200 -> 260 ns 1.30x";
+      "mesh2(m=40)/trial_run.ns 500 -> 550 ns 1.10x";
+    ]
+    (String.split_on_char '\n' (diff baseline current)
+    |> List.filter (( <> ) "")
+    |> List.map squeeze);
+  (* No same-mode snapshot to compare against: said so, nothing else. *)
+  let full_only =
+    history
+      [
+        bench_json ~commit:"ccc3333" ~timestamp:"2026-08-06T02:00:00Z"
+          ~mode:"full" ~cached:1.0 ~trial:1.0 ();
+      ]
+  in
+  Alcotest.(check string) "no quick baseline"
+    "  no quick-mode snapshot in the first history\n" (diff full_only current)
+
+(* The committed history and snapshot must keep parsing, including the
+   v3 lines written while the bitset reveal engine existed. *)
+let test_bench_history_committed_files () =
+  let read path = In_channel.with_open_text path In_channel.input_all in
+  (match Obs.Bench_history.parse_lines (String.split_on_char '\n' (read "../BENCH_history.jsonl")) with
+  | Error e -> Alcotest.failf "BENCH_history.jsonl: %s" e
+  | Ok history ->
+      Alcotest.(check bool) "several snapshots" true (List.length history >= 3);
+      Alcotest.(check bool) "a v3 line carries bitset_ns" true
+        (List.exists
+           (fun s ->
+             List.exists
+               (fun (key, _) -> Filename.extension key = ".bitset_ns")
+               s.Obs.Bench_history.metrics)
+           history));
+  match Result.bind (Obs.Json.of_string (read "../BENCH_percolation.json")) Obs.Bench_history.of_json with
+  | Error e -> Alcotest.failf "BENCH_percolation.json: %s" e
+  | Ok snapshot ->
+      Alcotest.(check bool) "churn row harvested" true
+        (List.mem_assoc "churn-stepper/churn_step.ns"
+           snapshot.Obs.Bench_history.metrics)
 
 let test_bench_history_churn_step () =
   (* The churn-stepper entry carries only its own kernel: it must be
@@ -1203,8 +1264,10 @@ let () =
             test_bench_history_trailing_baseline;
           Alcotest.test_case "parse error cites line" `Quick
             test_bench_history_parse_error_cites_line;
-          Alcotest.test_case "regression threshold" `Quick
-            test_bench_history_regressions;
+          Alcotest.test_case "diff lists shared metrics" `Quick
+            test_bench_history_diff;
+          Alcotest.test_case "committed files parse" `Quick
+            test_bench_history_committed_files;
           Alcotest.test_case "churn-stepper row" `Quick
             test_bench_history_churn_step;
         ] );

@@ -876,26 +876,97 @@ let test_diff_oracle () =
       done)
     diff_graphs
 
+(* One small size per registry topology; a family added to the
+   registry without one fails the router differential below. *)
+let router_diff_sizes =
+  [
+    ("hypercube", 6); ("mesh2", 8); ("mesh3", 4); ("torus2", 7); ("tree", 5);
+    ("double-tree", 4); ("complete", 24); ("theta", 12); ("de-bruijn", 6);
+    ("shuffle-exchange", 6); ("butterfly", 3); ("cycle-matching", 40);
+  ]
+
 let test_diff_router_outcomes () =
-  (* End to end: a deterministic router must behave identically over the
-     two representations — same verdict, same probe count. *)
+  (* End to end: every registry router, on every registry topology it
+     applies to, must behave identically over the two representations —
+     same outcome and path, same distinct and raw probe counts, with and
+     without a budget. *)
+  let outcome = Alcotest.testable Routing.Outcome.pp ( = ) in
+  let cases = ref 0 in
   List.iter
-    (fun (name, graph) ->
+    (fun (topology : Topology.Registry.entry) ->
+      let size =
+        match List.assoc_opt topology.name router_diff_sizes with
+        | Some size -> size
+        | None -> Alcotest.failf "no differential size for topology %s" topology.name
+      in
+      let instance = topology.build ~size (Prng.Stream.create 3L) in
+      let graph = instance.Topology.Registry.graph in
+      let last = graph.G.vertex_count - 1 in
+      let pairs =
+        [ (0, last); (last, 0) ]
+        @
+        match instance.Topology.Registry.shape with
+        | Topology.Registry.Double_tree { depth } ->
+            [ (Topology.Double_tree.root1, Topology.Double_tree.root2 ~n:depth) ]
+        | _ -> []
+      in
       List.iter
-        (fun seed ->
-          let cached, lazy_ = world_pair graph ~p:0.55 ~seed in
-          let target = graph.G.vertex_count - 1 in
-          let run w =
-            let outcome =
-              Routing.Router.run Routing.Local_bfs.router w ~source:0 ~target
-            in
-            (Routing.Outcome.probes outcome, Routing.Outcome.found outcome)
-          in
-          Alcotest.(check (pair int bool))
-            (Printf.sprintf "%s seed %Ld" name seed)
-            (run lazy_) (run cached))
-        [ 1L; 2L; 3L; 4L; 5L ])
-    diff_graphs
+        (fun (router : Routing.Registry.entry) ->
+          List.iter
+            (fun (source, target) ->
+              (* A fresh stream per build: randomized routers draw from
+                 it while routing, so each run must start from the same
+                 state. *)
+              let build () =
+                router.build ~instance ~source ~target (Prng.Stream.create 17L)
+              in
+              match build () with
+              | Error _ -> ()
+              | Ok _ ->
+                  List.iter
+                    (fun (seed, p, budget) ->
+                      incr cases;
+                      let cached, lazy_ = world_pair graph ~p ~seed in
+                      let run world =
+                        let built () = Result.get_ok (build ()) in
+                        let result =
+                          Routing.Router.run ?budget (built ()) world ~source ~target
+                        in
+                        (* [Router.run] keeps its oracle private: replay
+                           the attempt on an explicit one to read the
+                           raw count of every outcome, not just [Found]. *)
+                        let r = built () in
+                        let oracle =
+                          P.Oracle.create ~policy:r.Routing.Router.policy ?budget world
+                            ~source
+                        in
+                        (try ignore (r.Routing.Router.route oracle ~target)
+                         with P.Oracle.Budget_exhausted -> ());
+                        (result, P.Oracle.distinct_probes oracle, P.Oracle.raw_probes oracle)
+                      in
+                      let label =
+                        Printf.sprintf "%s %s %d->%d seed %Ld p %.2f budget %s" router.name
+                          graph.G.name source target seed p
+                          (match budget with Some b -> string_of_int b | None -> "none")
+                      in
+                      let expected, expected_distinct, expected_raw = run lazy_ in
+                      let got, distinct, raw = run cached in
+                      Alcotest.check outcome label expected got;
+                      Alcotest.(check (option (list int)))
+                        (label ^ " path") (Routing.Outcome.path expected)
+                        (Routing.Outcome.path got);
+                      Alcotest.(check int) (label ^ " distinct") expected_distinct distinct;
+                      Alcotest.(check int) (label ^ " raw") expected_raw raw)
+                    (List.concat_map
+                       (fun seed ->
+                         List.concat_map
+                           (fun p -> [ (seed, p, None); (seed, p, Some 12) ])
+                           [ 0.5; 0.8 ])
+                       [ 1L; 2L; 3L; 4L; 5L ]))
+            pairs)
+        Routing.Registry.entries)
+    Topology.Registry.entries;
+  Alcotest.(check bool) (Printf.sprintf "%d applicable cases" !cases) true (!cases > 1000)
 
 let test_diff_site () =
   let cached, lazy_ = world_pair ~site_p:0.6 hypercube6 ~p:0.8 ~seed:127L in
@@ -1140,7 +1211,7 @@ let test_coupled_gate () =
 (* ------------------------------------------------------------------ *)
 (* Reveal engines                                                      *)
 
-let engines = [ ("table", P.Reveal.Table); ("arena", P.Reveal.Arena); ("bitset", P.Reveal.Bitset) ]
+let engines = [ ("table", P.Reveal.Table); ("arena", P.Reveal.Arena) ]
 
 let check_engines_agree label w source target =
   (* Without a limit, verdicts, distances and full-cluster counts are
@@ -1178,8 +1249,7 @@ let test_engines_differential () =
 
 let test_engines_limit_counts () =
   (* The shared limit convention: a truncated run visits exactly
-     [limit] vertices on every engine, even though the bitset engine
-     reaches a different vertex set. *)
+     [limit] vertices on every engine. *)
   let w = P.World.create hypercube6 ~p:0.9 ~seed:55L in
   let full, _ = P.Reveal.cluster_size w 0 in
   Alcotest.(check bool) "cluster big enough" true (full > 16);
@@ -1290,12 +1360,8 @@ let qcheck_tests =
         let w = P.World.create g ~p ~seed in
         P.Reveal.cluster_size_via P.Reveal.Table w 0
         = P.Reveal.cluster_size_via P.Reveal.Arena w 0
-        && P.Reveal.cluster_size_via P.Reveal.Arena w 0
-           = P.Reveal.cluster_size_via P.Reveal.Bitset w 0
         && P.Reveal.connected_via P.Reveal.Table w 0 15
-           = P.Reveal.connected_via P.Reveal.Arena w 0 15
-        && P.Reveal.connected_via P.Reveal.Arena w 0 15
-           = P.Reveal.connected_via P.Reveal.Bitset w 0 15);
+           = P.Reveal.connected_via P.Reveal.Arena w 0 15);
   ]
 
 let () =
