@@ -38,8 +38,11 @@ bench-smoke:
 # under-sampled report fails the run (exit 3). Then malformed numeric
 # options: a -p outside [0, 1] (NaN and inf included), --trials 0 and
 # --budget 0 exit 1 with empty stdout and one stderr line; simulate
-# rejects a bad -p with exit 2 and one line beside its usage block. The
-# binary runs directly so no dune output mixes into the stderr counted.
+# rejects a bad -p with exit 2 and one line beside its usage block.
+# Last, --help=plain for the tool and every subcommand must exit 0
+# without a single "cmdliner error" line (a bad escape in an option's
+# doc string prints one per rendering). The binary runs directly so no
+# dune output mixes into the stderr counted.
 smoke:
 	mkdir -p artifacts
 	dune exec bin/faultroute.exe -- all --quick --jobs 2 --strict-shortfall > /dev/null
@@ -55,6 +58,10 @@ smoke:
 	  test $$? -eq 2 || { echo "simulate -p $$p: want exit 2"; exit 1; }; \
 	  test ! -s artifacts/SMOKE_opt.out || { echo "simulate -p $$p: stdout not empty"; exit 1; }; \
 	  test "$$(grep -vc '^usage:\|^ ' artifacts/SMOKE_opt.err)" -eq 1 || { echo "simulate -p $$p: want one error line"; exit 1; }; \
+	done
+	for c in '' all census check evidence exp list mincut obs route serve simulate threshold top trace 'obs diff' 'obs folded' 'obs report' 'obs validate'; do \
+	  ./_build/default/bin/faultroute.exe $$c --help=plain > artifacts/SMOKE_help.txt 2>&1 || { echo "$$c --help: exit $$?"; exit 1; }; \
+	  if grep -q 'cmdliner error' artifacts/SMOKE_help.txt; then echo "$$c --help: cmdliner error"; exit 1; fi; \
 	done
 
 # Fault tolerance end to end. Leg 1: the quick catalog under a
@@ -201,9 +208,15 @@ serve-smoke:
 # quantiles, the trace must replay (probe accounting + query lifecycle
 # spans), and `faultroute top --once --replay` must render the final
 # heartbeat. Then the audit side: tampering with a ledgered artifact
-# must fail `obs validate` with exit 2. Then the cost side:
-# instrumenting the hot paths must leave the disabled-path cost
-# unchanged (--obs-guard, <5%).
+# must fail `obs validate` with exit 2. Then the renderer: `obs report`
+# (including the two-file metrics aggregate), `obs diff` of each pair
+# and `obs folded` over the committed artifacts in examples/obs/ (a
+# metered, telemetered, profiled `exp E2 --quick --jobs 2` and the
+# demo serve session at --jobs 2) must reproduce
+# examples/obs/report-golden.txt byte for byte; regenerate it only for
+# an intended report change. Then the cost side: instrumenting the hot
+# paths must leave the disabled-path cost unchanged (--obs-guard, <5%).
+OBS_EX = examples/obs
 obs-smoke:
 	mkdir -p artifacts
 	rm -f artifacts/OBS_ledger.jsonl
@@ -222,6 +235,11 @@ obs-smoke:
 	test -n "$$(dune exec bin/faultroute.exe -- obs folded artifacts/OBS_profile.json)"
 	echo tamper >> artifacts/OBS_answers_on.jsonl
 	dune exec bin/faultroute.exe -- obs validate artifacts/OBS_ledger.jsonl; test $$? -eq 2
+	dune build bin/faultroute.exe
+	{ ./_build/default/bin/faultroute.exe obs report $(addprefix $(OBS_EX)/,e2-metrics.json e2-telemetry.jsonl e2-profile.json serve-metrics.json serve-telemetry.jsonl serve-profile.json) && \
+	  for k in metrics.json telemetry.jsonl profile.json; do ./_build/default/bin/faultroute.exe obs diff $(OBS_EX)/e2-$$k $(OBS_EX)/serve-$$k || exit 1; done && \
+	  for k in e2 serve; do ./_build/default/bin/faultroute.exe obs folded $(OBS_EX)/$$k-profile.json || exit 1; done; } > artifacts/OBS_golden.txt
+	cmp $(OBS_EX)/report-golden.txt artifacts/OBS_golden.txt
 	dune exec bench/main.exe -- --obs-guard
 
 # EXPERIMENTS.md's verdict column, machine-checked: run the quick

@@ -1249,9 +1249,9 @@ let strict_shortfall_arg =
 let inject_arg =
   let doc =
     "Install a deterministic fault plan from a compact spec: \
-     comma-separated $(b,crash\\@CHUNK), $(b,stall\\@CHUNK), \
-     $(b,flaky:RATExMAX), $(b,die\\@CHUNKS), $(b,seed=N) — e.g. \
-     $(b,crash\\@3,flaky:0.02x2,seed=7). Overrides $(b,--fault-plan)."
+     comma-separated $(b,crash@CHUNK), $(b,stall@CHUNK), \
+     $(b,flaky:RATExMAX), $(b,die@CHUNKS), $(b,seed=N) — e.g. \
+     $(b,crash@3,flaky:0.02x2,seed=7). Overrides $(b,--fault-plan)."
   in
   Arg.(value & opt (some string) None & info [ "inject" ] ~docv:"SPEC" ~doc)
 

@@ -43,18 +43,18 @@ let worker_loop ~next ~stop ~failure ~limit ~until ~work ~results =
    the moment a domain picked [i] up (so it includes domain spawn
    latency and time spent behind earlier tasks on the same domain). *)
 let with_slot_telemetry ~slot ~pool_t0 ~work body =
-  let task_ns = Obs.Telemetry.local_create () in
-  let queue_wait_ns = Obs.Telemetry.local_create () in
+  let task_ns = Obs.Hist.create () in
+  let queue_wait_ns = Obs.Hist.create () in
   let busy = ref 0. in
   let tasks = ref 0 in
   let timed_work i =
     let t0 = Unix.gettimeofday () in
-    Obs.Telemetry.local_observe_ns queue_wait_ns ((t0 -. pool_t0) *. 1e9);
+    Obs.Hist.add queue_wait_ns ((t0 -. pool_t0) *. 1e9);
     let r = work i in
     let dt = Unix.gettimeofday () -. t0 in
     busy := !busy +. dt;
     incr tasks;
-    Obs.Telemetry.local_observe_ns task_ns (dt *. 1e9);
+    Obs.Hist.add task_ns (dt *. 1e9);
     r
   in
   let slot_t0 = Unix.gettimeofday () in

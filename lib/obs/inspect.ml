@@ -5,25 +5,9 @@
    Metrics and telemetry normalize into the same [table] shape, which
    is what lets report/diff/aggregate share one implementation. *)
 
-type hist = {
-  count : int;
-  sum : float;
-  min_v : float option;
-  max_v : float option;
-  buckets : (int * int) list;  (* (lower bound, count), ascending *)
-}
-
 type table = {
   counters : (string * float) list;  (* name-sorted *)
-  hists : (string * hist) list;  (* name-sorted *)
-}
-
-type pnode = {
-  p_name : string;
-  p_count : int;
-  p_total_s : float;
-  p_self_s : float;
-  p_children : pnode list;
+  hists : (string * Hist.t) list;  (* name-sorted *)
 }
 
 type artifact =
@@ -36,7 +20,7 @@ type artifact =
       seq_reordered : int;  (* lines whose seq did not advance *)
       table : table;
     }
-  | Profile of pnode list
+  | Profile of Timing.tree list
   | Bench of Bench_history.snapshot list  (* oldest first, non-empty *)
   | Ledger of Ledger.record list
 
@@ -57,6 +41,10 @@ let kind_name = function
   | `Profile -> "profile/v1"
   | `Bench -> "bench_percolation history"
   | `Ledger -> "runledger/v1"
+
+let table = function
+  | Metrics t | Telemetry { table = t; _ } -> Some t
+  | Trace _ | Profile _ | Bench _ | Ledger _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Parsing helpers.                                                    *)
@@ -80,49 +68,13 @@ let int_field name j =
   | Some i -> Ok i
   | None -> Error (Printf.sprintf "field %S is not an integer" name)
 
-let opt_num_field name j =
-  match Json.member name j with
-  | None | Some Json.Null -> Ok None
-  | Some v -> (
-      match Json.to_float v with
-      | Some f -> Ok (Some f)
-      | None -> Error (Printf.sprintf "field %S is not a number or null" name))
-
 let obj_fields what = function
   | Json.Obj fields -> Ok fields
   | _ -> Error (Printf.sprintf "%s is not an object" what)
 
-let parse_buckets j =
-  let* b = field "buckets" j in
-  match Json.to_list b with
-  | None -> Error "field \"buckets\" is not a list"
-  | Some pairs ->
-      let rec loop acc = function
-        | [] -> Ok (List.rev acc)
-        | Json.List [ lb; c ] :: rest -> (
-            match (Json.to_int lb, Json.to_int c) with
-            | Some lb, Some c -> loop ((lb, c) :: acc) rest
-            | _ -> Error "bucket entries must be [int, int] pairs")
-        | _ -> Error "bucket entries must be [int, int] pairs"
-      in
-      loop [] pairs
-
-let parse_hist ~sum_key ~min_key ~max_key name j =
-  let ctx msg = Printf.sprintf "histogram %S: %s" name msg in
-  match
-    let* count = int_field "count" j in
-    let* sum = num_field sum_key j in
-    let* min_v = opt_num_field min_key j in
-    let* max_v = opt_num_field max_key j in
-    let* buckets = parse_buckets j in
-    Ok { count; sum; min_v; max_v; buckets }
-  with
-  | Ok h -> Ok h
-  | Error m -> Error (ctx m)
-
 let by_name (a, _) (b, _) = String.compare a b
 
-let parse_table ~counters_key ~sum_key ~min_key ~max_key j =
+let parse_table ~counters_key ~suffix j =
   let* counters_obj = field counters_key j in
   let* counter_fields = obj_fields (Printf.sprintf "%S" counters_key) counters_obj in
   let* counters =
@@ -140,40 +92,15 @@ let parse_table ~counters_key ~sum_key ~min_key ~max_key j =
     List.fold_left
       (fun acc (name, v) ->
         let* acc = acc in
-        let* h = parse_hist ~sum_key ~min_key ~max_key name v in
-        Ok ((name, h) :: acc))
+        match Hist.of_json ~suffix v with
+        | Ok h -> Ok ((name, h) :: acc)
+        | Error m -> Error (Printf.sprintf "histogram %S: %s" name m))
       (Ok []) hist_fields
   in
   Ok { counters = List.sort by_name counters; hists = List.sort by_name hists }
 
 let parse_metrics j =
-  let* t =
-    parse_table ~counters_key:"counters" ~sum_key:"sum" ~min_key:"min"
-      ~max_key:"max" j
-  in
-  Ok (Metrics t)
-
-let merge_hist a b =
-  let opt f x y =
-    match (x, y) with
-    | None, v | v, None -> v
-    | Some x, Some y -> Some (f x y)
-  in
-  let rec merge_buckets xs ys =
-    match (xs, ys) with
-    | [], rest | rest, [] -> rest
-    | (la, ca) :: ra, (lb, cb) :: rb ->
-        if la < lb then (la, ca) :: merge_buckets ra ys
-        else if la > lb then (lb, cb) :: merge_buckets xs rb
-        else (la, ca + cb) :: merge_buckets ra rb
-  in
-  {
-    count = a.count + b.count;
-    sum = a.sum +. b.sum;
-    min_v = opt Float.min a.min_v b.min_v;
-    max_v = opt Float.max a.max_v b.max_v;
-    buckets = merge_buckets a.buckets b.buckets;
-  }
+  Result.map (fun t -> Metrics t) (parse_table ~counters_key:"counters" ~suffix:"" j)
 
 let merge_tables a b =
   let rec merge_assoc combine xs ys =
@@ -187,12 +114,20 @@ let merge_tables a b =
   in
   {
     counters = merge_assoc ( +. ) a.counters b.counters;
-    hists = merge_assoc merge_hist a.hists b.hists;
+    hists = merge_assoc Hist.merge a.hists b.hists;
   }
 
-let parse_telemetry_line j =
-  parse_table ~counters_key:"gauges" ~sum_key:"sum_ns" ~min_key:"min_ns"
-    ~max_key:"max_ns" j
+let parse_telemetry_line j = parse_table ~counters_key:"gauges" ~suffix:"_ns" j
+
+(* Heartbeat [seq] values advance by exactly one per emitted line (the
+   emitter only bumps on emission): a jump of k > 1 means k - 1 lines
+   were lost, a non-advance means reordering. Lines without a seq
+   (legacy files) count as neither. *)
+let seq_gap prev seq =
+  match (prev, seq) with
+  | Some p, Some s when s > p + 1 -> (s - p - 1, 0)
+  | Some p, Some s when s <= p -> (0, 1)
+  | _ -> (0, 0)
 
 (* One heartbeat line, decomposed: the monotonic seq (absent on legacy
    files), uptime, the optional session label, and the gauge/histogram
@@ -214,9 +149,8 @@ let parse_heartbeat j =
 let parse_telemetry lines =
   (* Heartbeats are cumulative snapshots of the same registry: the last
      line is the run's final state, earlier ones only add the beat
-     count — so "merge" is take-latest, not sum. Consecutive seq values
-     must advance by exactly one (the emitter only bumps on emission);
-     a jump means lines were lost, a non-advance means reordering. *)
+     count — so "merge" is take-latest, not sum. [seq_gap] audits the
+     seq values. *)
   let rec loop i last prev_seq missing reordered = function
     | [] -> (
         match last with
@@ -241,60 +175,54 @@ let parse_telemetry lines =
                 let beats =
                   match last with None -> 1 | Some (_, _, n) -> n + 1
                 in
-                let prev_seq, missing, reordered =
-                  match (prev_seq, seq) with
-                  | Some p, Some s when s > p + 1 ->
-                      (Some s, missing + (s - p - 1), reordered)
-                  | Some p, Some s when s <= p ->
-                      (Some s, missing, reordered + 1)
-                  | _, Some s -> (Some s, missing, reordered)
-                  | _, None -> (prev_seq, missing, reordered)
-                in
+                let lost, reorders = seq_gap prev_seq seq in
                 loop (i + 1)
                   (Some (uptime_s, table, beats))
-                  prev_seq missing reordered rest))
+                  (if seq = None then prev_seq else seq)
+                  (missing + lost) (reordered + reorders) rest))
   in
   loop 1 None None 0 0 lines
 
-let rec parse_pnode j =
-  let* p_name =
+let rec parse_span j =
+  let* span_name =
     let* v = field "name" j in
     match Json.to_str v with
     | Some s -> Ok s
     | None -> Error "span \"name\" is not a string"
   in
   match
-    let* p_count = int_field "count" j in
-    let* p_total_s = num_field "total_s" j in
-    let* p_self_s = num_field "self_s" j in
-    let* p_children =
+    let* calls = int_field "count" j in
+    let* total = num_field "total_s" j in
+    let* self = num_field "self_s" j in
+    let* children =
       match Json.member "children" j with
       | None -> Ok []
       | Some v -> (
           match Json.to_list v with
-          | Some kids -> parse_pnodes kids
+          | Some kids -> parse_spans kids
           | None -> Error "\"children\" is not a list")
     in
-    Ok { p_name; p_count; p_total_s; p_self_s; p_children }
+    Ok { Timing.span_name; calls; total; self; children }
   with
   | Ok n -> Ok n
-  | Error m -> Error (Printf.sprintf "span %S: %s" p_name m)
+  | Error m -> Error (Printf.sprintf "span %S: %s" span_name m)
 
-and parse_pnodes js =
+and parse_spans js =
   List.fold_left
     (fun acc j ->
       let* acc = acc in
-      let* n = parse_pnode j in
-      Ok (acc @ [ n ]))
+      let* n = parse_span j in
+      Ok (n :: acc))
     (Ok []) js
+  |> Result.map List.rev
 
 let parse_profile j =
   let* spans = field "spans" j in
   match Json.to_list spans with
   | None -> Error "\"spans\" is not a list"
   | Some js ->
-      let* nodes = parse_pnodes js in
-      Ok (Profile nodes)
+      let* trees = parse_spans js in
+      Ok (Profile trees)
 
 let parse_trace lines =
   let* runs = Trace.Replay.parse lines in
@@ -329,64 +257,39 @@ let non_empty_lines content =
   String.split_on_char '\n' content
   |> List.filter (fun l -> String.trim l <> "")
 
+let parse doc lines =
+  match Option.bind (Json.member "schema" doc) Json.to_str with
+  | None -> Error "line 1 has no \"schema\" tag"
+  | Some "trace/v1" -> parse_trace lines
+  | Some "metrics/v1" -> parse_metrics doc
+  | Some "profile/v1" -> parse_profile doc
+  | Some "telemetry/v1" -> parse_telemetry lines
+  | Some "runledger/v1" -> parse_ledger lines
+  | Some s when String.starts_with ~prefix:"bench_percolation/" s -> parse_bench lines
+  | Some s -> Error (Printf.sprintf "unknown schema %S" s)
+
 let load path =
   let* content =
     try Ok (In_channel.with_open_bin path In_channel.input_all)
     with Sys_error m -> Error m
   in
   let annotate = Result.map_error (fun m -> Printf.sprintf "%s: %s" path m) in
+  (* The whole file as one (possibly pretty-printed) document first,
+     then JSONL, where the first line's schema picks the parser. *)
   annotate
-    (match non_empty_lines content with
-    | [] -> Error "empty file"
-    | first :: _ as lines -> (
-        let* doc =
-          Result.map_error (fun m -> "line 1: " ^ m) (Json.of_string first)
-        in
-        match Option.bind (Json.member "schema" doc) Json.to_str with
-        | None -> Error "line 1 has no \"schema\" tag"
-        | Some "trace/v1" -> parse_trace lines
-        | Some "metrics/v1" -> parse_metrics doc
-        | Some "profile/v1" -> parse_profile doc
-        | Some "telemetry/v1" -> parse_telemetry lines
-        | Some "runledger/v1" -> parse_ledger lines
-        | Some s when String.length s >= 18
-                      && String.sub s 0 18 = "bench_percolation/" ->
-            parse_bench lines
-        | Some s -> Error (Printf.sprintf "unknown schema %S" s)))
+    (match Json.of_string content with
+    | Ok doc -> parse doc [ content ]
+    | Error _ -> (
+        match non_empty_lines content with
+        | [] -> Error "empty file"
+        | first :: _ as lines ->
+            let* doc =
+              Result.map_error (fun m -> "line 1: " ^ m) (Json.of_string first)
+            in
+            parse doc lines))
 
 (* ------------------------------------------------------------------ *)
 (* Shared formatting.                                                  *)
-
-(* Same estimator as [Metrics.quantile], over the parsed sparse
-   buckets: upper bound of the bucket holding the ceil(q*count)-th
-   observation, clamped into [min, max]. *)
-let hist_quantile h q =
-  if h.count = 0 then None
-  else
-    let rank = Stdlib.max 1 (int_of_float (Float.ceil (q *. float_of_int h.count))) in
-    let rec find seen = function
-      | [] -> h.max_v
-      | (lb, c) :: rest ->
-          let seen = seen + c in
-          if seen >= rank then
-            let upper = float_of_int (if lb <= 1 then lb else (2 * lb) - 1) in
-            let clamped =
-              match (h.min_v, h.max_v) with
-              | Some lo, Some hi -> Float.min hi (Float.max lo upper)
-              | _ -> upper
-            in
-            Some clamped
-          else find seen rest
-    in
-    find 0 h.buckets
-
-let is_suffix ~suffix s =
-  let ls = String.length suffix and l = String.length s in
-  l >= ls && String.sub s (l - ls) ls = suffix
-
-(* Latency-style names carry nanoseconds; report them in ms. *)
-let scaled name v = if is_suffix ~suffix:"_ns" name then v /. 1e6 else v
-let unit_of name = if is_suffix ~suffix:"_ns" name then "ms" else ""
 
 let pp_hist_rows ppf hists =
   if hists <> [] then begin
@@ -396,66 +299,55 @@ let pp_hist_rows ppf hists =
     Format.fprintf ppf "  %-*s %10s %10s %10s %10s %10s %5s@." width "histogram"
       "count" "p50" "p95" "p99" "max" "unit";
     List.iter
-      (fun (name, h) ->
-        let q p =
-          match hist_quantile h p with
-          | Some v -> Printf.sprintf "%.3g" (scaled name v)
-          | None -> "-"
-        in
-        let mx =
-          match h.max_v with
-          | Some v -> Printf.sprintf "%.3g" (scaled name v)
-          | None -> "-"
-        in
+      (fun (name, (h : Hist.t)) ->
+        (* Latency-style names carry nanoseconds; report them in ms. *)
+        let ns = String.ends_with ~suffix:"_ns" name in
+        let cell v = Printf.sprintf "%.3g" (if ns then v /. 1e6 else v) in
+        let q p = Option.fold ~none:"-" ~some:cell (Hist.quantile h p) in
         Format.fprintf ppf "  %-*s %10d %10s %10s %10s %10s %5s@." width name
-          h.count (q 0.5) (q 0.95) (q 0.99) mx (unit_of name))
+          h.count (q 0.5) (q 0.95) (q 0.99)
+          (if h.count = 0 then "-" else cell h.max)
+          (if ns then "ms" else ""))
       hists
   end
 
-(* The pool publishes [pool.domain.<slot>.busy_s/.wall_s/.tasks]
-   gauges; fold them into one utilization row per domain slot. *)
-let utilization_rows counters =
-  let slots = Hashtbl.create 8 in
+(* Per-domain gauges [<prefix>.<slot>.<leaf>] folded into one row per
+   slot: the values of [leaves] in order (0 when absent), slot-sorted. *)
+let slot_rows ~prefix ~leaves gauges =
+  let rows = Hashtbl.create 8 in
   List.iter
     (fun (name, v) ->
       match String.split_on_char '.' name with
-      | [ "pool"; "domain"; slot; leaf ] -> (
-          match int_of_string_opt slot with
-          | None -> ()
-          | Some slot ->
+      | [ a; b; slot; leaf ] when a ^ "." ^ b = prefix -> (
+          match (int_of_string_opt slot, List.find_index (String.equal leaf) leaves) with
+          | Some slot, Some k ->
               let row =
-                match Hashtbl.find_opt slots slot with
+                match Hashtbl.find_opt rows slot with
                 | Some r -> r
                 | None ->
-                    let r = (ref 0., ref 0., ref 0.) in
-                    Hashtbl.replace slots slot r;
+                    let r = Array.make (List.length leaves) 0. in
+                    Hashtbl.replace rows slot r;
                     r
               in
-              let busy, wall, tasks = row in
-              (match leaf with
-              | "busy_s" -> busy := v
-              | "wall_s" -> wall := v
-              | "tasks" -> tasks := v
-              | _ -> ()))
+              row.(k) <- v
+          | _ -> ())
       | _ -> ())
-    counters;
-  Hashtbl.fold
-    (fun slot (busy, wall, tasks) acc -> (slot, !busy, !wall, !tasks) :: acc)
-    slots []
-  |> List.sort compare
+    gauges;
+  Hashtbl.fold (fun slot row acc -> (slot, row) :: acc) rows [] |> List.sort compare
 
-let pp_utilization ppf counters =
-  match utilization_rows counters with
+let pp_utilization ppf gauges =
+  match slot_rows ~prefix:"pool.domain" ~leaves:[ "busy_s"; "wall_s"; "tasks" ] gauges with
   | [] -> ()
   | rows ->
       Format.fprintf ppf "  pool utilization (slot 0 = caller)@.";
       Format.fprintf ppf "  %6s %12s %12s %14s %10s@." "domain" "busy s"
         "wall s" "utilization %" "tasks";
       List.iter
-        (fun (slot, busy, wall, tasks) ->
+        (fun (slot, r) ->
+          let busy = r.(0) and wall = r.(1) in
           let util = if wall > 0. then 100. *. busy /. wall else 0. in
           Format.fprintf ppf "  %6d %12.4f %12.4f %14.1f %10.0f@." slot busy
-            wall util tasks)
+            wall util r.(2))
         rows
 
 let pp_counters ppf label counters =
@@ -488,13 +380,12 @@ let pp_table ppf ~label t =
 (* ------------------------------------------------------------------ *)
 (* Reports.                                                            *)
 
-let rec pp_pnode ppf depth n =
+let rec pp_span ppf depth (t : Timing.tree) =
   Format.fprintf ppf "  %s%-*s %8d %12.2f %12.2f@."
     (String.make (2 * depth) ' ')
     (Stdlib.max 1 (32 - (2 * depth)))
-    n.p_name n.p_count (n.p_total_s *. 1e3) (n.p_self_s *. 1e3)
-  ;
-  List.iter (pp_pnode ppf (depth + 1)) n.p_children
+    t.span_name t.calls (t.total *. 1e3) (t.self *. 1e3);
+  List.iter (pp_span ppf (depth + 1)) t.children
 
 let report ppf = function
   | Metrics t ->
@@ -509,11 +400,11 @@ let report ppf = function
           "  WARNING: heartbeat seq gaps — %d missing, %d reordered line(s)@."
           seq_missing seq_reordered;
       pp_table ppf ~label:"gauge" table
-  | Profile nodes ->
+  | Profile trees ->
       Format.fprintf ppf "profile/v1@.";
       Format.fprintf ppf "  %-32s %8s %12s %12s@." "span" "calls" "total ms"
         "self ms";
-      List.iter (pp_pnode ppf 0) nodes
+      List.iter (pp_span ppf 0) trees
   | Trace runs ->
       let v = Trace.Replay.check runs in
       Format.fprintf ppf
@@ -599,8 +490,8 @@ let diff_tables ppf xa xb =
     (fun name ->
       let ca = List.assoc_opt name xa.hists in
       let cb = List.assoc_opt name xb.hists in
-      let count = function Some h -> h.count | None -> 0 in
-      let sum = function Some h -> h.sum | None -> 0. in
+      let count = function Some (h : Hist.t) -> h.count | None -> 0 in
+      let sum = function Some (h : Hist.t) -> h.sum | None -> 0. in
       if count ca <> count cb || sum ca <> sum cb then begin
         incr changed;
         Format.fprintf ppf "  %-40s count %d -> %d, sum %.4g -> %.4g@." name
@@ -608,14 +499,6 @@ let diff_tables ppf xa xb =
       end)
     hall;
   if !changed = 0 then Format.fprintf ppf "  identical@."
-
-let rec flatten_pnodes prefix acc nodes =
-  List.fold_left
-    (fun acc n ->
-      let path = if prefix = "" then n.p_name else prefix ^ ";" ^ n.p_name in
-      let acc = (path, (n.p_count, n.p_total_s, n.p_self_s)) :: acc in
-      flatten_pnodes path acc n.p_children)
-    acc nodes
 
 let diff ppf a b =
   match (a, b) with
@@ -632,7 +515,7 @@ let diff ppf a b =
           x.seq_missing x.seq_reordered y.seq_missing y.seq_reordered;
       Ok (diff_tables ppf x.table y.table)
   | Profile x, Profile y ->
-      let fa = flatten_pnodes "" [] x and fb = flatten_pnodes "" [] y in
+      let fa = Timing.paths x and fb = Timing.paths y in
       let all =
         List.sort_uniq String.compare (List.map fst fa @ List.map fst fb)
       in
@@ -640,7 +523,7 @@ let diff ppf a b =
       List.iter
         (fun path ->
           let get l = List.assoc_opt path l in
-          let total = function Some (_, t, _) -> t | None -> 0. in
+          let total = function Some (t : Timing.tree) -> t.total | None -> 0. in
           let ta = total (get fa) and tb = total (get fb) in
           (* Wall clock never repeats exactly; only report meaningful
              movement (>1% and >0.1 ms). *)
@@ -690,13 +573,5 @@ let diff ppf a b =
            (kind_name (kind b)))
 
 let folded_of_profile = function
-  | Profile nodes ->
-      let lines =
-        flatten_pnodes "" [] nodes
-        |> List.rev_map (fun (path, (_, _, self)) ->
-               (path, int_of_float (Float.round (self *. 1e6))))
-        |> List.filter (fun (_, us) -> us > 0)
-        |> List.map (fun (path, us) -> Printf.sprintf "%s %d" path us)
-      in
-      Ok lines
+  | Profile trees -> Ok (Timing.folded trees)
   | a -> Error (Printf.sprintf "not a profile/v1 artifact (%s)" (kind_name (kind a)))

@@ -1,31 +1,25 @@
 (** One inspector for the whole observability artifact family — the
     engine behind [faultroute obs].
 
-    {!load} sniffs a file by the [schema] tag on its first JSON line
-    and parses {e and validates} it in one step: [trace/v1] (JSONL,
-    replay-checked on load), [metrics/v1], [profile/v1],
-    [telemetry/v1] (JSONL heartbeats; the last line wins),
+    {!load} sniffs a file by its [schema] tag — read from the whole
+    file as one (possibly pretty-printed) JSON document, else from its
+    first JSONL line — and parses {e and validates} it in one step:
+    [trace/v1] (JSONL, replay-checked on load), [metrics/v1],
+    [profile/v1] (into {!Timing.tree}s), [telemetry/v1] (JSONL
+    heartbeats; the last line wins),
     [runledger/v1] (JSONL run records; every recorded artifact digest
     is cross-checked against the file on disk, so a tampered or stale
     artifact fails the load) and [bench_percolation/v1..v3] documents
     or history trails. A successful load {e is} schema validation —
     "obs validate" prints nothing but the verdict. *)
 
-type hist = {
-  count : int;
-  sum : float;
-  min_v : float option;
-  max_v : float option;
-  buckets : (int * int) list;  (** (lower bound, count), ascending *)
-}
-
 type table = {
   counters : (string * float) list;  (** name-sorted *)
-  hists : (string * hist) list;  (** name-sorted *)
+  hists : (string * Hist.t) list;  (** name-sorted *)
 }
 (** The normalized counter/gauge + histogram shape metrics and
-    telemetry both parse into — exposed so {!Top} can render
-    heartbeats with the same machinery. *)
+    telemetry both parse into (histograms through {!Hist.of_json}) —
+    exposed so {!Top} can render heartbeats with the same tables. *)
 
 type artifact
 
@@ -34,13 +28,16 @@ type kind = [ `Trace | `Metrics | `Telemetry | `Profile | `Bench | `Ledger ]
 val kind : artifact -> kind
 val kind_name : kind -> string
 
-val hist_quantile : hist -> float -> float option
-(** Bucket-upper-bound quantile clamped into [min, max] — the same
-    estimator as [Metrics.quantile]. *)
+val table : artifact -> table option
+(** The counter/histogram table of a [metrics/v1] artifact, or the
+    final heartbeat's gauge/histogram table of a [telemetry/v1] one. *)
 
-val utilization_rows : (string * float) list -> (int * float * float * float) list
-(** Fold [pool.domain.<slot>.busy_s/.wall_s/.tasks] gauges into one
-    [(slot, busy_s, wall_s, tasks)] row per domain slot, slot-sorted. *)
+val seq_gap : int option -> int option -> int * int
+(** [seq_gap prev seq] audits two consecutive heartbeat [seq] values:
+    [(lost, reordered)] — a jump of [k > 1] lost [k - 1] lines, a
+    non-advance is one reordering, and a missing [seq] (legacy files)
+    is neither. The one rule behind {!report}'s warning and [top]'s
+    missing-beat count. *)
 
 val parse_heartbeat :
   Json.t -> (int option * float * string option * table, string) result
@@ -51,6 +48,22 @@ val parse_heartbeat :
 val load : string -> (artifact, string) result
 (** Read, sniff, parse and validate one artifact file. The error
     message is prefixed with the path. *)
+
+val pp_utilization : Format.formatter -> (string * float) list -> unit
+(** The per-domain pool utilization table, folded from the
+    [pool.domain.<slot>.busy_s/.wall_s/.tasks] gauges; prints nothing
+    when there are none. *)
+
+val pp_hist_rows : Format.formatter -> (string * Hist.t) list -> unit
+(** One count/p50/p95/p99/max row per histogram ([_ns] names scaled to
+    ms) under a header; prints nothing for an empty list. *)
+
+val slot_rows :
+  prefix:string -> leaves:string list -> (string * float) list -> (int * float array) list
+(** Fold per-domain gauges [<prefix>.<slot>.<leaf>] ([prefix] is two
+    dot-separated words, e.g. ["pool.domain"]) into one row per integer
+    slot holding the [leaves] values in order (0 when absent),
+    slot-sorted. *)
 
 val report : Format.formatter -> artifact -> unit
 (** Pretty-print one artifact: counter/gauge tables (with per-domain

@@ -1,28 +1,4 @@
-(* Histograms bucket by bit length: value [v >= 0] lands in bucket
-   [bits v], i.e. 0 -> 0, 1 -> 1, 2..3 -> 2, 4..7 -> 3, ... so bucket
-   [i >= 1] covers [2^(i-1), 2^i). Negative values clamp to bucket 0
-   (none of our instruments produce them). 64 buckets cover every
-   OCaml int. *)
-
-let bucket_count = 64
-
-let bucket_of v =
-  if v <= 0 then 0
-  else
-    let rec bits acc v = if v = 0 then acc else bits (acc + 1) (v lsr 1) in
-    bits 0 v
-
-let bucket_lower_bound i = if i <= 1 then i else 1 lsl (i - 1)
-
-type hist = {
-  mutable h_count : int;
-  mutable h_sum : int;
-  mutable h_min : int;
-  mutable h_max : int;
-  buckets : int array;
-}
-
-type cell = Counter of int ref | Hist of hist
+type cell = Counter of int ref | Hist of Hist.t
 
 type t = (string, cell) Hashtbl.t
 
@@ -44,34 +20,18 @@ let peek t name =
 
 let observe t name v =
   match Hashtbl.find_opt t name with
-  | Some (Hist h) ->
-      h.h_count <- h.h_count + 1;
-      h.h_sum <- h.h_sum + v;
-      if v < h.h_min then h.h_min <- v;
-      if v > h.h_max then h.h_max <- v;
-      let b = h.buckets in
-      b.(bucket_of v) <- b.(bucket_of v) + 1
+  | Some (Hist h) -> Hist.add h (float_of_int v)
   | Some (Counter _) -> invalid_arg ("Metrics.observe: " ^ name ^ " is a counter")
   | None ->
-      let h =
-        { h_count = 1; h_sum = v; h_min = v; h_max = v; buckets = Array.make bucket_count 0 }
-      in
-      h.buckets.(bucket_of v) <- 1;
+      let h = Hist.create () in
+      Hist.add h (float_of_int v);
       Hashtbl.replace t name (Hist h)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots: immutable, name-sorted association lists. Small enough
    (dozens of names) that list merges beat fancier structures.         *)
 
-type hist_snapshot = {
-  s_count : int;
-  s_sum : int;
-  s_min : int;
-  s_max : int;
-  s_buckets : int array;
-}
-
-type value = V_counter of int | V_hist of hist_snapshot
+type value = V_counter of int | V_hist of Hist.t
 
 type snapshot = (string * value) list
 
@@ -82,17 +42,7 @@ let snapshot (t : t) : snapshot =
   Hashtbl.fold
     (fun name cell acc ->
       let value =
-        match cell with
-        | Counter r -> V_counter !r
-        | Hist h ->
-            V_hist
-              {
-                s_count = h.h_count;
-                s_sum = h.h_sum;
-                s_min = h.h_min;
-                s_max = h.h_max;
-                s_buckets = Array.copy h.buckets;
-              }
+        match cell with Counter r -> V_counter !r | Hist h -> V_hist (Hist.copy h)
       in
       (name, value) :: acc)
     t []
@@ -101,15 +51,7 @@ let snapshot (t : t) : snapshot =
 let merge_value name a b =
   match (a, b) with
   | V_counter x, V_counter y -> V_counter (x + y)
-  | V_hist x, V_hist y ->
-      V_hist
-        {
-          s_count = x.s_count + y.s_count;
-          s_sum = x.s_sum + y.s_sum;
-          s_min = Stdlib.min x.s_min y.s_min;
-          s_max = Stdlib.max x.s_max y.s_max;
-          s_buckets = Array.init bucket_count (fun i -> x.s_buckets.(i) + y.s_buckets.(i));
-        }
+  | V_hist x, V_hist y -> V_hist (Hist.merge x y)
   | V_counter _, V_hist _ | V_hist _, V_counter _ ->
       invalid_arg ("Metrics.merge: " ^ name ^ " is a counter in one snapshot, a histogram in the other")
 
@@ -130,46 +72,8 @@ let counters s =
     (function name, V_counter v -> Some (name, v) | _, V_hist _ -> None)
     s
 
-let histogram_count s name =
-  match List.assoc_opt name s with Some (V_hist h) -> h.s_count | _ -> 0
-
-let histogram_sum s name =
-  match List.assoc_opt name s with Some (V_hist h) -> h.s_sum | _ -> 0
-
-(* A bucket only records "somewhere in [2^(i-1), 2^i)", so a quantile
-   read off the buckets is the bucket's inclusive upper bound — a
-   conservative (never under-reporting) estimate. The exact min/max
-   tighten the two ends. *)
-let bucket_upper_bound i = if i <= 1 then i else (1 lsl i) - 1
-
-let quantile s name q =
-  if not (Float.is_finite q) || q < 0. || q > 1. then None
-  else
-    match List.assoc_opt name s with
-    | Some (V_hist h) when h.s_count > 0 ->
-        let rank =
-          Stdlib.max 1 (int_of_float (Float.ceil (q *. float_of_int h.s_count)))
-        in
-        let rec find i seen =
-          if i >= bucket_count then h.s_max
-          else
-            let seen = seen + h.s_buckets.(i) in
-            if seen >= rank then
-              Stdlib.min h.s_max (Stdlib.max h.s_min (bucket_upper_bound i))
-            else find (i + 1) seen
-        in
-        Some (find 0 0)
-    | _ -> None
-
-let quantiles s name qs =
-  let rec collect acc = function
-    | [] -> Some (List.rev acc)
-    | q :: rest -> (
-        match quantile s name q with
-        | Some v -> collect (v :: acc) rest
-        | None -> None)
-  in
-  collect [] qs
+let histogram s name =
+  match List.assoc_opt name s with Some (V_hist h) -> Some h | _ -> None
 
 let to_json (s : snapshot) =
   let counters =
@@ -182,25 +86,16 @@ let to_json (s : snapshot) =
       (function
         | _, V_counter _ -> None
         | name, V_hist h ->
-            let buckets =
-              List.filter_map
-                (fun i ->
-                  if h.s_buckets.(i) = 0 then None
-                  else
-                    Some
-                      (Json.List
-                         [ Json.Int (bucket_lower_bound i); Json.Int h.s_buckets.(i) ]))
-                (List.init bucket_count Fun.id)
-            in
+            let int v = Json.Int (int_of_float v) in
             Some
               ( name,
                 Json.Obj
                   [
-                    ("count", Json.Int h.s_count);
-                    ("sum", Json.Int h.s_sum);
-                    ("min", Json.Int h.s_min);
-                    ("max", Json.Int h.s_max);
-                    ("buckets", Json.List buckets);
+                    ("count", Json.Int h.Hist.count);
+                    ("sum", int h.Hist.sum);
+                    ("min", int h.Hist.min);
+                    ("max", int h.Hist.max);
+                    ("buckets", Hist.buckets_json h);
                   ] ))
       s
   in

@@ -119,22 +119,6 @@ let span name f =
     Fun.protect ~finally:(fun () -> leave ctx frame) f
   end
 
-let add name seconds =
-  if on () then begin
-    let ctx = Domain.DLS.get domain_ctx in
-    let node =
-      match ctx.stack with
-      | top :: _ when ctx.depth >= max_depth -> top.node
-      | _ -> find_node ctx name
-    in
-    node.count <- node.count + 1;
-    node.self_s <- node.self_s +. seconds;
-    if node.active = 0 then node.total_s <- node.total_s +. seconds;
-    match ctx.stack with
-    | parent :: _ -> parent.child_s <- parent.child_s +. seconds
-    | [] -> ()
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Folding: merge the per-domain trees by name path.                   *)
 
@@ -240,32 +224,21 @@ let profile_json () =
        ])
   ^ "\n"
 
-let folded () =
-  (* Flamegraph folded-stack lines: "root;child;leaf <self-us>". The
-     separator is load-bearing for the format, so scrub it from names. *)
+(* Flamegraph folded stacks: "root;child;leaf". The separator is
+   load-bearing for the format, so scrub it from names. *)
+let paths trees =
   let clean name = String.map (fun c -> if c = ';' then ':' else c) name in
-  let lines = ref [] in
-  let rec walk prefix t =
+  let rec walk prefix acc t =
     let path =
       if prefix = "" then clean t.span_name else prefix ^ ";" ^ clean t.span_name
     in
-    let us = int_of_float (Float.round (t.self *. 1e6)) in
-    if us > 0 then lines := Printf.sprintf "%s %d" path us :: !lines;
-    List.iter (walk path) t.children
+    List.fold_left (walk path) ((path, t) :: acc) t.children
   in
-  List.iter (walk "") (tree ());
-  List.rev !lines
+  List.rev (List.fold_left (walk "") [] trees)
 
-let pp_report ppf entries =
-  let width =
-    List.fold_left (fun acc e -> Stdlib.max acc (String.length e.name)) 10 entries
-  in
-  Format.fprintf ppf "%-*s %10s %12s %12s %12s@." width "span" "calls" "total ms"
-    "self ms" "mean us";
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "%-*s %10d %12.2f %12.2f %12.2f@." width e.name e.count
-        (e.total_s *. 1e3) (e.self_s *. 1e3)
-        (if e.count = 0 then 0.0
-         else e.total_s /. float_of_int e.count *. 1e6))
-    entries
+let folded trees =
+  List.filter_map
+    (fun (path, t) ->
+      let us = int_of_float (Float.round (t.self *. 1e6)) in
+      if us > 0 then Some (Printf.sprintf "%s %d" path us) else None)
+    (paths trees)

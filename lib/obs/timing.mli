@@ -36,13 +36,6 @@ val span : string -> (unit -> 'a) -> 'a
     Exception-safe. Stacks deeper than an internal cap (64) stop
     growing the tree — further spans fold into the innermost node. *)
 
-val add : string -> float -> unit
-(** Credit [seconds] to [name] directly (for call sites that already
-    hold their own timestamps, like the bench harness). The credit
-    lands at the current stack position like a zero-length child span:
-    it counts toward the enclosing span's children, not its self time.
-    No-op when disabled. *)
-
 (** {2 Folded views}
 
     All views fold the per-domain trees by name path. They read the
@@ -75,11 +68,13 @@ val profile_json : unit -> string
     [{"schema": "profile/v1", "spans": [{name, count, total_s, self_s,
     children: [...]}, ...]}] mirroring {!tree}. Ends in a newline. *)
 
-val folded : unit -> string list
-(** Folded-stack lines ["root;child;leaf <self-us>"] for standard
-    flamegraph tooling (one line per tree node with nonzero self time,
-    value in integer microseconds). Semicolons in span names are
-    rewritten to [':'] to keep the format unambiguous. *)
+val paths : tree list -> (string * tree) list
+(** Every node in pre-order with its stack path ["root;child;leaf"].
+    Semicolons in span names are rewritten to [':'] to keep paths
+    unambiguous. *)
 
-val pp_report : Format.formatter -> entry list -> unit
-(** Aligned table: name, call count, total, self, mean. *)
+val folded : tree list -> string list
+(** Folded-stack lines ["root;child;leaf <self-us>"] for standard
+    flamegraph tooling: one line per {!paths} entry with nonzero self
+    time, value in integer microseconds. Pure, so [faultroute obs
+    folded] renders a parsed [profile/v1] file with it. *)

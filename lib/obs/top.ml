@@ -22,54 +22,11 @@ let frame_of_line line =
   | Some other -> Error (Printf.sprintf "not a telemetry/v1 line (%S)" other)
   | None -> Error "line has no \"schema\" tag"
 
-let gap ~prev f =
-  match (prev.seq, f.seq) with
-  | Some p, Some s when s > p + 1 -> s - p - 1
-  | _ -> 0
+let gap ~prev f = fst (Inspect.seq_gap prev.seq f.seq)
 
 (* ------------------------------------------------------------------ *)
-(* Rendering.                                                          *)
-
-let is_suffix ~suffix s =
-  let ls = String.length suffix and l = String.length s in
-  l >= ls && String.sub s (l - ls) ls = suffix
-
-let scaled name v = if is_suffix ~suffix:"_ns" name then v /. 1e6 else v
-let unit_of name = if is_suffix ~suffix:"_ns" name then "ms" else ""
-
-(* runtime.domain.<slot>.{minor,major,promoted,allocated} gauges folded
-   into one GC row per domain slot, like Inspect.utilization_rows. *)
-let gc_rows counters =
-  let slots = Hashtbl.create 8 in
-  List.iter
-    (fun (name, v) ->
-      match String.split_on_char '.' name with
-      | [ "runtime"; "domain"; slot; leaf ] -> (
-          match int_of_string_opt slot with
-          | None -> ()
-          | Some slot ->
-              let row =
-                match Hashtbl.find_opt slots slot with
-                | Some r -> r
-                | None ->
-                    let r = (ref 0., ref 0., ref 0., ref 0.) in
-                    Hashtbl.replace slots slot r;
-                    r
-              in
-              let minor, major, promoted, allocated = row in
-              (match leaf with
-              | "minor_collections" -> minor := v
-              | "major_collections" -> major := v
-              | "promoted_words" -> promoted := v
-              | "allocated_words" -> allocated := v
-              | _ -> ()))
-      | _ -> ())
-    counters;
-  Hashtbl.fold
-    (fun slot (minor, major, promoted, allocated) acc ->
-      (slot, !minor, !major, !promoted, !allocated) :: acc)
-    slots []
-  |> List.sort compare
+(* Rendering: obs report's tables, plus the run-progress, GC and heap
+   rows only a live view wants.                                        *)
 
 let mwords v = v /. 1e6
 
@@ -92,38 +49,33 @@ let render f =
   | Some admitted ->
       let v name = Option.value (counter name) ~default:0. in
       Format.fprintf ppf
-        "progress   admitted %.0f · answered %.0f · rejected %.0f · queue \
+        "  progress: admitted %.0f · answered %.0f · rejected %.0f · queue \
          %.0f (peak %.0f)@."
         admitted (v "serve.answered") (v "serve.rejected")
         (v "serve.queue_depth")
         (v "serve.queue_depth_peak")
   | None -> ());
-  (* Pool utilization per domain slot. *)
-  (match Inspect.utilization_rows t.Inspect.counters with
+  Inspect.pp_utilization ppf t.Inspect.counters;
+  (* GC pressure per domain slot, plus the process heap. *)
+  (match
+     Inspect.slot_rows ~prefix:"runtime.domain"
+       ~leaves:
+         [ "minor_collections"; "major_collections"; "promoted_words"; "allocated_words" ]
+       t.Inspect.counters
+   with
   | [] -> ()
   | rows ->
-      Format.fprintf ppf "pool       %6s %10s %10s %7s %10s@." "domain"
-        "busy s" "wall s" "util%" "tasks";
+      Format.fprintf ppf "  gc (slot 0 = caller)@.";
+      Format.fprintf ppf "  %6s %12s %12s %14s %10s@." "domain" "minor" "major"
+        "promoted Mw" "alloc Mw";
       List.iter
-        (fun (slot, busy, wall, tasks) ->
-          let util = if wall > 0. then 100. *. busy /. wall else 0. in
-          Format.fprintf ppf "           %6d %10.3f %10.3f %7.1f %10.0f@."
-            slot busy wall util tasks)
-        rows);
-  (* GC pressure per domain, plus the process heap. *)
-  (match gc_rows t.Inspect.counters with
-  | [] -> ()
-  | rows ->
-      Format.fprintf ppf "gc         %6s %8s %8s %12s %12s@." "domain"
-        "minor" "major" "promoted Mw" "alloc Mw";
-      List.iter
-        (fun (slot, minor, major, promoted, allocated) ->
-          Format.fprintf ppf "           %6d %8.0f %8.0f %12.2f %12.2f@." slot
-            minor major (mwords promoted) (mwords allocated))
+        (fun (slot, r) ->
+          Format.fprintf ppf "  %6d %12.0f %12.0f %14.2f %10.2f@." slot r.(0)
+            r.(1) (mwords r.(2)) (mwords r.(3)))
         rows);
   (match counter "runtime.heap_words" with
   | Some heap ->
-      Format.fprintf ppf "heap       %.2f Mwords" (mwords heap);
+      Format.fprintf ppf "  heap: %.2f Mwords" (mwords heap);
       (match counter "runtime.top_heap_words" with
       | Some top -> Format.fprintf ppf " (peak %.2f)" (mwords top)
       | None -> ());
@@ -134,31 +86,6 @@ let render f =
   | None -> ());
   (* Latency quantiles, one row per histogram (per-op serve latencies,
      pool task service and queue wait). *)
-  (match t.Inspect.hists with
-  | [] -> ()
-  | hists ->
-      let width =
-        List.fold_left
-          (fun acc (n, _) -> Stdlib.max acc (String.length n))
-          9 hists
-      in
-      Format.fprintf ppf "latency    %-*s %10s %9s %9s %9s %9s %4s@." width
-        "op" "count" "p50" "p95" "p99" "max" "unit";
-      List.iter
-        (fun (name, h) ->
-          let q p =
-            match Inspect.hist_quantile h p with
-            | Some v -> Printf.sprintf "%.3g" (scaled name v)
-            | None -> "-"
-          in
-          let mx =
-            match h.Inspect.max_v with
-            | Some v -> Printf.sprintf "%.3g" (scaled name v)
-            | None -> "-"
-          in
-          Format.fprintf ppf "           %-*s %10d %9s %9s %9s %9s %4s@."
-            width name h.Inspect.count (q 0.5) (q 0.95) (q 0.99) mx
-            (unit_of name))
-        hists);
+  Inspect.pp_hist_rows ppf t.Inspect.hists;
   Format.pp_print_flush ppf ();
   Buffer.contents buffer

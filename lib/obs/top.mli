@@ -8,7 +8,9 @@
     utilization, per-domain GC pressure (the [runtime.domain.<slot>.*]
     gauges published by the pool), the process heap, and
     p50/p95/p99/max latency rows for every histogram ([_ns] names
-    scaled to ms). Sections with no data are omitted. *)
+    scaled to ms). The utilization and latency sections are
+    [faultroute obs report]'s own tables ({!Inspect.pp_utilization},
+    {!Inspect.pp_hist_rows}). Sections with no data are omitted. *)
 
 type frame = {
   seq : int option;  (** Heartbeat sequence number; [None] on legacy files. *)
@@ -22,9 +24,9 @@ val frame_of_line : string -> (frame, string) result
     different schema tag. *)
 
 val gap : prev:frame -> frame -> int
-(** Heartbeats lost between two consecutive frames: [seq] delta minus
-    one, or 0 when either side carries no [seq] (or on reorder —
-    {!Inspect.report} flags those). *)
+(** Heartbeats lost between two consecutive frames, by
+    {!Inspect.seq_gap}: [seq] delta minus one, or 0 when either side
+    carries no [seq] (or on reorder — {!Inspect.report} flags those). *)
 
 val render : frame -> string
 (** The full frame as plain text (no ANSI), newline-terminated. *)

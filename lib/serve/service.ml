@@ -496,14 +496,16 @@ let serve ?jobs t ~read ~write =
     in
     let probe_q =
       (* Quantiles of route probe counts so far — integer estimates off
-         the deterministic histogram (Metrics.quantile), Null before the
+         the deterministic histogram (Hist.quantile), Null before the
          first route answer. *)
-      let snapshot = Obs.Metrics.snapshot probe_hist in
+      let hist =
+        Obs.Metrics.histogram (Obs.Metrics.snapshot probe_hist) "serve.route.probes"
+      in
       List.map
         (fun (label, q) ->
           ( label,
-            match Obs.Metrics.quantile snapshot "serve.route.probes" q with
-            | Some v -> J.Int v
+            match Option.bind hist (fun h -> Obs.Hist.quantile h q) with
+            | Some v -> J.Int (int_of_float v)
             | None -> J.Null ))
         [ ("probes_p50", 0.5); ("probes_p95", 0.95); ("probes_p99", 0.99) ]
     in

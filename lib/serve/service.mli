@@ -19,7 +19,7 @@
     [stats] queries force a flush first, making their counters a pure
     function of their admission index; the reply also quotes
     [probes_p50]/[probes_p95]/[probes_p99] — bucket-quantile estimates
-    ({!Obs.Metrics.quantile}) over the route answers so far, [null]
+    ({!Obs.Hist.quantile}) over the route answers so far, [null]
     before the first one. The quantile histogram is fed in admission
     order from a local always-on registry, so these fields are equally
     jobs- and telemetry-invariant.

@@ -10,6 +10,9 @@ let with_tracing sink f =
   Obs.Trace.enable ~sink;
   Fun.protect ~finally:Obs.Trace.disable f
 
+let hist_count s name =
+  Option.fold ~none:0 ~some:(fun h -> h.Obs.Hist.count) (Obs.Metrics.histogram s name)
+
 let with_metrics f =
   Obs.Metrics.enable ();
   Fun.protect
@@ -35,8 +38,11 @@ let test_metrics_basics () =
   Alcotest.(check int) "counter b" 40 (Obs.Metrics.counter s "b");
   Alcotest.(check (list (pair string int)))
     "counters sorted" [ ("a", 2); ("b", 40) ] (Obs.Metrics.counters s);
-  Alcotest.(check int) "hist count" 2 (Obs.Metrics.histogram_count s "h");
-  Alcotest.(check int) "hist sum" 8 (Obs.Metrics.histogram_sum s "h")
+  Alcotest.(check int) "hist count" 2 (hist_count s "h");
+  Alcotest.(check (option (float 0.))) "hist sum" (Some 8.)
+    (Option.map (fun h -> h.Obs.Hist.sum) (Obs.Metrics.histogram s "h"));
+  Alcotest.(check bool) "counter is no histogram" true
+    (Obs.Metrics.histogram s "a" = None)
 
 let test_metrics_merge_commutes () =
   let build pairs values =
@@ -52,7 +58,7 @@ let test_metrics_merge_commutes () =
     "merge order invisible in bytes" (Obs.Metrics.to_json ab)
     (Obs.Metrics.to_json ba);
   Alcotest.(check int) "summed counter" 7 (Obs.Metrics.counter ab "y");
-  Alcotest.(check int) "hist count" 5 (Obs.Metrics.histogram_count ab "probes");
+  Alcotest.(check int) "hist count" 5 (hist_count ab "probes");
   Alcotest.(check string)
     "empty is identity" (Obs.Metrics.to_json a)
     (Obs.Metrics.to_json (Obs.Metrics.merge a Obs.Metrics.empty))
@@ -280,7 +286,7 @@ let test_trial_metrics () =
   Alcotest.(check int)
     "probe histogram has one entry per accept"
     (Obs.Metrics.counter snap "trial.accepts")
-    (Obs.Metrics.histogram_count snap "trial.probes");
+    (hist_count snap "trial.probes");
   Alcotest.(check bool)
     "oracle counters flowed" true
     (Obs.Metrics.counter snap "oracle.probe.fresh" > 0);
@@ -418,36 +424,32 @@ let test_metrics_quantiles () =
     Obs.Metrics.observe r "lat" v
   done;
   let s = Obs.Metrics.snapshot r in
-  let q p = Obs.Metrics.quantile s "lat" p in
+  let h = Option.get (Obs.Metrics.histogram s "lat") in
+  let q p = Obs.Hist.quantile h p in
+  let check label expect p = Alcotest.(check (option (float 0.))) label expect (q p) in
   (* Values 1..100 in power-of-two buckets: rank 50 lands in [32,63]
      (cumulative 63), so the estimate is that bucket's upper bound. *)
-  Alcotest.(check (option int)) "p50 = 63" (Some 63) (q 0.5);
+  check "p50 = 63" (Some 63.) 0.5;
   (* Ranks 95 and 99 land in [64,127]; the upper bound clamps to the
      observed max. *)
-  Alcotest.(check (option int)) "p95 clamps to max" (Some 100) (q 0.95);
-  Alcotest.(check (option int)) "p99 clamps to max" (Some 100) (q 0.99);
-  Alcotest.(check (option int)) "p0 clamps to min" (Some 1) (q 0.0);
-  Alcotest.(check (option int)) "p100 = max" (Some 100) (q 1.0);
-  Alcotest.(check (option int)) "absent name" None (Obs.Metrics.quantile s "zzz" 0.5);
-  Alcotest.(check (option int)) "q out of range" None (q 1.5);
-  Alcotest.(check (option int)) "q nan" None (q Float.nan);
-  (match Obs.Metrics.quantiles s "lat" [ 0.5; 0.95 ] with
-  | Some [ a; b ] ->
-      Alcotest.(check int) "quantiles p50" 63 a;
-      Alcotest.(check int) "quantiles p95" 100 b
-  | _ -> Alcotest.fail "quantiles did not return both estimates");
-  Alcotest.(check bool) "quantiles all-or-nothing" true
-    (Obs.Metrics.quantiles s "lat" [ 0.5; 2.0 ] = None);
+  check "p95 clamps to max" (Some 100.) 0.95;
+  check "p99 clamps to max" (Some 100.) 0.99;
+  check "p0 clamps to min" (Some 1.) 0.0;
+  check "p100 = max" (Some 100.) 1.0;
+  Alcotest.(check bool) "absent name" true (Obs.Metrics.histogram s "zzz" = None);
+  check "q out of range" None 1.5;
+  check "q nan" None Float.nan;
+  Alcotest.(check (option (float 0.))) "empty histogram" None
+    (Obs.Hist.quantile (Obs.Hist.create ()) 0.5);
   (* A single observation pins every quantile to that value. *)
   let one = Obs.Metrics.create () in
   Obs.Metrics.observe one "x" 37;
-  let s1 = Obs.Metrics.snapshot one in
+  let h1 = Option.get (Obs.Metrics.histogram (Obs.Metrics.snapshot one) "x") in
   List.iter
     (fun p ->
-      Alcotest.(check (option int))
+      Alcotest.(check (option (float 0.)))
         (Printf.sprintf "single value q=%.2f" p)
-        (Some 37)
-        (Obs.Metrics.quantile s1 "x" p))
+        (Some 37.) (Obs.Hist.quantile h1 p))
     [ 0.0; 0.5; 1.0 ]
 
 (* ------------------------------------------------------------------ *)
@@ -546,7 +548,7 @@ let test_timing_recursive_once () =
     (List.exists
        (fun l ->
          String.length l > 11 && String.sub l 0 11 = "rec;rec;rec")
-       (Obs.Timing.folded ()))
+       (Obs.Timing.folded (Obs.Timing.tree ())))
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry                                                           *)
@@ -580,10 +582,10 @@ let test_telemetry_snapshot () =
     v.Obs.Telemetry.gauges;
   (match v.Obs.Telemetry.hists with
   | [ ("lat_ns", h) ] ->
-      Alcotest.(check int) "hist count" 4 h.Obs.Telemetry.h_count;
-      Alcotest.(check (float 1e-9)) "hist sum" 1500.0 h.Obs.Telemetry.h_sum_ns;
-      Alcotest.(check (float 1e-9)) "hist min" 100.0 h.Obs.Telemetry.h_min_ns;
-      Alcotest.(check (float 1e-9)) "hist max" 800.0 h.Obs.Telemetry.h_max_ns;
+      Alcotest.(check int) "hist count" 4 h.Obs.Hist.count;
+      Alcotest.(check (float 1e-9)) "hist sum" 1500.0 h.Obs.Hist.sum;
+      Alcotest.(check (float 1e-9)) "hist min" 100.0 h.Obs.Hist.min;
+      Alcotest.(check (float 1e-9)) "hist max" 800.0 h.Obs.Hist.max;
       (* Rank 2 of 4 lands in the [128,255] bucket holding 200. *)
       Alcotest.(check (option (float 1e-9)))
         "p50 upper bound" (Some 255.0)
@@ -610,19 +612,19 @@ let test_telemetry_snapshot () =
 
 let test_telemetry_local_absorb () =
   with_telemetry ignore @@ fun () ->
-  let l = Obs.Telemetry.local_create () in
-  Obs.Telemetry.local_observe_ns l 100.0;
-  Obs.Telemetry.local_observe_ns l 900.0;
+  let l = Obs.Hist.create () in
+  Obs.Hist.add l 100.0;
+  Obs.Hist.add l 900.0;
   Obs.Telemetry.observe_ns "t_ns" 500.0;
   Obs.Telemetry.absorb "t_ns" l;
   let v = Obs.Telemetry.snapshot () in
   match List.assoc_opt "t_ns" v.Obs.Telemetry.hists with
   | None -> Alcotest.fail "absorbed histogram missing"
   | Some h ->
-      Alcotest.(check int) "merged count" 3 h.Obs.Telemetry.h_count;
-      Alcotest.(check (float 1e-9)) "merged sum" 1500.0 h.Obs.Telemetry.h_sum_ns;
-      Alcotest.(check (float 1e-9)) "merged min" 100.0 h.Obs.Telemetry.h_min_ns;
-      Alcotest.(check (float 1e-9)) "merged max" 900.0 h.Obs.Telemetry.h_max_ns
+      Alcotest.(check int) "merged count" 3 h.Obs.Hist.count;
+      Alcotest.(check (float 1e-9)) "merged sum" 1500.0 h.Obs.Hist.sum;
+      Alcotest.(check (float 1e-9)) "merged min" 100.0 h.Obs.Hist.min;
+      Alcotest.(check (float 1e-9)) "merged max" 900.0 h.Obs.Hist.max
 
 let test_telemetry_disabled_noop () =
   Obs.Telemetry.reset ();
@@ -702,6 +704,68 @@ let test_inspect_load_family () =
           Alcotest.(check bool) "error cites the path" true
             (String.length e >= String.length alien
             && String.sub e 0 (String.length alien) = alien))
+
+(* ------------------------------------------------------------------ *)
+(* The one histogram: estimator bounds and wire round trips            *)
+
+let loaded_hist path name =
+  match Obs.Inspect.load path with
+  | Error e -> Error e
+  | Ok a -> (
+      match Option.bind (Obs.Inspect.table a) (fun t -> List.assoc_opt name t.Obs.Inspect.hists) with
+      | Some h -> Ok h
+      | None -> Error "histogram missing after load")
+
+let hist_qcheck =
+  let gen =
+    QCheck2.Gen.(
+      triple
+        (list_size (int_range 1 60) (oneof [ int_bound 20; int_bound 1_000_000 ]))
+        (float_bound_inclusive 1.0) (int_bound (1 lsl 20)))
+  in
+  QCheck2.Test.make ~count:200 ~name:"Hist.quantile bounds and wire round trips" gen
+    (fun (samples, q, bound) ->
+      let h = Obs.Hist.create () in
+      List.iter (fun v -> Obs.Hist.add h (float_of_int v)) samples;
+      let sorted = Array.of_list (List.sort compare samples) in
+      let n = Array.length sorted in
+      (* The exact rank-ceil(q n) order statistic and its bucket's
+         inclusive upper bound. *)
+      let x = sorted.(max 1 (int_of_float (Float.ceil (q *. float_of_int n))) - 1) in
+      let rec upper b = if b > x then b - 1 else upper (2 * b) in
+      let x_upper = if x <= 1 then x else upper 2 in
+      let estimate = Option.get (Obs.Hist.quantile h q) in
+      let qs = [ 0.; 0.5; 0.95; 0.99; 1.; q ] in
+      let same (back : Obs.Hist.t) =
+        back.count = h.count && back.sum = h.sum
+        && List.for_all (fun p -> Obs.Hist.quantile back p = Obs.Hist.quantile h p) qs
+      in
+      let via_file suffix content name =
+        let path = write_temp_file suffix content in
+        Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> loaded_hist path name)
+      in
+      let r = Obs.Metrics.create () in
+      List.iter (Obs.Metrics.observe r "h") samples;
+      let metrics = Obs.Metrics.to_json (Obs.Metrics.snapshot r) in
+      let telemetry =
+        with_telemetry ignore (fun () ->
+            List.iter (fun v -> Obs.Telemetry.observe_ns "h_ns" (float_of_int v)) samples;
+            Obs.Telemetry.to_json_line (Obs.Telemetry.snapshot ()))
+      in
+      (* One bucket at [bound]: it loads iff the bound is 0 or a power
+         of two. *)
+      let single =
+        Printf.sprintf
+          {|{"schema": "metrics/v1", "counters": {}, "histograms": {"h": {"count": 1, "sum": %d, "min": %d, "max": %d, "buckets": [[%d, 1]]}}}|}
+          bound bound bound bound
+      in
+      float_of_int (Array.fold_left min max_int sorted) <= estimate
+      && estimate <= float_of_int (Array.fold_left max 0 sorted)
+      && float_of_int x <= estimate
+      && estimate <= float_of_int x_upper
+      && (match via_file ".json" metrics "h" with Ok back -> same back | Error _ -> false)
+      && (match via_file ".jsonl" telemetry "h_ns" with Ok back -> same back | Error _ -> false)
+      && Result.is_ok (via_file ".json" single "h") = (bound land (bound - 1) = 0))
 
 (* ------------------------------------------------------------------ *)
 (* Bench history                                                       *)
@@ -866,12 +930,19 @@ let test_bench_history_committed_files () =
                (fun (key, _) -> Filename.extension key = ".bitset_ns")
                s.Obs.Bench_history.metrics)
            history));
-  match Result.bind (Obs.Json.of_string (read "../BENCH_percolation.json")) Obs.Bench_history.of_json with
+  (match Result.bind (Obs.Json.of_string (read "../BENCH_percolation.json")) Obs.Bench_history.of_json with
   | Error e -> Alcotest.failf "BENCH_percolation.json: %s" e
   | Ok snapshot ->
       Alcotest.(check bool) "churn row harvested" true
         (List.mem_assoc "churn-stepper/churn_step.ns"
-           snapshot.Obs.Bench_history.metrics)
+           snapshot.Obs.Bench_history.metrics));
+  (* The inspector loads both: the JSONL trail and the pretty-printed
+     single snapshot. *)
+  List.iter
+    (fun path ->
+      Alcotest.(check (result string string))
+        (path ^ " loads") (Ok "bench_percolation history") (load_kind path))
+    [ "../BENCH_history.jsonl"; "../BENCH_percolation.json" ]
 
 let test_bench_history_churn_step () =
   (* The churn-stepper entry carries only its own kernel: it must be
@@ -1131,7 +1202,10 @@ let test_top_render () =
         (fun needle ->
           Alcotest.(check bool) (needle ^ " section present") true
             (contains ~needle rendered))
-        [ "progress"; "pool"; "gc"; "heap"; "latency"; "route"; "p95"; "50.0" ];
+        [
+          "progress"; "pool utilization"; "gc"; "heap"; "histogram"; "route";
+          "p95"; "50.0";
+        ];
       (* Gap arithmetic: 2 -> 5 lost two heartbeats; unknown seq = 0. *)
       Alcotest.(check int) "gap counts missing beats" 2
         (Obs.Top.gap ~prev:f { f with Obs.Top.seq = Some 5 });
@@ -1223,6 +1297,7 @@ let () =
             test_seq_gap_flagged;
           Alcotest.test_case "no samples row" `Quick test_report_no_samples;
         ] );
+      ("hist", [ QCheck_alcotest.to_alcotest hist_qcheck ]);
       ( "ledger",
         [
           Alcotest.test_case "append round-trip" `Quick test_ledger_round_trip;
