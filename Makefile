@@ -36,8 +36,9 @@ bench-smoke:
 # The quick catalog on two domains — exercises the parallel engine end
 # to end; output must match a --jobs 1 run byte for byte, and any
 # under-sampled report fails the run (exit 3). Then malformed numeric
-# options: a -p outside [0, 1] (NaN and inf included), --trials 0 and
-# --budget 0 exit 1 with empty stdout and one stderr line; simulate
+# options: a -p outside [0, 1] (NaN and inf included), --trials 0,
+# --budget 0 and a mincut whose --source equals its --target exit 1
+# with empty stdout and one stderr line; simulate
 # rejects a bad -p with exit 2 and one line beside its usage block.
 # Last, --help=plain for the tool and every subcommand must exit 0
 # without a single "cmdliner error" line (a bad escape in an option's
@@ -47,7 +48,7 @@ smoke:
 	mkdir -p artifacts
 	dune exec bin/faultroute.exe -- all --quick --jobs 2 --strict-shortfall > /dev/null
 	dune build bin/faultroute.exe
-	for args in 'route hypercube:8 -p 1.5' 'route hypercube:8 -p nan' 'census hypercube:8 -p 1.5' 'census hypercube:8 -p inf' 'threshold mesh2:8 --trials 0' 'route hypercube:8 --budget 0'; do \
+	for args in 'route hypercube:8 -p 1.5' 'route hypercube:8 -p nan' 'census hypercube:8 -p 1.5' 'census hypercube:8 -p inf' 'threshold mesh2:8 --trials 0' 'route hypercube:8 --budget 0' 'mincut hypercube:4 --source 3 --target 3'; do \
 	  ./_build/default/bin/faultroute.exe $$args > artifacts/SMOKE_opt.out 2> artifacts/SMOKE_opt.err; \
 	  test $$? -eq 1 || { echo "$$args: want exit 1"; exit 1; }; \
 	  test ! -s artifacts/SMOKE_opt.out || { echo "$$args: stdout not empty"; exit 1; }; \
@@ -77,10 +78,15 @@ smoke:
 # in only some --jobs 2 schedules. Leg 3: the committed
 # examples/checkpoint/e2-v1.jsonl, a partial journal written before the
 # single cell format, resumes at --jobs 4 byte-identically, restoring
-# all 3 of its chunks. Leg 4: a malformed supervision flag (--retries
-# below 1, a zero, negative, nan or inf --chunk-deadline, --resume
-# without --checkpoint) exits 1 with one stderr line and empty stdout;
-# it runs the binary directly so no dune output mixes into stderr.
+# all 3 of its chunks. Leg 4: the degradation sweep (E25, whose Runner
+# grid E22 shares) killed by die@10 resumes at --jobs 4
+# byte-identically with restored chunks. Its quick grid is 75 cells in
+# 19 chunks and the sweep has no early stop, so every --jobs 2
+# schedule appends all 19 and the tenth append always happens. Leg 5:
+# a malformed supervision flag (--retries below 1, a zero, negative,
+# nan or inf --chunk-deadline, --resume without --checkpoint) exits 1
+# with one stderr line and empty stdout; it runs the binary directly
+# so no dune output mixes into stderr.
 chaos-smoke:
 	mkdir -p artifacts
 	rm -rf artifacts/CHAOS_ckpt
@@ -101,6 +107,12 @@ chaos-smoke:
 	dune exec bin/faultroute.exe -- exp E2 --quick --jobs 4 --seed 1 --checkpoint artifacts/CHAOS_v1_ckpt --resume --metrics-out artifacts/CHAOS_v1_metrics.json > artifacts/CHAOS_v1_resumed.txt
 	cmp artifacts/CHAOS_e2_clean.txt artifacts/CHAOS_v1_resumed.txt
 	grep -q '"checkpoint.chunks.restored": \([3-9]\|[1-9][0-9]\)' artifacts/CHAOS_v1_metrics.json
+	rm -rf artifacts/CHAOS_e25_ckpt
+	dune exec bin/faultroute.exe -- exp E25 --quick --jobs 2 --seed 1 > artifacts/CHAOS_e25_clean.txt
+	dune exec bin/faultroute.exe -- exp E25 --quick --jobs 2 --seed 1 --checkpoint artifacts/CHAOS_e25_ckpt --inject 'die@10' > /dev/null 2>&1; test $$? -eq 137
+	dune exec bin/faultroute.exe -- exp E25 --quick --jobs 4 --seed 1 --checkpoint artifacts/CHAOS_e25_ckpt --resume --metrics-out artifacts/CHAOS_e25_metrics.json > artifacts/CHAOS_e25_resumed.txt
+	cmp artifacts/CHAOS_e25_clean.txt artifacts/CHAOS_e25_resumed.txt
+	grep -q '"checkpoint.chunks.restored": [1-9]' artifacts/CHAOS_e25_metrics.json
 	dune build bin/faultroute.exe
 	for flag in '--retries 0' '--retries=-3' '--chunk-deadline=0' '--chunk-deadline=-1' '--chunk-deadline nan' '--chunk-deadline inf' '--resume'; do \
 	  ./_build/default/bin/faultroute.exe exp E1 --quick $$flag > artifacts/CHAOS_flag.out 2> artifacts/CHAOS_flag.err; \

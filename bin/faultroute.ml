@@ -606,7 +606,14 @@ let cmd_mincut topology size seed source target =
   let stream = Prng.Stream.create seed in
   with_instance topology ~size stream @@ fun instance ->
   let graph = instance.Topology.Registry.graph in
-  match endpoints graph source target with
+  let distinct (source, target) =
+    if source = target then
+      Error
+        (Printf.sprintf "mincut: --source and --target must differ (both are vertex %d)"
+           source)
+    else Ok (source, target)
+  in
+  match Result.bind (endpoints graph source target) distinct with
   | Error message ->
       prerr_endline message;
       Verdict.Exit_code.error

@@ -50,7 +50,7 @@ let run ?(quick = false) stream =
       let rates =
         Percolation.Threshold.sweep substream ~trials ~ps
           ~event:(fun ~p ~seed ->
-            let world = Worldpool.build graph ~p ~seed in
+            let world = Percolation.World.create graph ~p ~seed in
             match Percolation.Reveal.connected world x y with
             | Percolation.Reveal.Connected _ -> true
             | Percolation.Reveal.Disconnected | Percolation.Reveal.Unknown -> false)

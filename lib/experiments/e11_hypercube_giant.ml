@@ -29,7 +29,7 @@ let run ?(quick = false) stream =
   let substream = Prng.Stream.split stream 0 in
   let families =
     Array.init worlds (fun i ->
-        Worldpool.coupled graph
+        Percolation.Coupled.create graph
           ~seed:(Prng.Coin.derive (Prng.Stream.seed substream) (i + 1)))
   in
   List.iter
@@ -39,7 +39,7 @@ let run ?(quick = false) stream =
       let second_fracs = ref Stats.Summary.empty in
       let giants = ref 0 in
       for w = 1 to worlds do
-        let world = Worldpool.cut families.(w - 1) ~p in
+        let world = Percolation.Coupled.world_at families.(w - 1) ~p in
         let census = Percolation.Clusters.census world in
         giant_fracs :=
           Stats.Summary.add !giant_fracs (Percolation.Clusters.giant_fraction census);

@@ -40,7 +40,7 @@ let run ?(quick = false) stream =
           let connected = ref 0 in
           for w = 1 to worlds do
             let seed = Prng.Coin.derive (Prng.Stream.seed substream) w in
-            let world = Worldpool.build graph ~p ~seed in
+            let world = Percolation.World.create graph ~p ~seed in
             match Percolation.Chemical.stretch world source target with
             | Some s ->
                 incr connected;

@@ -56,7 +56,7 @@ let run ?(quick = false) stream =
       while !completed < trials && !attempt < trials * 50 do
         incr attempt;
         let seed = Prng.Coin.derive (Prng.Stream.seed substream) !attempt in
-        let world = Worldpool.build graph ~p ~seed in
+        let world = Percolation.World.create graph ~p ~seed in
         match Percolation.Reveal.connected world source target with
         | Percolation.Reveal.Disconnected | Percolation.Reveal.Unknown -> ()
         | Percolation.Reveal.Connected _ ->

@@ -51,7 +51,7 @@ let run ?(quick = false) stream =
           let distances = ref Stats.Summary.empty in
           for w = 1 to worlds do
             let seed = Prng.Coin.derive (Prng.Stream.seed substream) w in
-            let world = Worldpool.build graph ~p ~seed in
+            let world = Percolation.World.create graph ~p ~seed in
             let fraction =
               Routing.Good_vertex.fraction_good
                 (Prng.Stream.split substream (10 + w))

@@ -38,7 +38,7 @@ let run ?(quick = false) stream =
               Topology.Small_world.graph (Prng.Stream.split substream g) ~m ~r
             in
             (* Fault-free world: this experiment isolates findability. *)
-            let world = Worldpool.build graph ~p:1.0 ~seed:1L in
+            let world = Percolation.World.create graph ~p:1.0 ~seed:1L in
             let pair_stream = Prng.Stream.split substream (100 + g) in
             for _ = 1 to pairs_per_graph do
               let source, target =

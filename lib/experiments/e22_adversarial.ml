@@ -4,8 +4,10 @@
    (Menger + the hypercube's degree), so a min-cut adversary
    disconnects it with 10 deletions while random faults need to kill an
    entire degree-10 neighbourhood by luck. We sweep the deletion budget
-   for three strategies and record survival and conditioned routing
-   cost on the surviving worlds. *)
+   for three strategies — Scenario's Random, Min_cut and Around
+   models — and record survival and conditioned routing cost on the
+   surviving worlds, through E25's degradation sweep (without its
+   cluster census). *)
 
 let id = "E22"
 let title = "Worst-case vs random faults: the price of adversarial knowledge"
@@ -37,11 +39,16 @@ let run ?(quick = false) stream =
       ]
   in
   let strategies =
-    [
-      ("random", Percolation.Adversary.Random);
-      ("min-cut", Percolation.Adversary.Min_cut);
-      ("around-source", Percolation.Adversary.Around_source);
-    ]
+    Percolation.Scenario.
+      [
+        ("random", Random);
+        ("min-cut", Min_cut { source; target });
+        ("around-source", Around { vertex = source });
+      ]
+  in
+  let grid =
+    E25_clustered_faults.sweep ~census:false stream graph ~source ~target
+      ~budgets ~models:(List.map snd strategies) ~trials
   in
   let table =
     ref
@@ -52,46 +59,23 @@ let run ?(quick = false) stream =
   List.iteri
     (fun budget_index budget ->
       List.iteri
-        (fun strategy_index (name, strategy) ->
-          let substream =
-            Prng.Stream.split stream ((budget_index * 10) + strategy_index)
-          in
-          let survived = ref 0 in
-          let probes = ref Stats.Summary.empty in
-          for trial = 1 to trials do
-            (* Base world fault-free: isolate the adversary's effect. *)
-            let base =
-              Worldpool.build graph ~p:1.0
-                ~seed:(Prng.Coin.derive (Prng.Stream.seed substream) trial)
-            in
-            let attacked =
-              Percolation.Adversary.attack
-                (Prng.Stream.split substream trial)
-                base strategy ~source ~target ~budget
-            in
-            match Percolation.Reveal.connected attacked source target with
-            | Percolation.Reveal.Connected _ ->
-                incr survived;
-                (match
-                   Routing.Router.run Routing.Greedy.router attacked ~source ~target
-                 with
-                | Routing.Outcome.Found { probes = cost; _ } ->
-                    probes := Stats.Summary.add !probes (float_of_int cost)
-                | Routing.Outcome.No_path _ | Routing.Outcome.Budget_exceeded _ -> ())
-            | Percolation.Reveal.Disconnected | Percolation.Reveal.Unknown -> ()
-          done;
-          survival :=
-            ((budget, name), float_of_int !survived /. float_of_int trials)
-            :: !survival;
-          table :=
-            Stats.Table.add_row !table
-              [
-                string_of_int budget;
-                name;
-                Printf.sprintf "%d/%d" !survived trials;
-                (if Stats.Summary.count !probes = 0 then "-"
-                 else Printf.sprintf "%.0f" (Stats.Summary.mean !probes));
-              ])
+        (fun strategy_index (name, _) ->
+          let d = grid.(budget_index).(strategy_index) in
+          if d.E25_clustered_faults.measured > 0 then begin
+            survival :=
+              ( (budget, name),
+                float_of_int d.survived /. float_of_int d.measured )
+              :: !survival;
+            table :=
+              Stats.Table.add_row !table
+                [
+                  string_of_int budget;
+                  name;
+                  Printf.sprintf "%d/%d" d.survived d.measured;
+                  (if Stats.Summary.count d.probes = 0 then "-"
+                   else Printf.sprintf "%.0f" (Stats.Summary.mean d.probes));
+                ]
+          end)
         strategies)
     budgets;
   let notes =

@@ -40,7 +40,7 @@ let run ?(quick = false) stream =
               let total = ref 0.0 in
               Array.iter
                 (fun seed ->
-                  let world = Worldpool.build ~site_p graph ~p:1.0 ~seed in
+                  let world = Percolation.World.create ~site_p graph ~p:1.0 ~seed in
                   total :=
                     !total
                     +. Percolation.Clusters.giant_fraction
@@ -99,7 +99,7 @@ let run ?(quick = false) stream =
           do
             incr attempts;
             let seed = Prng.Coin.derive (Prng.Stream.seed substream) !attempts in
-            let world = Worldpool.build ~site_p graph ~p:1.0 ~seed in
+            let world = Percolation.World.create ~site_p graph ~p:1.0 ~seed in
             match Percolation.Reveal.connected world source target with
             | Percolation.Reveal.Connected _ ->
                 incr connected;

@@ -42,7 +42,7 @@ let run ?(quick = false) stream =
           let latency = ref Stats.Summary.empty in
           for trial = 1 to trials do
             let seed = Prng.Coin.derive (Prng.Stream.seed substream) trial in
-            let world = Worldpool.build graph ~p:(1.0 -. q) ~seed in
+            let world = Percolation.World.create graph ~p:(1.0 -. q) ~seed in
             let engine =
               Netsim.Engine.create ?link_capacity:capacity world
                 (Netsim.Butterfly_route.protocol ~n)

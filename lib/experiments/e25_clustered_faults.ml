@@ -7,10 +7,14 @@
    sets of the same size degrade the network: uniform random, BFS
    balls around random centers, an Eden-growth infection blob, a
    decaying blast around one epicenter, and the pair-targeted min-cut
-   adversary — the last padded to the same budget through the shared
-   Scenario API, so every curve sits on one axis. Degradation is the
-   surviving giant-component fraction, corner-to-corner survival, and
-   conditioned greedy routing cost. *)
+   adversary — all drawn by Scenario at the same exact budget, so
+   every curve sits on one axis. Degradation is the surviving
+   giant-component fraction, corner-to-corner survival, and
+   conditioned greedy routing cost.
+
+   The budget × model × trial grid runs as one Runner call ([sweep]),
+   shared with E22, so both sweeps are parallel, fault-injectable and
+   checkpoint/resumable like any trial campaign. *)
 
 let id = "E25"
 let title = "Clustered vs random faults: degradation at equal budget"
@@ -23,6 +27,87 @@ let claim =
    the supercritical phase); the pair-targeted min-cut adversary disconnects \
    the corner pair with any budget >= its edge connectivity."
 
+type degradation = {
+  giant : Stats.Summary.t;
+  survived : int;
+  measured : int;
+  probes : Stats.Summary.t;
+}
+
+let sweep ~census stream graph ~source ~target ~budgets ~models ~trials =
+  let budgets = Array.of_list budgets and models = Array.of_list models in
+  let n_models = Array.length models in
+  if n_models > 10 then invalid_arg "E25.sweep: at most 10 models";
+  let per_budget = n_models * trials in
+  let count = Array.length budgets * per_budget in
+  let key =
+    lazy
+      (Printf.sprintf
+         "degradation;graph=%s;source=%d;target=%d;budgets=%s;models=%s;trials=%d;census=%b;seed=%Ld;chunk=%d"
+         graph.Topology.Graph.name source target
+         (String.concat "," (Array.to_list (Array.map string_of_int budgets)))
+         (String.concat ","
+            (Array.to_list (Array.map Percolation.Scenario.model_name models)))
+         trials census (Prng.Stream.seed stream) Runner.chunk_size)
+  in
+  (* One cell per (budget, model, trial): giant fraction (nan without
+     the census), pair survival as 0/1, greedy probes (nan unless a
+     route was found) — all pure in the index. *)
+  let compute index =
+    let budget_index = index / per_budget in
+    let model_index = (index / trials) mod n_models in
+    let trial = (index mod trials) + 1 in
+    let substream =
+      Prng.Stream.split stream ((budget_index * 10) + model_index)
+    in
+    (* Base world fault-free: isolate the fault set's effect. *)
+    let base =
+      Percolation.World.create graph ~p:1.0
+        ~seed:(Prng.Coin.derive (Prng.Stream.seed substream) trial)
+    in
+    let faulted =
+      Percolation.World.remove_edges base
+        (Percolation.Scenario.sample
+           (Prng.Stream.split substream trial)
+           graph models.(model_index) ~budget:budgets.(budget_index))
+    in
+    let giant =
+      if census then
+        Percolation.Clusters.giant_fraction (Percolation.Clusters.census faulted)
+      else nan
+    in
+    match Percolation.Reveal.connected faulted source target with
+    | Percolation.Reveal.Connected _ -> (
+        match Routing.Router.run Routing.Greedy.router faulted ~source ~target with
+        | Routing.Outcome.Found { probes; _ } -> [| giant; 1.0; float_of_int probes |]
+        | Routing.Outcome.No_path _ | Routing.Outcome.Budget_exceeded _ ->
+            [| giant; 1.0; nan |])
+    | Percolation.Reveal.Disconnected | Percolation.Reveal.Unknown ->
+        [| giant; 0.0; nan |]
+  in
+  let chunks, _faults = Runner.run ~key ~codec:Checkpoint.floats ~count compute in
+  Array.init (Array.length budgets) (fun budget_index ->
+      Array.init n_models (fun model_index ->
+          let first = (budget_index * per_budget) + (model_index * trials) in
+          let giant = ref Stats.Summary.empty in
+          let probes = ref Stats.Summary.empty in
+          let survived = ref 0 and measured = ref 0 in
+          for trial = 0 to trials - 1 do
+            match Runner.cell chunks (first + trial) with
+            | Some [| g; s; p |] ->
+                incr measured;
+                if census then giant := Stats.Summary.add !giant g;
+                if s > 0.5 then incr survived;
+                if not (Float.is_nan p) then probes := Stats.Summary.add !probes p
+            | _ -> () (* quarantined chunk: skip *)
+          done;
+          {
+            giant = !giant;
+            survived = !survived;
+            measured = !measured;
+            probes = !probes;
+          }))
+
 let run ?(quick = false) stream =
   let side = if quick then 10 else 24 in
   let trials = if quick then 5 else 20 in
@@ -33,25 +118,19 @@ let run ?(quick = false) stream =
   let budgets =
     [ total_edges * 5 / 100; total_edges * 10 / 100; total_edges * 20 / 100 ]
   in
-  let min_cut_model substream trial =
-    (* The adversary stops once the pair disconnects; pad to the exact
-       budget so its curve is budget-comparable with the others. *)
-    fun ~budget ->
-      let s = Prng.Stream.split substream trial in
-      let edges =
-        Percolation.Adversary.pick_edges s graph Percolation.Adversary.Min_cut
-          ~source ~target ~budget
-      in
-      Percolation.Scenario.pad_to_budget s graph ~budget edges
-  in
   let models =
-    [
-      ("random", `Scenario Percolation.Scenario.Random);
-      ("ball:3", `Scenario (Percolation.Scenario.Ball { centers = 3 }));
-      ("infection", `Scenario Percolation.Scenario.Infection);
-      ("blast:0.5", `Scenario (Percolation.Scenario.Blast { decay = 0.5 }));
-      ("min-cut", `Min_cut);
-    ]
+    Percolation.Scenario.
+      [
+        ("random", Random);
+        ("ball:3", Ball { centers = 3 });
+        ("infection", Infection);
+        ("blast:0.5", Blast { decay = 0.5 });
+        ("min-cut", Min_cut { source; target });
+      ]
+  in
+  let grid =
+    sweep ~census:true stream graph ~source ~target ~budgets
+      ~models:(List.map snd models) ~trials
   in
   let table =
     ref
@@ -63,58 +142,25 @@ let run ?(quick = false) stream =
   List.iteri
     (fun budget_index budget ->
       List.iteri
-        (fun model_index (name, model) ->
-          let substream =
-            Prng.Stream.split stream ((budget_index * 10) + model_index)
-          in
-          let giant = ref Stats.Summary.empty in
-          let survived = ref 0 in
-          let probes = ref Stats.Summary.empty in
-          for trial = 1 to trials do
-            (* Base world fault-free: isolate the geometry's effect. *)
-            let base =
-              Worldpool.build graph ~p:1.0
-                ~seed:(Prng.Coin.derive (Prng.Stream.seed substream) trial)
-            in
-            let edges =
-              match model with
-              | `Scenario m ->
-                  Percolation.Scenario.sample
-                    (Prng.Stream.split substream trial)
-                    graph m ~budget
-              | `Min_cut -> min_cut_model substream trial ~budget
-            in
-            let faulted = Percolation.Scenario.apply base edges in
-            giant :=
-              Stats.Summary.add !giant
-                (Percolation.Clusters.giant_fraction
-                   (Percolation.Clusters.census faulted));
-            match Percolation.Reveal.connected faulted source target with
-            | Percolation.Reveal.Connected _ -> (
-                incr survived;
-                match
-                  Routing.Router.run Routing.Greedy.router faulted ~source ~target
-                with
-                | Routing.Outcome.Found { probes = cost; _ } ->
-                    probes := Stats.Summary.add !probes (float_of_int cost)
-                | Routing.Outcome.No_path _ | Routing.Outcome.Budget_exceeded _ -> ())
-            | Percolation.Reveal.Disconnected | Percolation.Reveal.Unknown -> ()
-          done;
-          results :=
-            ( (budget_index, name),
-              ( Stats.Summary.mean !giant,
-                float_of_int !survived /. float_of_int trials ) )
-            :: !results;
-          table :=
-            Stats.Table.add_row !table
-              [
-                string_of_int budget;
-                name;
-                Printf.sprintf "%.3f" (Stats.Summary.mean !giant);
-                Printf.sprintf "%d/%d" !survived trials;
-                (if Stats.Summary.count !probes = 0 then "-"
-                 else Printf.sprintf "%.0f" (Stats.Summary.mean !probes));
-              ])
+        (fun model_index (name, _) ->
+          let d = grid.(budget_index).(model_index) in
+          if d.measured > 0 then begin
+            results :=
+              ( (budget_index, name),
+                ( Stats.Summary.mean d.giant,
+                  float_of_int d.survived /. float_of_int d.measured ) )
+              :: !results;
+            table :=
+              Stats.Table.add_row !table
+                [
+                  string_of_int budget;
+                  name;
+                  Printf.sprintf "%.3f" (Stats.Summary.mean d.giant);
+                  Printf.sprintf "%d/%d" d.survived d.measured;
+                  (if Stats.Summary.count d.probes = 0 then "-"
+                   else Printf.sprintf "%.0f" (Stats.Summary.mean d.probes));
+                ]
+          end)
         models)
     budgets;
   let n_budgets = List.length budgets in

@@ -54,7 +54,7 @@ let run ?(quick = false) stream =
     let substream = Prng.Stream.split stream index in
     let rate = rates_arr.(index / trials) in
     let world_seed = Prng.Coin.derive (Prng.Stream.seed substream) 1 in
-    let world = Worldpool.build graph ~p:1.0 ~seed:world_seed in
+    let world = Percolation.World.create graph ~p:1.0 ~seed:world_seed in
     let churn =
       if rate <= 0.0 then None
       else
@@ -90,11 +90,6 @@ let run ?(quick = false) stream =
     [| flood_delivery; flood_informed; gossip_reached; gossip_latency; blocked |]
   in
   let chunks, _faults = Runner.run ~key ~codec:Checkpoint.floats ~count compute in
-  let cell i =
-    Option.map
-      (fun cells -> cells.(i mod Runner.chunk_size))
-      chunks.(i / Runner.chunk_size)
-  in
   let table =
     ref
       (Stats.Table.create
@@ -117,7 +112,7 @@ let run ?(quick = false) stream =
       let latency = ref Stats.Summary.empty in
       let blocked = ref Stats.Summary.empty in
       for trial = 0 to trials - 1 do
-        match cell ((rate_index * trials) + trial) with
+        match Runner.cell chunks ((rate_index * trials) + trial) with
         | Some [| d; inf; r; l; b |] ->
             delivery := Stats.Summary.add !delivery d;
             informed := Stats.Summary.add !informed inf;

@@ -48,3 +48,6 @@ let run ?jobs ~key ~codec ~count ?(until = fun _ -> false) compute =
         outcomes,
       summary )
   end
+
+let cell chunks i =
+  Option.map (fun cells -> cells.(i mod chunk_size)) chunks.(i / chunk_size)

@@ -10,8 +10,10 @@
     {!Engine_par.Supervisor}'s retry loop, with injection from the
     ambient [faultplan/v1] and lookup/store through {!Checkpoint}.
 
-    Callers: {!Trial} (one routing attempt per index) and E26 (one
-    churned simulation per index, {!Checkpoint.floats} cells).
+    Callers: {!Trial} (one routing attempt per index), E26 (one
+    churned simulation per index) and the degradation sweep E22 and E25
+    share (one faulted world per index), the last two with
+    {!Checkpoint.floats} cells.
 
     The contract: [compute] must be a {e pure} function of its index —
     derive every random decision from a per-index stream split, never
@@ -49,3 +51,7 @@ val run :
     when a checkpoint is active. [jobs] defaults to the ambient pool
     default.
     @raise Invalid_argument on negative [count]. *)
+
+val cell : 'a array option array -> int -> 'a option
+(** [cell chunks i] is index [i]'s cell in {!run}'s chunks, [None]
+    when its chunk was quarantined. *)

@@ -6,14 +6,10 @@ type spec = {
   router : Prng.Stream.t -> source:int -> target:int -> Routing.Router.t;
   budget : int option;
   reveal_limit : int option;
-  worlds : Worldpool.provider;
 }
 
-let spec ?budget ?reveal_limit ?worlds ~graph ~p ~source ~target router =
-  let worlds =
-    match worlds with Some w -> w | None -> Worldpool.detached graph ~p
-  in
-  { graph; p; source; target; router; budget; reveal_limit; worlds }
+let spec ?budget ?reveal_limit ~graph ~p ~source ~target router =
+  { graph; p; source; target; router; budget; reveal_limit }
 
 type result = {
   observations : Stats.Censored.t;
@@ -61,7 +57,7 @@ type attempt =
 let run_attempt spec root_stream index =
   let attempt_stream = Prng.Stream.split root_stream index in
   let seed = Prng.Stream.seed attempt_stream in
-  let world = spec.worlds ~seed in
+  let world = Percolation.World.create spec.graph ~p:spec.p ~seed in
   let traced = Obs.Trace.on () in
   let metered = Obs.Metrics.on () in
   if traced then Obs.Trace.emit (Obs.Trace.Attempt_start { index });

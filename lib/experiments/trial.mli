@@ -49,27 +49,21 @@ type spec = {
   reveal_limit : int option;
       (** Cap on ground-truth exploration; verdict [Unknown] counts as
           not connected. [None] = explore fully. *)
-  worlds : Worldpool.provider;
-      (** Where attempt worlds come from. Attempt [i] asks for the
-          world of its split seed; the provider must be observationally
-          equal to [World.create graph ~p ~seed] (the {!Worldpool}
-          contract), so checkpoint keys and report bytes — which digest
-          [(graph, p, seed)], never the provider — stay valid. *)
 }
 
 val spec :
   ?budget:int ->
   ?reveal_limit:int ->
-  ?worlds:Worldpool.provider ->
   graph:Topology.Graph.t ->
   p:float ->
   source:int ->
   target:int ->
   (Prng.Stream.t -> source:int -> target:int -> Routing.Router.t) ->
   spec
-(** [worlds] defaults to [Worldpool.detached graph ~p] — fresh
-    single-use construction, the historical behaviour. Pass a
-    {!Worldpool.provider} to serve attempts from a resident pool. *)
+(** Attempt [i] builds a fresh single-use world,
+    [Percolation.World.create graph ~p ~seed] at the seed of its split
+    stream, so checkpoint keys and report bytes digest [(graph, p,
+    seed)]. *)
 
 type result = {
   observations : Stats.Censored.t;

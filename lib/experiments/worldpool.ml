@@ -1,5 +1,3 @@
-type provider = seed:int64 -> Percolation.World.t
-
 type stats = { resident : int; constructed : int; hits : int; evicted : int }
 
 type t = {
@@ -26,13 +24,6 @@ let create ?(capacity = default_capacity) () =
     evicted = 0;
   }
 
-let build ?site_p graph ~p ~seed = Percolation.World.create ?site_p graph ~p ~seed
-
-let detached ?site_p graph ~p : provider = fun ~seed -> build ?site_p graph ~p ~seed
-
-let coupled ?site graph ~seed = Percolation.Coupled.create ?site graph ~seed
-let cut ?site_p family ~p = Percolation.Coupled.world_at ?site_p family ~p
-
 (* Graph names are unique per family+parameters (the registries
    guarantee it), so the key needs no structural digest; p is printed
    round-trip exact, matching the checkpoint-key discipline. *)
@@ -52,7 +43,7 @@ let locked t f =
 let get ?site_p t graph ~p ~seed =
   if not (poolable graph) then begin
     locked t (fun () -> t.constructed <- t.constructed + 1);
-    build ?site_p graph ~p ~seed
+    Percolation.World.create ?site_p graph ~p ~seed
   end
   else
     let key = key_string graph ~p ~site_p ~seed in
@@ -65,7 +56,7 @@ let get ?site_p t graph ~p ~seed =
             t.hits <- t.hits + 1;
             world
         | None ->
-            let world = build ?site_p graph ~p ~seed in
+            let world = Percolation.World.create ?site_p graph ~p ~seed in
             Percolation.World.prefill world;
             t.constructed <- t.constructed + 1;
             if Hashtbl.length t.table >= t.capacity then begin
@@ -76,9 +67,6 @@ let get ?site_p t graph ~p ~seed =
             Hashtbl.replace t.table key world;
             Queue.push key t.order;
             world)
-
-let provider ?site_p t graph ~p : provider =
- fun ~seed -> get ?site_p t graph ~p ~seed
 
 let stats t =
   locked t (fun () ->

@@ -1,22 +1,13 @@
-(** Keyed, size-gated construction and lookup of percolation worlds —
-    the seam between "what world" and "who builds it".
+(** A resident pool of percolation worlds, keyed and size-gated — the
+    worlds [faultroute serve] keeps for a whole session.
 
-    Historically every consumer built its own worlds inline
-    ([Percolation.World.create] calls scattered through [Trial] and the
-    experiment files), so a world lived exactly as long as one trial
-    attempt and could never be reused. This module makes worlds
-    first-class resources:
-
-    - {!build} / {!detached} are the {e one-shot} constructors: the
-      blessed replacement for direct [World.create] calls in experiment
-      code (those are deprecated — see DESIGN.md §7's migration note).
-      No locking, no retention; exactly the old cost profile.
-    - {!create} / {!get} / {!provider} are the {e resident pool}: each
-      distinct [(graph, p, seed, site_p)] key is constructed at most
-      once, {!Percolation.World.prefill}ed so the world is genuinely
-      immutable, and then shared — including across domains, which the
-      prefill makes safe. [faultroute serve] keeps its session worlds
-      here and answers every query against the same resident objects.
+    Each distinct [(graph, p, seed, site_p)] key is constructed at most
+    once, {!Percolation.World.prefill}ed so the world is genuinely
+    immutable, and then shared — including across domains, which the
+    prefill makes safe. The service answers every query against the
+    same resident objects. Everything else (trials, sweeps, the CLI's
+    one-shot commands) builds single-use worlds with
+    {!Percolation.World.create} or {!Percolation.Coupled} directly.
 
     {2 Size gate}
 
@@ -40,43 +31,12 @@ type t
 (** A resident pool. Thread-safe: one mutex guards the table, and
     every retained world is prefilled before it becomes visible. *)
 
-type provider = seed:int64 -> Percolation.World.t
-(** How {!Trial} (and anything else that samples worlds) obtains one:
-    a function of the seed alone, everything else fixed up front. A
-    provider must be observationally equal to
-    [World.create graph ~p ~seed] for its [(graph, p)] — pool-backed
-    and detached providers both are — because checkpoint keys and
-    report bytes assume world states are a pure function of
-    [(graph, p, seed)]. *)
-
 val default_capacity : int
 (** 64 resident worlds. *)
 
 val create : ?capacity:int -> unit -> t
 (** An empty pool.
     @raise Invalid_argument if [capacity <= 0]. *)
-
-val build :
-  ?site_p:float -> Topology.Graph.t -> p:float -> seed:int64 -> Percolation.World.t
-(** One-shot construction — [Percolation.World.create], centralised.
-    Use this (or {!detached}) instead of calling [World.create]
-    directly from experiment code. *)
-
-val detached : ?site_p:float -> Topology.Graph.t -> p:float -> provider
-(** [detached graph ~p] is the unpooled provider: every call
-    constructs a fresh single-use world. {!Trial.spec}'s default. *)
-
-val coupled : ?site:bool -> Topology.Graph.t -> seed:int64 -> Percolation.Coupled.t
-(** [coupled graph ~seed] samples a monotone-coupled sweep family —
-    [Percolation.Coupled.create], centralised so experiment code keeps
-    constructing worlds through this module. Use one family per trial
-    seed and {!cut} it at every [p] of a sweep.
-    @raise Invalid_argument if the graph exceeds the cache gate. *)
-
-val cut : ?site_p:float -> Percolation.Coupled.t -> p:float -> Percolation.World.t
-(** [cut family ~p] is the family's world at [p] —
-    [Percolation.Coupled.world_at]. Observationally identical to
-    [build graph ~p ~seed] for the family's graph and seed. *)
 
 val get :
   ?site_p:float ->
@@ -88,9 +48,6 @@ val get :
 (** The resident world for [(graph, p, seed, site_p)], constructing
     (and prefilling) it on first request. Worlds above the cache gate
     are built per call and not retained. *)
-
-val provider : ?site_p:float -> t -> Topology.Graph.t -> p:float -> provider
-(** [provider pool graph ~p] is [fun ~seed -> get pool graph ~p ~seed]. *)
 
 type stats = {
   resident : int;  (** Worlds currently retained. *)

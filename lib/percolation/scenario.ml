@@ -1,29 +1,43 @@
-(* Spatially clustered fault scenarios, sized against an exact edge
-   budget. Every model answers the same question — "which [k] edges
-   die?" — so experiments can compare fault geometries at strictly
-   equal budget; the sets overlay onto a world through the ordinary
-   removal mechanism ([World.remove_edges]), leaving oracles, reveals,
-   caches, claims and traces untouched. *)
+(* Fault sets — i.i.d., spatially clustered or worst-case — sized
+   against an exact edge budget. Every model answers the same question
+   — "which [k] edges die?" — so experiments can compare fault
+   geometries at strictly equal budget; the sets overlay onto a world
+   through the ordinary removal mechanism ([World.remove_edges]),
+   leaving oracles, reveals, caches, claims and traces untouched. *)
 
 type model =
   | Random
   | Ball of { centers : int }
   | Infection
   | Blast of { decay : float }
+  | Around of { vertex : int }
+  | Min_cut of { source : int; target : int }
 
 let model_name = function
   | Random -> "random"
   | Ball { centers } -> Printf.sprintf "ball:%d" centers
   | Infection -> "infection"
-  | Blast { decay } -> Printf.sprintf "blast:%g" decay
+  | Blast { decay } -> Printf.sprintf "blast:%.17g" decay
+  | Around { vertex } -> Printf.sprintf "around:%d" vertex
+  | Min_cut { source; target } -> Printf.sprintf "min-cut:%d-%d" source target
 
-let validate_model = function
+let validate_model graph model =
+  let in_range v = v >= 0 && v < graph.Topology.Graph.vertex_count in
+  match model with
   | Random | Infection -> ()
   | Ball { centers } ->
       if centers < 1 then invalid_arg "Scenario: ball needs >= 1 center"
   | Blast { decay } ->
       if not (Float.is_finite decay) || decay <= 0.0 || decay > 1.0 then
         invalid_arg "Scenario: blast decay must be in (0, 1]"
+  | Around { vertex } ->
+      if not (in_range vertex) then
+        invalid_arg "Scenario: around vertex out of range"
+  | Min_cut { source; target } ->
+      if not (in_range source && in_range target) then
+        invalid_arg "Scenario: min-cut endpoint out of range";
+      if source = target then
+        invalid_arg "Scenario: min-cut needs two distinct endpoints"
 
 (* BFS distances from [source] over the full (un-percolated) graph;
    -1 marks unreachable vertices. *)
@@ -63,6 +77,7 @@ let ball_edges graph center ~limit =
   let chosen = ref [] in
   let count = ref 0 in
   (try
+     if limit <= 0 then raise Exit;
      while not (Queue.is_empty queue) do
        let u = Queue.pop queue in
        Array.iter
@@ -271,19 +286,19 @@ let pad_to_budget stream graph ~budget edges =
 
 let sample stream graph model ~budget =
   if budget < 0 then invalid_arg "Scenario.sample: negative budget";
-  validate_model model;
+  validate_model graph model;
   let raw =
     match model with
     | Random -> []
     | Ball { centers } -> sample_balls stream graph ~centers ~budget
     | Infection -> sample_infection stream graph ~budget
     | Blast { decay } -> sample_blast stream graph ~decay ~budget
+    | Around { vertex } -> ball_edges graph vertex ~limit:budget
+    | Min_cut { source; target } ->
+        Topology.Mincut.min_cut graph ~source ~sink:target
   in
   (* Random is pure padding; the clustered models fall back to random
-     padding only in degenerate graphs, keeping the budget exact. *)
+     padding only in degenerate graphs, and a min cut smaller than the
+     budget is topped up once the pair is already cut, keeping the
+     budget exact. *)
   pad_to_budget stream graph ~budget raw
-
-let apply world edges = World.remove_edges world edges
-
-let attack stream world model ~budget =
-  apply world (sample stream (World.graph world) model ~budget)

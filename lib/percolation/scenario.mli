@@ -1,13 +1,16 @@
-(** Spatially clustered fault scenarios at exact edge budget.
+(** Fault sets at exact edge budget: the one sampler for both of the
+    paper's fault models and their clustered variants.
 
-    Where {!Adversary} targets a specific source–target pair, a
-    scenario describes fault {e geometry}: how [k] dead edges are
-    arranged, independent of any routing question. All models answer
-    with {e exactly} [min k |E|] distinct edges, so degradation curves
-    compare Random / clustered / min-cut fault sets at strictly equal
-    budget (the Bagchi et al. comparison from ROADMAP O3), and every
-    set overlays onto a world through {!World.remove_edges} — oracles,
-    reveals, caches, claims and traces work unchanged.
+    A model describes fault {e geometry}: how [k] dead edges are
+    arranged. [Random] is the i.i.d. model; [Ball], [Infection] and
+    [Blast] cluster the faults (the Bagchi et al. comparison from
+    ROADMAP O3); [Around] and [Min_cut] are the worst-case adversary of
+    Section 1, which knows the topology and aims at one vertex or one
+    source–target pair. All models answer with {e exactly}
+    [min k |E|] distinct edges, so degradation curves compare them at
+    strictly equal budget, and every set overlays onto a world through
+    {!World.remove_edges} — oracles, reveals, caches, claims and traces
+    work unchanged.
 
     Sampling is a pure function of the stream, the graph and the
     model, so scenario worlds inherit the engine's byte-reproducible
@@ -25,19 +28,31 @@ type model =
       (** One epicenter; an edge at BFS distance [d] dies with weight
           proportional to [decay^d] (sampled without replacement) —
           a dense core with a fuzzy boundary. *)
+  | Around of { vertex : int }
+      (** Edges incident to [vertex], then to its neighbours, breadth
+          first — an attacker that only sees the victim's vicinity. *)
+  | Min_cut of { source : int; target : int }
+      (** The first [k] edges of one minimum [source]–[target] cut
+          ({!Topology.Mincut.min_cut}) — the optimal disconnection
+          attack. A budget past the cut size tops up with uniform
+          edges once the pair is already cut. *)
 
 val model_name : model -> string
-(** Short table/report label, e.g. ["ball:3"], ["blast:0.5"]. *)
+(** Short label naming the model and its parameters, e.g. ["ball:3"],
+    ["blast:0.5"], ["min-cut:0-63"]; decays print round-trip exact, so
+    distinct models get distinct names. *)
 
 val sample :
   Prng.Stream.t -> Topology.Graph.t -> model -> budget:int -> (int * int) list
 (** [sample stream graph model ~budget] draws the fault set: exactly
     [min budget (edge_count graph)] distinct edges. Models that
     exhaust their geometry early (a ball covering a small component,
-    a blast in a disconnected graph) are padded with uniform random
-    edges so budgets always match.
+    a blast in a disconnected graph, a min cut smaller than the budget)
+    are padded with uniform random edges so budgets always match.
     @raise Invalid_argument on a negative budget or malformed model
-    (ball needs [centers >= 1], blast needs [decay] in [(0, 1]]). *)
+    (ball needs [centers >= 1], blast needs [decay] in [(0, 1]],
+    around and min-cut need vertices of [graph], min-cut needs
+    [source <> target]). *)
 
 val pad_to_budget :
   Prng.Stream.t ->
@@ -47,12 +62,5 @@ val pad_to_budget :
   (int * int) list
 (** Normalize an externally chosen edge set to the exact budget:
     dedupe (by edge id, first occurrence wins), truncate past the
-    budget, and top up with uniform random unchosen edges. Lets
-    experiments put {!Adversary.Min_cut} — which may under-deliver
-    once the pair disconnects — on the same budget axis. *)
-
-val apply : World.t -> (int * int) list -> World.t
-(** Overlay the fault set: [World.remove_edges]. *)
-
-val attack : Prng.Stream.t -> World.t -> model -> budget:int -> World.t
-(** [sample] + [apply] against the world's own graph. *)
+    budget, and top up with uniform random unchosen edges — the last
+    step of {!sample} for every model. *)

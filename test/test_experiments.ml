@@ -227,7 +227,8 @@ let test_converted_sweeps_jobs_identical () =
   (* The coupled-sweep conversions must stay byte-identical across job
      counts: the coupling moved sweep randomness from per-p coin hashing
      to one shared uniform sample, and the parallel engine must not be
-     able to tell. *)
+     able to tell. E22 and E25 run their budget x model x trial grid as
+     one Runner call, so they must not be able to tell either. *)
   let saved = Engine_par.Pool.default_jobs () in
   Fun.protect
     ~finally:(fun () -> Engine_par.Pool.set_default_jobs saved)
@@ -241,7 +242,7 @@ let test_converted_sweeps_jobs_identical () =
           Alcotest.(check string)
             (id ^ " identical under jobs=1 and jobs=4")
             (render 1) (render 4))
-        [ "E1"; "E5"; "E11" ])
+        [ "E1"; "E5"; "E11"; "E22"; "E25" ])
 
 let test_e10_connectivity_close_to_exact () =
   let report = run_quick "E10" in

@@ -500,12 +500,15 @@ let test_remove_edges_non_edge () =
   | _ -> Alcotest.fail "non-edge accepted"
   | exception Topology.Graph.Not_an_edge _ -> ()
 
-let test_adversary_min_cut_disconnects () =
-  let g = Topology.Hypercube.graph 6 in
-  let w = P.World.create g ~p:1.0 ~seed:1L in
-  let stream = Prng.Stream.create 51L in
+(* The worst-case adversary is Scenario's [Min_cut] and [Around]
+   models, overlaid on a fault-free world. *)
+let test_worst_case_min_cut_disconnects () =
+  let w = P.World.create hypercube6 ~p:1.0 ~seed:1L in
   let attacked =
-    P.Adversary.attack stream w P.Adversary.Min_cut ~source:0 ~target:63 ~budget:6
+    P.World.remove_edges w
+      (P.Scenario.sample (Prng.Stream.create 51L) hypercube6
+         (P.Scenario.Min_cut { source = 0; target = 63 })
+         ~budget:6)
   in
   Alcotest.(check int) "six removals suffice" 6 (P.World.removed_count attacked);
   match P.Reveal.connected attacked 0 63 with
@@ -513,23 +516,23 @@ let test_adversary_min_cut_disconnects () =
   | P.Reveal.Connected _ | P.Reveal.Unknown ->
       Alcotest.fail "min-cut attack must disconnect"
 
-let test_adversary_min_cut_insufficient_budget () =
-  let g = Topology.Hypercube.graph 6 in
-  let w = P.World.create g ~p:1.0 ~seed:1L in
-  let stream = Prng.Stream.create 52L in
+let test_worst_case_min_cut_insufficient_budget () =
+  let w = P.World.create hypercube6 ~p:1.0 ~seed:1L in
   let attacked =
-    P.Adversary.attack stream w P.Adversary.Min_cut ~source:0 ~target:63 ~budget:5
+    P.World.remove_edges w
+      (P.Scenario.sample (Prng.Stream.create 52L) hypercube6
+         (P.Scenario.Min_cut { source = 0; target = 63 })
+         ~budget:5)
   in
   match P.Reveal.connected attacked 0 63 with
   | P.Reveal.Connected _ -> ()
   | P.Reveal.Disconnected | P.Reveal.Unknown ->
       Alcotest.fail "connectivity 6 survives 5 deletions"
 
-let test_adversary_around_source () =
-  let g = Topology.Hypercube.graph 6 in
-  let stream = Prng.Stream.create 53L in
+let test_worst_case_around_source () =
   let edges =
-    P.Adversary.pick_edges stream g P.Adversary.Around_source ~source:0 ~target:63
+    P.Scenario.sample (Prng.Stream.create 53L) hypercube6
+      (P.Scenario.Around { vertex = 0 })
       ~budget:6
   in
   Alcotest.(check int) "budget filled" 6 (List.length edges);
@@ -539,22 +542,20 @@ let test_adversary_around_source () =
       Alcotest.(check bool) "incident to source" true (u = 0 || v = 0))
     edges
 
-let test_adversary_random_distinct () =
+let test_worst_case_random_distinct () =
   let g = Topology.Hypercube.graph 5 in
-  let stream = Prng.Stream.create 54L in
   let edges =
-    P.Adversary.pick_edges stream g P.Adversary.Random ~source:0 ~target:31 ~budget:40
+    P.Scenario.sample (Prng.Stream.create 54L) g P.Scenario.Random ~budget:40
   in
   Alcotest.(check int) "forty edges" 40 (List.length edges);
   let ids = Hashtbl.create 64 in
   List.iter (fun (u, v) -> Hashtbl.replace ids (g.Topology.Graph.edge_id u v) ()) edges;
   Alcotest.(check int) "distinct" 40 (Hashtbl.length ids)
 
-let test_adversary_over_budget_capped () =
+let test_worst_case_over_budget_capped () =
   let g = Topology.Theta.graph 3 in
-  let stream = Prng.Stream.create 55L in
   let edges =
-    P.Adversary.pick_edges stream g P.Adversary.Random ~source:0 ~target:1 ~budget:100
+    P.Scenario.sample (Prng.Stream.create 55L) g P.Scenario.Random ~budget:100
   in
   Alcotest.(check int) "capped at |E|" 6 (List.length edges)
 
@@ -1013,6 +1014,9 @@ let scenario_models =
     P.Scenario.Ball { centers = 3 };
     P.Scenario.Infection;
     P.Scenario.Blast { decay = 0.5 };
+    (* Vertices 0 and 63 exist in both mesh10 and hypercube6. *)
+    P.Scenario.Min_cut { source = 0; target = 63 };
+    P.Scenario.Around { vertex = 0 };
   ]
 
 let test_scenario_exact_budget () =
@@ -1056,8 +1060,8 @@ let test_scenario_overlay_differential () =
         P.Scenario.sample (Prng.Stream.create 13L) hypercube6 model ~budget:40
       in
       let cached, lazy_ = world_pair hypercube6 ~p:0.9 ~seed:67L in
-      let cached' = P.Scenario.apply cached edges in
-      let lazy' = P.Scenario.apply lazy_ edges in
+      let cached' = P.World.remove_edges cached edges in
+      let lazy' = P.World.remove_edges lazy_ edges in
       G.iter_edges hypercube6 (fun u v ->
           Alcotest.(check bool)
             (Printf.sprintf "%s is_open (%d,%d)" (P.Scenario.model_name model) u v)
@@ -1109,12 +1113,42 @@ let test_scenario_validation () =
       P.Scenario.Ball { centers = 0 };
       P.Scenario.Blast { decay = 0.0 };
       P.Scenario.Blast { decay = 1.5 };
+      P.Scenario.Min_cut { source = 7; target = 7 };
+      P.Scenario.Min_cut { source = 0; target = 100 };
+      P.Scenario.Min_cut { source = -1; target = 5 };
+      P.Scenario.Around { vertex = 100 };
     ];
   match
     P.Scenario.sample (Prng.Stream.create 1L) mesh10 P.Scenario.Random ~budget:(-1)
   with
   | _ -> Alcotest.fail "negative budget should be rejected"
   | exception Invalid_argument _ -> ()
+
+let test_scenario_known_answers () =
+  (* Pinned fault sets on the 6-cube. Random, Around and Min_cut at
+     budgets within the cut reproduce the edge lists of the separate
+     worst-case sampler these models replaced. *)
+  let check label model stream budget expected =
+    Alcotest.(check (list (pair int int)))
+      label expected
+      (P.Scenario.sample (Prng.Stream.create stream) hypercube6 model ~budget)
+  in
+  check "random" P.Scenario.Random 101L 7
+    [ (14, 15); (21, 53); (29, 31); (46, 62); (12, 44); (58, 59); (23, 31) ];
+  check "around 0" (P.Scenario.Around { vertex = 0 }) 102L 8
+    [ (0, 1); (0, 2); (0, 4); (0, 8); (0, 16); (0, 32); (1, 3); (1, 5) ];
+  check "min-cut 0-63, budget 4"
+    (P.Scenario.Min_cut { source = 0; target = 63 })
+    103L 4
+    [ (0, 32); (0, 16); (0, 8); (0, 4) ];
+  check "min-cut 0-63, budget 6"
+    (P.Scenario.Min_cut { source = 0; target = 63 })
+    103L 6
+    [ (0, 32); (0, 16); (0, 8); (0, 4); (0, 2); (0, 1) ];
+  check "min-cut 5-42"
+    (P.Scenario.Min_cut { source = 5; target = 42 })
+    103L 6
+    [ (5, 37); (5, 21); (5, 13); (5, 7); (5, 4); (5, 1) ]
 
 let test_scenario_pad_to_budget () =
   let stream = Prng.Stream.create 21L in
@@ -1451,11 +1485,11 @@ let () =
           case "removal closes" test_remove_edges_closes_them;
           case "removal cumulative" test_remove_edges_cumulative;
           case "removal non-edge" test_remove_edges_non_edge;
-          case "min-cut disconnects" test_adversary_min_cut_disconnects;
-          case "min-cut budget" test_adversary_min_cut_insufficient_budget;
-          case "around source" test_adversary_around_source;
-          case "random distinct" test_adversary_random_distinct;
-          case "over budget capped" test_adversary_over_budget_capped;
+          case "min-cut disconnects" test_worst_case_min_cut_disconnects;
+          case "min-cut budget" test_worst_case_min_cut_insufficient_budget;
+          case "around source" test_worst_case_around_source;
+          case "random distinct" test_worst_case_random_distinct;
+          case "over budget capped" test_worst_case_over_budget_capped;
         ] );
       ( "cached vs lazy",
         [
@@ -1476,6 +1510,7 @@ let () =
           case "overlay differential" test_scenario_overlay_differential;
           case "infection blob connected" test_scenario_infection_blob_connected;
           case "validation" test_scenario_validation;
+          case "known answers" test_scenario_known_answers;
           case "pad to budget" test_scenario_pad_to_budget;
         ] );
       ( "scaling",

@@ -181,16 +181,11 @@ let test_worldpool_prefilled_equals_fresh () =
   let pool = W.create () in
   let pooled = W.get pool g ~p:0.37 ~seed:9L in
   let fresh = Percolation.World.create g ~p:0.37 ~seed:9L in
-  let detached = W.detached g ~p:0.37 ~seed:9L in
   Topology.Graph.fold_edges g ~init:() ~f:(fun () u v ->
       Alcotest.(check bool)
         (Printf.sprintf "edge %d-%d" u v)
         (Percolation.World.is_open fresh u v)
-        (Percolation.World.is_open pooled u v);
-      Alcotest.(check bool)
-        (Printf.sprintf "detached edge %d-%d" u v)
-        (Percolation.World.is_open fresh u v)
-        (Percolation.World.is_open detached u v))
+        (Percolation.World.is_open pooled u v))
 
 (* ------------------------------------------------------------------ *)
 (* Service: protocol resilience and accounting                         *)

@@ -284,40 +284,6 @@ let test_slope_ci_errors () =
         (Stats.Regression.linear_ci stream ~confidence:1.0 [ (1.0, 1.0); (2.0, 3.0) ]))
 
 (* ------------------------------------------------------------------ *)
-(* Histogram                                                           *)
-
-let test_histogram_linear () =
-  let h = Stats.Histogram.linear ~lo:0.0 ~hi:10.0 ~bins:5 [| 1.0; 3.0; 5.0; 7.0; 9.0; 11.0; -1.0 |] in
-  Alcotest.(check (array int)) "counts" [| 1; 1; 1; 1; 1 |] (Stats.Histogram.counts h);
-  Alcotest.(check int) "underflow" 1 (Stats.Histogram.underflow h);
-  Alcotest.(check int) "overflow" 1 (Stats.Histogram.overflow h);
-  Alcotest.(check int) "total" 7 (Stats.Histogram.total h)
-
-let test_histogram_log2 () =
-  let h = Stats.Histogram.log2 ~lo:1.0 ~buckets:4 [| 1.0; 1.5; 2.0; 5.0; 9.0 |] in
-  (* buckets: [1,2) [2,4) [4,8) [8,16) *)
-  Alcotest.(check (array int)) "counts" [| 2; 1; 1; 1 |] (Stats.Histogram.counts h)
-
-let test_histogram_bounds () =
-  let h = Stats.Histogram.linear ~lo:0.0 ~hi:10.0 ~bins:5 [||] in
-  let lo, hi = Stats.Histogram.bucket_bounds h 2 in
-  feq "lo" 4.0 lo;
-  feq "hi" 6.0 hi
-
-let test_histogram_render () =
-  let h = Stats.Histogram.linear ~lo:0.0 ~hi:4.0 ~bins:2 [| 1.0; 1.0; 3.0 |] in
-  let s = Stats.Histogram.render h in
-  Alcotest.(check bool) "mentions counts" true
-    (String.length s > 0
-    && String.split_on_char '\n' s |> List.length >= 2)
-
-let test_histogram_errors () =
-  Alcotest.check_raises "bins" (Invalid_argument "Histogram.linear: bins must be >= 1")
-    (fun () -> ignore (Stats.Histogram.linear ~lo:0.0 ~hi:1.0 ~bins:0 [||]));
-  Alcotest.check_raises "log lo" (Invalid_argument "Histogram.log2: lo must be positive")
-    (fun () -> ignore (Stats.Histogram.log2 ~lo:0.0 ~buckets:3 [||]))
-
-(* ------------------------------------------------------------------ *)
 (* Censored                                                            *)
 
 let exact x = Stats.Censored.Exact x
@@ -642,14 +608,6 @@ let () =
           case "deterministic" test_slope_ci_deterministic;
           case "two points total" test_slope_ci_two_points;
           case "errors" test_slope_ci_errors;
-        ] );
-      ( "histogram",
-        [
-          case "linear" test_histogram_linear;
-          case "log2" test_histogram_log2;
-          case "bounds" test_histogram_bounds;
-          case "render" test_histogram_render;
-          case "errors" test_histogram_errors;
         ] );
       ( "censored",
         [
