@@ -35,20 +35,35 @@ bench-smoke:
 
 # The quick catalog on two domains — exercises the parallel engine end
 # to end; output must match a --jobs 1 run byte for byte, and any
-# under-sampled report fails the run (exit 3). Then malformed numeric
-# options: a -p outside [0, 1] (NaN and inf included), --trials 0,
-# --budget 0 and a mincut whose --source equals its --target exit 1
-# with empty stdout and one stderr line; simulate
-# rejects a bad -p with exit 2 and one line beside its usage block.
-# Last, --help=plain for the tool and every subcommand must exit 0
-# without a single "cmdliner error" line (a bad escape in an option's
-# doc string prints one per rendering). The binary runs directly so no
-# dune output mixes into the stderr counted.
+# under-sampled report fails the run (exit 3). Then malformed options:
+# a -p outside [0, 1] (NaN and inf included), --trials 0, --budget 0,
+# a mincut whose --source equals its --target, a non-finite top
+# --interval, and an unwritable output path (README.md/x lies under a
+# regular file) given to --trace, --telemetry-out, --metrics-out,
+# --profile-out, --ledger, serve --evidence-out, check --out or check
+# --update --baseline exit 1 with empty stdout and one stderr line,
+# before any work; simulate rejects a bad -p with exit 2 and one line
+# beside its usage block. Then --help=plain for the tool and every
+# subcommand must exit 0 without a single "cmdliner error" line (a bad
+# escape in an option's doc string prints one per rendering). The
+# binary runs directly so no dune output mixes into the stderr
+# counted. Last, every Lib.Module reference in DESIGN.md, README.md,
+# EXPERIMENTS.md and the lib/ interfaces must name a module that exists
+# (lib/<dir>/<module>.ml, where Routing lives in lib/core); each stale
+# reference is printed and fails the run.
+DOC_REFS = DESIGN.md README.md EXPERIMENTS.md $(wildcard lib/*/*.mli)
+BAD_PATH = README.md/x
 smoke:
 	mkdir -p artifacts
 	dune exec bin/faultroute.exe -- all --quick --jobs 2 --strict-shortfall > /dev/null
 	dune build bin/faultroute.exe
-	for args in 'route hypercube:8 -p 1.5' 'route hypercube:8 -p nan' 'census hypercube:8 -p 1.5' 'census hypercube:8 -p inf' 'threshold mesh2:8 --trials 0' 'route hypercube:8 --budget 0' 'mincut hypercube:4 --source 3 --target 3'; do \
+	for args in 'route hypercube:8 -p 1.5' 'route hypercube:8 -p nan' 'census hypercube:8 -p 1.5' 'census hypercube:8 -p inf' 'threshold mesh2:8 --trials 0' 'route hypercube:8 --budget 0' 'mincut hypercube:4 --source 3 --target 3' \
+	  'top --replay --interval nan examples/obs/serve-telemetry.jsonl' 'top --replay --interval inf examples/obs/serve-telemetry.jsonl' \
+	  'exp E1 --quick --trace $(BAD_PATH)' 'route hypercube:4 --trace $(BAD_PATH)' 'simulate hypercube:4 --trace $(BAD_PATH)' \
+	  'exp E1 --quick --telemetry-out $(BAD_PATH)' 'route hypercube:4 --telemetry-out $(BAD_PATH)' 'simulate hypercube:4 --telemetry-out $(BAD_PATH)' \
+	  'exp E1 --quick --metrics-out $(BAD_PATH)' 'exp E1 --quick --profile-out $(BAD_PATH)' 'exp E1 --quick --ledger $(BAD_PATH)' \
+	  'serve --manifest examples/serve/session.json --queries examples/serve/queries.jsonl --evidence-out $(BAD_PATH)' \
+	  'check --quick --out $(BAD_PATH)' 'check --quick --update --baseline $(BAD_PATH)'; do \
 	  ./_build/default/bin/faultroute.exe $$args > artifacts/SMOKE_opt.out 2> artifacts/SMOKE_opt.err; \
 	  test $$? -eq 1 || { echo "$$args: want exit 1"; exit 1; }; \
 	  test ! -s artifacts/SMOKE_opt.out || { echo "$$args: stdout not empty"; exit 1; }; \
@@ -64,6 +79,12 @@ smoke:
 	  ./_build/default/bin/faultroute.exe $$c --help=plain > artifacts/SMOKE_help.txt 2>&1 || { echo "$$c --help: exit $$?"; exit 1; }; \
 	  if grep -q 'cmdliner error' artifacts/SMOKE_help.txt; then echo "$$c --help: cmdliner error"; exit 1; fi; \
 	done
+	@grep -oHE '\b[A-Z][a-z_]*\.[A-Z][A-Za-z0-9_]*' $(DOC_REFS) | sort -u | \
+	  awk -F: '{ split($$2, name, "."); dir = tolower(name[1]); if (dir == "routing") dir = "core"; \
+	    if (system("test -d lib/" dir) != 0) next; \
+	    ml = "lib/" dir "/" tolower(substr(name[2], 1, 1)) substr(name[2], 2) ".ml"; \
+	    if (system("test -f " ml) != 0) { print $$1 ": " $$2 " names no " ml; bad = 1 } } \
+	    END { exit bad }'
 
 # Fault tolerance end to end. Leg 1: the quick catalog under a
 # recoverable fault plan (injected crashes, a stall, a flaky chunk)
@@ -226,8 +247,12 @@ serve-smoke:
 # metered, telemetered, profiled `exp E2 --quick --jobs 2` and the
 # demo serve session at --jobs 2) must reproduce
 # examples/obs/report-golden.txt byte for byte; regenerate it only for
-# an intended report change. Then the cost side: instrumenting the hot
-# paths must leave the disabled-path cost unchanged (--obs-guard, <5%).
+# an intended report change. Then the trace bytes of a budget-capped
+# route and a random-walk simulate must match
+# examples/obs/{route,simulate}-trace-golden.jsonl, so any change to an
+# observed attempt's events moves a byte. Then the cost side:
+# instrumenting the hot paths must leave the disabled-path cost
+# unchanged (--obs-guard, <5%).
 OBS_EX = examples/obs
 obs-smoke:
 	mkdir -p artifacts
@@ -252,6 +277,10 @@ obs-smoke:
 	  for k in metrics.json telemetry.jsonl profile.json; do ./_build/default/bin/faultroute.exe obs diff $(OBS_EX)/e2-$$k $(OBS_EX)/serve-$$k || exit 1; done && \
 	  for k in e2 serve; do ./_build/default/bin/faultroute.exe obs folded $(OBS_EX)/$$k-profile.json || exit 1; done; } > artifacts/OBS_golden.txt
 	cmp $(OBS_EX)/report-golden.txt artifacts/OBS_golden.txt
+	./_build/default/bin/faultroute.exe route hypercube:6 -p 0.5 --seed 3 --budget 60 --trace artifacts/OBS_route_trace.jsonl > /dev/null
+	cmp $(OBS_EX)/route-trace-golden.jsonl artifacts/OBS_route_trace.jsonl
+	./_build/default/bin/faultroute.exe simulate hypercube:5 -p 0.8 --seed 1 --protocol walk --trace artifacts/OBS_simulate_trace.jsonl > /dev/null
+	cmp $(OBS_EX)/simulate-trace-golden.jsonl artifacts/OBS_simulate_trace.jsonl
 	dune exec bench/main.exe -- --obs-guard
 
 # EXPERIMENTS.md's verdict column, machine-checked: run the quick

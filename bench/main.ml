@@ -123,7 +123,7 @@ let reveal_kernel case ~worlds ~cache () =
   let acc = ref 0 in
   for k = 1 to worlds do
     let world = world_of case ~cache k in
-    (* Resident worlds are prefilled in production (worldpool/serve), so
+    (* Resident worlds are prefilled in production (serve's world table), so
        the cached engine is measured the same way: one sequential row
        sweep — timed here — instead of random-order fills during the
        first BFS. *)
@@ -376,14 +376,12 @@ let obs_guard () =
   let disabled_before = time_best kernel in
   Obs.Trace.enable ~sink:(fun _ -> ());
   Obs.Metrics.enable ();
-  let registry = Obs.Metrics.create () in
-  let (_ : int), (_ : Obs.Trace.record) =
-    Obs.Trace.capture ~index:1 (fun () ->
-        Obs.Metrics.with_ambient registry kernel)
-  in
+  let instrumented = Obs.Trace.observe ~index:1 kernel in
   Obs.Trace.disable ();
   Obs.Metrics.disable ();
-  let probes = Obs.Metrics.counter (Obs.Metrics.snapshot registry) "oracle.probe.fresh" in
+  let probes =
+    Obs.Metrics.counter instrumented.Obs.Trace.metrics "oracle.probe.fresh"
+  in
   if probes = 0 then begin
     print_endline "obs-guard: FAIL — instrumented run recorded no probes";
     1

@@ -75,6 +75,53 @@ let with_instance spec_string ~size stream k =
           prerr_endline message;
           1)
 
+(* Options are checked before any world is built or anything is
+   printed: the first malformed one is a single stderr line and
+   exit 1. *)
+let with_valid_options errors k =
+  match List.find_map Fun.id errors with
+  | Some message ->
+      prerr_endline message;
+      Verdict.Exit_code.error
+  | None -> k ()
+
+(* An output path fails the same way, as one "PATH: reason" line, when
+   its directory is missing, is not a directory or is not writable, or
+   when the path names a directory or an unwritable file. [~mkdir]
+   marks writers that create missing parent directories (the ledger, a
+   baseline): for them the nearest existing ancestor must be a
+   writable directory. Nothing is opened, so nothing is created or
+   truncated before the run. *)
+let output_path_error ~mkdir path =
+  let reason code = Some (Printf.sprintf "%s: %s" path (Unix.error_message code)) in
+  let rec dir_error dir =
+    match (Unix.stat dir).Unix.st_kind with
+    | Unix.S_DIR -> (
+        match Unix.access dir [ Unix.W_OK; Unix.X_OK ] with
+        | () -> None
+        | exception Unix.Unix_error (code, _, _) -> reason code)
+    | _ -> reason Unix.ENOTDIR
+    | exception Unix.Unix_error (Unix.ENOENT, _, _)
+      when mkdir && Filename.dirname dir <> dir ->
+        dir_error (Filename.dirname dir)
+    | exception Unix.Unix_error (code, _, _) -> reason code
+  in
+  match dir_error (Filename.dirname path) with
+  | Some _ as error -> error
+  | None -> (
+      match (Unix.stat path).Unix.st_kind with
+      | Unix.S_DIR -> reason Unix.EISDIR
+      | _ -> (
+          match Unix.access path [ Unix.W_OK ] with
+          | () -> None
+          | exception Unix.Unix_error (code, _, _) -> reason code)
+      | exception Unix.Unix_error (Unix.ENOENT, _, _) -> None
+      | exception Unix.Unix_error (code, _, _) -> reason code)
+
+let output_errors ?(mkdir = []) paths =
+  List.map (output_path_error ~mkdir:false) (List.filter_map Fun.id paths)
+  @ List.map (output_path_error ~mkdir:true) (List.filter_map Fun.id mkdir)
+
 (* ------------------------------------------------------------------ *)
 (* Observability plumbing: arm tracing/metrics around a subcommand
    body, then flush the sinks whatever happens.                        *)
@@ -172,11 +219,22 @@ let arm_ledger ~cmd common =
     common.ledger
 
 (* Arm everything the [common] record asks for around a subcommand
-   body: the ambient job count, the run ledger, then
+   body: first check every output path — the common flags' and the
+   subcommand's own [outputs], which the ledger records too — then set
+   the ambient job count, arm the run ledger, then
    tracing/metrics/telemetry. *)
-let with_common ~cmd common k =
+let with_common ~cmd ?(outputs = []) common k =
+  with_valid_options
+    (output_errors ~mkdir:[ common.ledger ]
+       ([
+          common.trace; common.metrics_out; common.telemetry_out;
+          common.profile_out;
+        ]
+       @ outputs))
+  @@ fun () ->
   Engine_par.Pool.set_default_jobs common.jobs;
   arm_ledger ~cmd common;
+  List.iter (Option.iter Obs.Ledger.note_artifact) outputs;
   with_observability ~trace:common.trace ~metrics_out:common.metrics_out
     ~telemetry:common.telemetry ~telemetry_out:common.telemetry_out
     ~profile_out:common.profile_out k
@@ -378,6 +436,12 @@ let evidence_claims paths =
   collect [] paths
 
 let cmd_check quick baseline_path out update evidence_files common supervision =
+  let path = Option.value baseline_path ~default:(default_baseline_path ~quick) in
+  with_valid_options
+    (output_errors
+       ~mkdir:[ common.ledger; (if update then Some path else None) ]
+       [ out ])
+  @@ fun () ->
   Engine_par.Pool.set_default_jobs common.jobs;
   (* check bypasses with_common (no observability sinks), but still
      ledgers its invocation and the verdict file it writes. *)
@@ -385,7 +449,6 @@ let cmd_check quick baseline_path out update evidence_files common supervision =
   Option.iter Obs.Ledger.note_artifact out;
   let seed = common.seed and jobs = common.jobs in
   let mode = if quick then "quick" else "full" in
-  let path = Option.value baseline_path ~default:(default_baseline_path ~quick) in
   match evidence_claims evidence_files with
   | Error message ->
       Printf.eprintf "check: evidence %s\n" message;
@@ -447,16 +510,6 @@ let cmd_check quick baseline_path out update evidence_files common supervision =
   else if shortfall <> Verdict.Exit_code.ok then shortfall
   else code
 
-(* Numeric options are checked before any world is built or anything
-   is printed: the first malformed one is a single stderr line and
-   exit 1. *)
-let with_valid_options errors k =
-  match List.find_map Fun.id errors with
-  | Some message ->
-      prerr_endline message;
-      Verdict.Exit_code.error
-  | None -> k ()
-
 (* NaN fails both comparisons, so it is rejected too. *)
 let p_error p =
   if p >= 0.0 && p <= 1.0 then None
@@ -504,59 +557,33 @@ let cmd_route topology size p source target router_name budget common =
          states (the same discipline as Trial.run_attempt). *)
       let world_seed = Prng.Stream.seed (Prng.Stream.split stream 2) in
       let world = Percolation.World.create graph ~p ~seed:world_seed in
-      let registry = if Obs.Metrics.on () then Some (Obs.Metrics.create ()) else None in
-      let compute () =
-        let traced = Obs.Trace.on () in
-        if traced then Obs.Trace.emit (Obs.Trace.Attempt_start { index = 1 });
-        let ground_truth = Percolation.Reveal.connected world source target in
-        let outcome = Routing.Router.run ?budget router world ~source ~target in
-        (if traced then
-           match ground_truth with
-           | Percolation.Reveal.Connected d ->
-               Obs.Trace.emit
-                 (Obs.Trace.Accept
-                    { distance = d; probes = Routing.Outcome.probes outcome })
-           | Percolation.Reveal.Disconnected ->
-               Obs.Trace.emit (Obs.Trace.Reject { reason = Obs.Trace.Disconnected })
-           | Percolation.Reveal.Unknown ->
-               Obs.Trace.emit (Obs.Trace.Reject { reason = Obs.Trace.Reveal_limit }));
-        (ground_truth, outcome)
+      let observed =
+        Obs.Trace.observe ~index:1 (fun () ->
+            let ground_truth = Percolation.Reveal.connected world source target in
+            let outcome = Routing.Router.run ?budget router world ~source ~target in
+            Percolation.Reveal.trace_verdict ground_truth
+              ~probes:(Routing.Outcome.probes outcome);
+            (ground_truth, outcome))
       in
-      let with_metrics f =
-        match registry with Some r -> Obs.Metrics.with_ambient r f | None -> f ()
-      in
-      let ground_truth, outcome =
-        if Obs.Trace.on () then begin
-          let result, record =
-            Obs.Trace.capture ~index:1 (fun () -> with_metrics compute)
-          in
-          let buffer = Buffer.create 1024 in
-          Buffer.add_string buffer
-            (Obs.Trace.header_line
-               [
-                 ("graph", Obs.Json.String graph.Topology.Graph.name);
-                 ("p", Obs.Json.Float p);
-                 ("source", Obs.Json.Int source);
-                 ("target", Obs.Json.Int target);
-                 ("router", Obs.Json.String router.Routing.Router.name);
-                 ( "budget",
-                   match budget with
-                   | Some b -> Obs.Json.Int b
-                   | None -> Obs.Json.Null );
-                 ("trials", Obs.Json.Int 1);
-                 ("max_attempts", Obs.Json.Int 1);
-               ]);
-          List.iter (Buffer.add_string buffer) (Obs.Trace.record_lines record);
-          let accepted =
-            match fst result with Percolation.Reveal.Connected _ -> 1 | _ -> 0
-          in
-          Buffer.add_string buffer (Obs.Trace.end_line ~attempts:1 ~accepted);
-          Obs.Trace.write_line (Buffer.contents buffer);
-          result
-        end
-        else with_metrics compute
-      in
-      Option.iter (fun r -> Obs.Metrics.absorb (Obs.Metrics.snapshot r)) registry;
+      let ground_truth, outcome = observed.Obs.Trace.value in
+      Obs.Trace.write_run
+        ~header:
+          [
+            ("graph", Obs.Json.String graph.Topology.Graph.name);
+            ("p", Obs.Json.Float p);
+            ("source", Obs.Json.Int source);
+            ("target", Obs.Json.Int target);
+            ("router", Obs.Json.String router.Routing.Router.name);
+            ( "budget",
+              match budget with Some b -> Obs.Json.Int b | None -> Obs.Json.Null );
+            ("trials", Obs.Json.Int 1);
+            ("max_attempts", Obs.Json.Int 1);
+          ]
+        ~attempts:1
+        ~accepted:
+          (match ground_truth with Percolation.Reveal.Connected _ -> 1 | _ -> 0)
+        (Option.to_list observed.Obs.Trace.record);
+      Obs.Metrics.absorb observed.Obs.Trace.metrics;
       Printf.printf "world: %s, p = %.4f, seed = %Ld\n" graph.Topology.Graph.name p seed;
       Printf.printf "pair: %d -> %d\n" source target;
       (match ground_truth with
@@ -670,8 +697,8 @@ let cmd_simulate topology size p protocol_name source target max_rounds rounds
   match endpoints graph source target with
   | Error message -> die message
   | Ok (source, target) ->
-  let world = Percolation.World.create graph ~p ~seed in
   with_common ~cmd:"simulate" common @@ fun () ->
+  let world = Percolation.World.create graph ~p ~seed in
   Printf.printf "world: %s, p = %.4f, seed = %Ld; %s from %d to %d%s\n"
     graph.Topology.Graph.name p seed protocol_name source target
     (match churn with
@@ -719,10 +746,10 @@ let cmd_simulate topology size p protocol_name source target max_rounds rounds
         done;
         (match !outcome with Some o -> o | None -> `Out_of_rounds)
   in
-  (* Traced runs wrap the whole simulation in one trace/v1 attempt:
-     engine probes emit probe events inside the capture, and the
-     terminal accept/reject carries the distinct-probe count so the
-     replay checker audits the same accounting as routed runs. *)
+  (* The whole simulation is one observed trace/v1 attempt: engine
+     probes emit probe events inside it, and the terminal accept/reject
+     carries the distinct-probe count so the replay checker audits the
+     same accounting as routed runs. *)
   let run_and_describe :
       type s m.
       (s, m) Netsim.Engine.t ->
@@ -731,47 +758,39 @@ let cmd_simulate topology size p protocol_name source target max_rounds rounds
       int =
    fun engine ~until ~extra ->
     let metrics = Netsim.Engine.metrics engine in
-    let compute () =
-      if Obs.Trace.on () then
-        Obs.Trace.emit (Obs.Trace.Attempt_start { index = 1 });
-      let result = run_protocol engine ~until in
-      (if Obs.Trace.on () then
-         match result with
-         | `Stopped r ->
-             Obs.Trace.emit
-               (Obs.Trace.Accept
-                  { distance = r; probes = Netsim.Metrics.distinct_probes metrics })
-         | `Quiescent _ | `Out_of_rounds ->
-             Obs.Trace.emit (Obs.Trace.Reject { reason = Obs.Trace.Disconnected }));
-      result
+    let observed =
+      Obs.Trace.observe ~index:1 (fun () ->
+          let result = run_protocol engine ~until in
+          (if Obs.Trace.on () then
+             match result with
+             | `Stopped r ->
+                 Obs.Trace.emit
+                   (Obs.Trace.Accept
+                      { distance = r; probes = Netsim.Metrics.distinct_probes metrics })
+             | `Quiescent _ | `Out_of_rounds ->
+                 Obs.Trace.emit (Obs.Trace.Reject { reason = Obs.Trace.Disconnected }));
+          result)
     in
-    let result =
-      if Obs.Trace.on () then begin
-        let result, record = Obs.Trace.capture ~index:1 compute in
-        let buffer = Buffer.create 1024 in
-        Buffer.add_string buffer
-          (Obs.Trace.header_line
-             [
-               ("graph", Obs.Json.String graph.Topology.Graph.name);
-               ("p", Obs.Json.Float p);
-               ("source", Obs.Json.Int source);
-               ("target", Obs.Json.Int target);
-               ("protocol", Obs.Json.String (Netsim.Engine.protocol_name engine));
-               ( "churn",
-                 match churn with
-                 | Some plan -> Netsim.Churn.to_json plan
-                 | None -> Obs.Json.Null );
-               ("trials", Obs.Json.Int 1);
-               ("max_attempts", Obs.Json.Int 1);
-             ]);
-        List.iter (Buffer.add_string buffer) (Obs.Trace.record_lines record);
-        let accepted = match result with `Stopped _ -> 1 | _ -> 0 in
-        Buffer.add_string buffer (Obs.Trace.end_line ~attempts:1 ~accepted);
-        Obs.Trace.write_line (Buffer.contents buffer);
-        result
-      end
-      else compute ()
-    in
+    let result = observed.Obs.Trace.value in
+    Obs.Trace.write_run
+      ~header:
+        [
+          ("graph", Obs.Json.String graph.Topology.Graph.name);
+          ("p", Obs.Json.Float p);
+          ("source", Obs.Json.Int source);
+          ("target", Obs.Json.Int target);
+          ("protocol", Obs.Json.String (Netsim.Engine.protocol_name engine));
+          ( "churn",
+            match churn with
+            | Some plan -> Netsim.Churn.to_json plan
+            | None -> Obs.Json.Null );
+          ("trials", Obs.Json.Int 1);
+          ("max_attempts", Obs.Json.Int 1);
+        ]
+      ~attempts:1
+      ~accepted:(match result with `Stopped _ -> 1 | _ -> 0)
+      (Option.to_list observed.Obs.Trace.record);
+    Obs.Metrics.absorb observed.Obs.Trace.metrics;
     extra engine;
     describe metrics result
   in
@@ -869,9 +888,7 @@ let cmd_serve manifest queries out evidence_out common =
       prerr_endline message;
       Verdict.Exit_code.manifest_error
   | Ok session -> (
-      with_common ~cmd:"serve" common @@ fun () ->
-      Option.iter Obs.Ledger.note_artifact out;
-      Option.iter Obs.Ledger.note_artifact evidence_out;
+      with_common ~cmd:"serve" ~outputs:[ out; evidence_out ] common @@ fun () ->
       match Serve.Service.start session with
       | Error message ->
           prerr_endline message;
@@ -1057,6 +1074,16 @@ let cmd_obs_folded file =
    is only tailing, clearing and pacing.                               *)
 
 let cmd_top file replay once interval =
+  with_valid_options
+    [
+      (if Float.is_finite interval && interval >= 0.0 then None
+       else
+         Some
+           (Printf.sprintf
+              "--interval must be a non-negative finite number of seconds, got %g"
+              interval));
+    ]
+  @@ fun () ->
   let parse_frames contents =
     String.split_on_char '\n' contents
     |> List.filter (fun l -> String.trim l <> "")
@@ -1551,7 +1578,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Load a session/v1 manifest into a resident world pool (each world \
+         "Load a session/v1 manifest into resident worlds (each distinct world \
           built exactly once) and answer newline-delimited JSON queries \
           (route, reveal, cluster, stats) from stdin or a replay file, \
           sharding batches across worker domains. Answers, evidence and \

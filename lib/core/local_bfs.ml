@@ -1,37 +1,39 @@
-let route_with_order neighbor_order oracle ~target =
+let search oracle ?(order = fun _ neighbors -> neighbors) ~start ~stop () =
+  let g = Percolation.World.graph (Percolation.Oracle.world oracle) in
+  let enqueued = Hashtbl.create 256 in
+  Hashtbl.replace enqueued start ();
+  let queue = Queue.create () in
+  Queue.push start queue;
+  let found = ref None in
+  (try
+     while not (Queue.is_empty queue) do
+       let u = Queue.pop queue in
+       Array.iter
+         (fun v ->
+           if Percolation.Oracle.probe oracle u v && not (Hashtbl.mem enqueued v)
+           then begin
+             if stop v then begin
+               found := Some v;
+               raise Exit
+             end;
+             Hashtbl.replace enqueued v ();
+             Queue.push v queue
+           end)
+         (order u (g.Topology.Graph.neighbors u))
+     done
+   with Exit -> ());
+  !found
+
+let route_with_order ?order oracle ~target =
   match Router.trivial_outcome oracle ~target with
   | Some outcome -> outcome
-  | None ->
-      let world = Percolation.Oracle.world oracle in
-      let g = Percolation.World.graph world in
-      let source = Percolation.Oracle.source oracle in
-      let enqueued = Hashtbl.create 256 in
-      Hashtbl.replace enqueued source ();
-      let queue = Queue.create () in
-      Queue.push source queue;
-      let result = ref None in
-      (try
-         while not (Queue.is_empty queue) do
-           let u = Queue.pop queue in
-           let around = neighbor_order u (g.Topology.Graph.neighbors u) in
-           Array.iter
-             (fun v ->
-               if Percolation.Oracle.probe oracle u v then begin
-                 if v = target then begin
-                   result := Some (Percolation.Oracle.path_to oracle target);
-                   raise Exit
-                 end;
-                 if not (Hashtbl.mem enqueued v) then begin
-                   Hashtbl.replace enqueued v ();
-                   Queue.push v queue
-                 end
-               end)
-             around
-         done
-       with Exit -> ());
-      (match !result with
-      | Some (Some path) -> Router.found_outcome oracle path
-      | Some None -> assert false (* target was just reached *)
+  | None -> (
+      let start = Percolation.Oracle.source oracle in
+      match search oracle ?order ~start ~stop:(fun v -> v = target) () with
+      | Some _ -> (
+          match Percolation.Oracle.path_to oracle target with
+          | Some path -> Router.found_outcome oracle path
+          | None -> assert false (* target was just reached *))
       | None ->
           Outcome.No_path { probes = Percolation.Oracle.distinct_probes oracle })
 
@@ -39,7 +41,7 @@ let router =
   {
     Router.name = "local-bfs";
     policy = Percolation.Oracle.Local;
-    route = route_with_order (fun _ neighbors -> neighbors);
+    route = route_with_order ?order:None;
   }
 
 let router_randomized stream =
@@ -50,5 +52,5 @@ let router_randomized stream =
   {
     Router.name = "local-bfs-randomized";
     policy = Percolation.Oracle.Local;
-    route = route_with_order shuffle;
+    route = route_with_order ~order:shuffle;
   }

@@ -15,3 +15,21 @@ val router_randomized : Prng.Stream.t -> Router.t
 (** Same search, but each vertex's incident edges are probed in an order
     shuffled by the stream — removes any bias from the topology's
     neighbour enumeration (used to check order-independence of results). *)
+
+val search :
+  Percolation.Oracle.t ->
+  ?order:(int -> int array -> int array) ->
+  start:int ->
+  stop:(int -> bool) ->
+  unit ->
+  int option
+(** [search oracle ~start ~stop ()] is the probing breadth-first loop
+    both local routers run: from [start], probe every edge of each
+    reached vertex, visiting vertices in BFS order, and return the
+    first vertex [v] reached through an open edge with [stop v] — or
+    [None] once [start]'s open cluster is exhausted (or the oracle's
+    budget raised). [stop] is tested once per vertex, when an open
+    probe first reaches it, and never on [start]. [order u neighbors]
+    gives the probe order of [u]'s edges (default: the topology's
+    order) and may permute [neighbors] in place. {!Path_follow} runs
+    one search per backbone stage. *)

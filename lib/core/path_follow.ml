@@ -1,34 +1,3 @@
-(* One stage: breadth-first probe outward from [start] until a vertex with
-   a backbone index greater than [current] turns up. Returns that index,
-   or None when start's open cluster holds no later backbone vertex. *)
-let stage oracle ~index_of ~current start =
-  let g = Percolation.World.graph (Percolation.Oracle.world oracle) in
-  let enqueued = Hashtbl.create 64 in
-  Hashtbl.replace enqueued start ();
-  let queue = Queue.create () in
-  Queue.push start queue;
-  let advance = ref None in
-  (try
-     while not (Queue.is_empty queue) do
-       let u = Queue.pop queue in
-       Array.iter
-         (fun v ->
-           if Percolation.Oracle.probe oracle u v then begin
-             (match index_of v with
-             | Some j when j > current ->
-                 advance := Some j;
-                 raise Exit
-             | Some _ | None -> ());
-             if not (Hashtbl.mem enqueued v) then begin
-               Hashtbl.replace enqueued v ();
-               Queue.push v queue
-             end
-           end)
-         (g.Topology.Graph.neighbors u)
-     done
-   with Exit -> ());
-  !advance
-
 let router ~backbone =
   if Array.length backbone = 0 then invalid_arg "Path_follow.router: empty backbone";
   let index_table = Hashtbl.create (Array.length backbone) in
@@ -46,8 +15,15 @@ let router ~backbone =
             | None -> assert false
           end
           else begin
-            match stage oracle ~index_of ~current backbone.(current) with
-            | Some next -> follow next
+            (* One stage: search outward from the furthest backbone
+               vertex reached until a later backbone vertex turns up. *)
+            let later v =
+              match index_of v with Some j -> j > current | None -> false
+            in
+            match
+              Local_bfs.search oracle ~start:backbone.(current) ~stop:later ()
+            with
+            | Some v -> follow (Option.get (index_of v))
             | None ->
                 Outcome.No_path
                   { probes = Percolation.Oracle.distinct_probes oracle }

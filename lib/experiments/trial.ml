@@ -46,8 +46,8 @@ let shortfall_note ~label result =
    runner drew.
 
    Observability is strictly out-of-band: trace events and metric ticks
-   land in ambient per-attempt buffers installed around this function
-   (see [observed_attempt]); nothing here reads them back, so enabling
+   land in the per-attempt buffers {!Obs.Trace.observe} installs around
+   this function; nothing here reads them back, so enabling
    instrumentation cannot change any computed value. *)
 
 type attempt =
@@ -58,9 +58,7 @@ let run_attempt spec root_stream index =
   let attempt_stream = Prng.Stream.split root_stream index in
   let seed = Prng.Stream.seed attempt_stream in
   let world = Percolation.World.create spec.graph ~p:spec.p ~seed in
-  let traced = Obs.Trace.on () in
   let metered = Obs.Metrics.on () in
-  if traced then Obs.Trace.emit (Obs.Trace.Attempt_start { index });
   if metered then Obs.Metrics.tick "trial.attempts";
   let reveal () =
     Percolation.Reveal.connected ?limit:spec.reveal_limit world spec.source
@@ -70,15 +68,13 @@ let run_attempt spec root_stream index =
     if Obs.Timing.on () then Obs.Timing.span "trial.reveal" reveal else reveal ()
   in
   match verdict with
-  | Percolation.Reveal.Disconnected ->
-      if traced then
-        Obs.Trace.emit (Obs.Trace.Reject { reason = Obs.Trace.Disconnected });
-      if metered then Obs.Metrics.tick "trial.rejects.disconnected";
-      Rejected
-  | Percolation.Reveal.Unknown ->
-      if traced then
-        Obs.Trace.emit (Obs.Trace.Reject { reason = Obs.Trace.Reveal_limit });
-      if metered then Obs.Metrics.tick "trial.rejects.reveal_limit";
+  | Percolation.Reveal.Disconnected | Percolation.Reveal.Unknown ->
+      Percolation.Reveal.trace_verdict verdict ~probes:0;
+      if metered then
+        Obs.Metrics.tick
+          (if verdict = Percolation.Reveal.Disconnected then
+             "trial.rejects.disconnected"
+           else "trial.rejects.reveal_limit");
       Rejected
   | Percolation.Reveal.Connected distance ->
       let router =
@@ -88,9 +84,8 @@ let run_attempt spec root_stream index =
         Routing.Router.run ?budget:spec.budget router world ~source:spec.source
           ~target:spec.target
       in
-      if traced then
-        Obs.Trace.emit
-          (Obs.Trace.Accept { distance; probes = Routing.Outcome.probes outcome });
+      Percolation.Reveal.trace_verdict verdict
+        ~probes:(Routing.Outcome.probes outcome);
       if metered then begin
         Obs.Metrics.tick "trial.accepts";
         Obs.Metrics.record "trial.probes" (Routing.Outcome.probes outcome);
@@ -103,40 +98,8 @@ let run_attempt spec root_stream index =
       end;
       Accepted { distance; outcome }
 
-(* A cell is an attempt plus whatever it emitted. When instrumentation
-   is off both extras are the shared constants [None] / [Metrics.empty]
-   and the wrapper costs two atomic reads per attempt. *)
-type cell = {
-  attempt : attempt;
-  trace : Obs.Trace.record option;
-  metrics : Obs.Metrics.snapshot;
-}
-
-let observed_attempt spec root_stream index =
-  let traced = Obs.Trace.on () in
-  let metered = Obs.Metrics.on () in
-  if not (traced || metered) then
-    { attempt = run_attempt spec root_stream index; trace = None; metrics = Obs.Metrics.empty }
-  else begin
-    let with_metrics () =
-      if metered then begin
-        let registry = Obs.Metrics.create () in
-        let attempt =
-          Obs.Metrics.with_ambient registry (fun () -> run_attempt spec root_stream index)
-        in
-        (attempt, Obs.Metrics.snapshot registry)
-      end
-      else (run_attempt spec root_stream index, Obs.Metrics.empty)
-    in
-    if traced then begin
-      let (attempt, metrics), record = Obs.Trace.capture ~index with_metrics in
-      { attempt; trace = Some record; metrics }
-    end
-    else begin
-      let attempt, metrics = with_metrics () in
-      { attempt; trace = None; metrics }
-    end
-  end
+(* A cell is an attempt plus whatever it emitted ({!Obs.Trace.observe}). *)
+type cell = attempt Obs.Trace.observed
 
 (* ------------------------------------------------------------------ *)
 (* Chunk accumulators.
@@ -169,7 +132,7 @@ let acc_empty =
 
 let acc_add acc (cell : cell) =
   let acc = { acc with metrics = Obs.Metrics.merge acc.metrics cell.metrics } in
-  match cell.attempt with
+  match cell.value with
   | Rejected -> acc
   | Accepted { distance; outcome } ->
       let observations =
@@ -264,11 +227,11 @@ let attempt_of_json json =
 
 let codec =
   {
-    Checkpoint.to_json = (fun (cell : cell) -> attempt_to_json cell.attempt);
+    Checkpoint.to_json = (fun (cell : cell) -> attempt_to_json cell.value);
     of_json =
       (fun json ->
         Option.map
-          (fun attempt -> { attempt; trace = None; metrics = Obs.Metrics.empty })
+          (fun value -> { Obs.Trace.value; record = None; metrics = Obs.Metrics.empty })
           (attempt_of_json json));
   }
 
@@ -287,9 +250,9 @@ let codec =
 
    Tracing rides the same machinery: each attempt's events are captured
    into its cell on whatever domain computed it, and the final ordered
-   scan — plain sequential code on the caller's domain — concatenates
-   exactly the used attempts' records into one [trace/v1] run, written
-   to the sink in a single call. The trace bytes therefore cannot
+   scan — plain sequential code on the caller's domain — hands exactly
+   the used attempts' records to {!Obs.Trace.write_run}, which writes
+   the whole run to the sink in a single call. The trace bytes therefore cannot
    depend on the job count, and runs from concurrent Trial calls cannot
    interleave. *)
 
@@ -303,23 +266,22 @@ let trace_header spec stream ~trials ~max_attempts =
   let router =
     spec.router (Prng.Stream.split stream 0) ~source:spec.source ~target:spec.target
   in
-  Obs.Trace.header_line
-    [
-      ("graph", Obs.Json.String spec.graph.Topology.Graph.name);
-      ("p", Obs.Json.Float spec.p);
-      ("source", Obs.Json.Int spec.source);
-      ("target", Obs.Json.Int spec.target);
-      ("router", Obs.Json.String router.Routing.Router.name);
-      ("policy", Obs.Json.String (policy_string router.Routing.Router.policy));
-      ( "budget",
-        match spec.budget with Some b -> Obs.Json.Int b | None -> Obs.Json.Null );
-      ( "reveal_limit",
-        match spec.reveal_limit with
-        | Some l -> Obs.Json.Int l
-        | None -> Obs.Json.Null );
-      ("trials", Obs.Json.Int trials);
-      ("max_attempts", Obs.Json.Int max_attempts);
-    ]
+  [
+    ("graph", Obs.Json.String spec.graph.Topology.Graph.name);
+    ("p", Obs.Json.Float spec.p);
+    ("source", Obs.Json.Int spec.source);
+    ("target", Obs.Json.Int spec.target);
+    ("router", Obs.Json.String router.Routing.Router.name);
+    ("policy", Obs.Json.String (policy_string router.Routing.Router.policy));
+    ( "budget",
+      match spec.budget with Some b -> Obs.Json.Int b | None -> Obs.Json.Null );
+    ( "reveal_limit",
+      match spec.reveal_limit with
+      | Some l -> Obs.Json.Int l
+      | None -> Obs.Json.Null );
+    ("trials", Obs.Json.Int trials);
+    ("max_attempts", Obs.Json.Int max_attempts);
+  ]
 
 let checkpoint_key spec stream ~trials ~max_attempts =
   (* Everything a chunk's cells depend on — and nothing they don't (the
@@ -339,14 +301,15 @@ let checkpoint_key spec stream ~trials ~max_attempts =
     (opt spec.budget) (opt spec.reveal_limit)
     (Prng.Stream.seed stream) trials max_attempts Runner.chunk_size
 
-let run_engine ?jobs stream ~trials ?max_attempts spec =
+let run ?jobs stream ~trials ?max_attempts spec =
   if trials <= 0 then invalid_arg "Trial.run: trials must be positive";
   let max_attempts = Option.value max_attempts ~default:(100 * trials) in
   let accepted_so_far = Atomic.make 0 in
   let until cells =
     let accepted =
       Array.fold_left
-        (fun n cell -> match cell.attempt with Accepted _ -> n + 1 | Rejected -> n)
+        (fun n (cell : cell) ->
+          match cell.value with Accepted _ -> n + 1 | Rejected -> n)
         0 cells
     in
     Atomic.fetch_and_add accepted_so_far accepted + accepted >= trials
@@ -355,14 +318,15 @@ let run_engine ?jobs stream ~trials ?max_attempts spec =
     Runner.run ?jobs
       ~key:(lazy (checkpoint_key spec stream ~trials ~max_attempts))
       ~codec ~count:max_attempts ~until
-      (fun i -> observed_attempt spec stream (i + 1))
+      (fun i ->
+        Obs.Trace.observe ~index:(i + 1) (fun () -> run_attempt spec stream (i + 1)))
   in
   (* Ordered truncation: merge whole chunks while they cannot contain
      the [trials]-th acceptance, then replay the boundary chunk. *)
   let tracing = Obs.Trace.on () in
   let traces = ref [] in
-  let push_trace cell =
-    match cell.trace with Some r -> traces := r :: !traces | None -> ()
+  let push_trace (cell : cell) =
+    match cell.record with Some r -> traces := r :: !traces | None -> ()
   in
   let final = ref acc_empty in
   let attempts_used = ref 0 in
@@ -386,25 +350,19 @@ let run_engine ?jobs stream ~trials ?max_attempts spec =
        chunks
    with Exit -> ());
   let final = !final in
-  if tracing then begin
-    let buffer = Buffer.create 4096 in
-    Buffer.add_string buffer (trace_header spec stream ~trials ~max_attempts);
-    List.iter
-      (fun record ->
-        List.iter (Buffer.add_string buffer) (Obs.Trace.record_lines record))
-      (List.rev !traces);
-    (* Supervision events ride the trace as run-level lines: sorted by
-       (chunk, attempt), so their bytes are schedule-independent too. *)
-    List.iter
-      (fun (f : Engine_par.Supervisor.failure) ->
-        Buffer.add_string buffer
-          (Obs.Trace.fault_line ~chunk:f.chunk ~attempt:f.attempt
-             ~kind:(Engine_par.Supervisor.kind_string f.kind)))
-      faults.Engine_par.Supervisor.failures;
-    Buffer.add_string buffer
-      (Obs.Trace.end_line ~attempts:!attempts_used ~accepted:final.accepted);
-    Obs.Trace.write_line (Buffer.contents buffer)
-  end;
+  if tracing then
+    Obs.Trace.write_run
+      ~header:(trace_header spec stream ~trials ~max_attempts)
+        (* Supervision events ride the trace as run-level lines: sorted
+           by (chunk, attempt), so their bytes are schedule-independent
+           too. *)
+      ~run_lines:
+        (List.map
+           (fun (f : Engine_par.Supervisor.failure) ->
+             Obs.Trace.fault_line ~chunk:f.chunk ~attempt:f.attempt
+               ~kind:(Engine_par.Supervisor.kind_string f.kind))
+           faults.Engine_par.Supervisor.failures)
+      ~attempts:!attempts_used ~accepted:final.accepted (List.rev !traces);
   if Obs.Metrics.on () then Obs.Metrics.absorb final.metrics;
   {
     observations = final.observations;
@@ -416,12 +374,6 @@ let run_engine ?jobs stream ~trials ?max_attempts spec =
     requested = trials;
     metrics = final.metrics;
   }
-
-let run_par ?jobs stream ~trials ?max_attempts spec =
-  run_engine ?jobs stream ~trials ?max_attempts spec
-
-let run stream ~trials ?max_attempts spec =
-  run_engine stream ~trials ?max_attempts spec
 
 let median_observation (result : result) = Stats.Censored.median result.observations
 

@@ -16,21 +16,20 @@
     a pure function of the root seed. Attempts can therefore be
     evaluated on any number of domains in any order; the engine merges
     per-domain accumulators over a fixed chunking of the attempt index
-    space, so {!run_par} returns {e bit-identical} results for every
-    [jobs] value (and [run_par ~jobs:1] is exactly the sequential
-    run).
+    space, so {!run} returns {e bit-identical} results for every
+    [jobs] value (and [run ~jobs:1] is exactly the sequential run).
 
     {2 Observability}
 
-    With {!Obs.Trace} enabled, every attempt's probe-level events are
-    captured into per-attempt buffers on whatever domain computed them
-    and concatenated — during the same ordered truncation scan that
-    merges the statistics — into one [trace/v1] run, written to the
-    sink in a single call. The trace bytes are byte-identical for every
-    [jobs] value. With {!Obs.Metrics} enabled, per-attempt counter
-    snapshots ride the accumulator merge tree (integer-only, so the
-    merged snapshot is order-independent) and the run's totals are both
-    returned in {!result.metrics} and absorbed into the global
+    Every attempt runs under {!Obs.Trace.observe} on whatever domain
+    computes it. With {!Obs.Trace} enabled, the records of the used
+    attempts are collected during the same ordered truncation scan that
+    merges the statistics and written as one [trace/v1] run by
+    {!Obs.Trace.write_run}. The trace bytes are byte-identical for
+    every [jobs] value. With {!Obs.Metrics} enabled, per-attempt
+    counter snapshots ride the accumulator merge tree (integer-only, so
+    the merged snapshot is order-independent) and the run's totals are
+    both returned in {!result.metrics} and absorbed into the global
     registry. With both off, the per-attempt overhead is two atomic
     reads. *)
 
@@ -96,18 +95,14 @@ val shortfall_note : label:string -> result -> string option
     requested trial count was met. Experiments append these to their
     report notes so attempt-cap exhaustion is never silent. *)
 
-val run : Prng.Stream.t -> trials:int -> ?max_attempts:int -> spec -> result
+val run :
+  ?jobs:int -> Prng.Stream.t -> trials:int -> ?max_attempts:int -> spec -> result
 (** [run stream ~trials spec] performs up to [trials] conditioned
     measurements, drawing at most [max_attempts] (default
-    [100 × trials]) worlds in total. Runs on
-    {!Engine_par.Pool.default_jobs} domains (1 unless raised, e.g. by
-    the CLI's [--jobs]); the result does not depend on the job count.
+    [100 × trials]) worlds in total. Runs on [jobs] domains (default
+    {!Engine_par.Pool.default_jobs}: 1 unless raised, e.g. by the CLI's
+    [--jobs]); the result is bit-identical for every job count.
     @raise Invalid_argument if [trials <= 0]. *)
-
-val run_par :
-  ?jobs:int -> Prng.Stream.t -> trials:int -> ?max_attempts:int -> spec -> result
-(** [run_par ~jobs stream ~trials spec] is {!run} on [jobs] domains.
-    Bit-identical to [run_par ~jobs:1] for every [jobs]. *)
 
 val median_observation : result -> Stats.Censored.observation option
 (** Median probe count of the conditioned trials. *)

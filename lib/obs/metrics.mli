@@ -14,8 +14,9 @@
 
     Instrumented hot paths ({!Percolation.Oracle}, {!Percolation.Reveal},
     routers) do not take a metrics argument — they tick the {e ambient}
-    registry, a domain-local slot installed by whoever owns the current
-    unit of work (one trial attempt, one simulation run). When metrics
+    registry, a domain-local slot that {!Trace.observe} installs around
+    each observed unit of work (a trial attempt, a serve query, one
+    [route] or [simulate] run). When metrics
     are disabled ({!on} is [false], the default) every hook reduces to
     one predictable branch; nothing is allocated or written. *)
 

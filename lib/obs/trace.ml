@@ -222,6 +222,49 @@ let record_lines r =
       ]
 
 (* ------------------------------------------------------------------ *)
+(* Observed units of work.                                             *)
+
+type 'a observed = { value : 'a; record : record option; metrics : Metrics.snapshot }
+
+let observe ~index f =
+  let traced = on () in
+  let metered = Metrics.on () in
+  if not (traced || metered) then { value = f (); record = None; metrics = Metrics.empty }
+  else begin
+    let with_metrics () =
+      if metered then begin
+        let registry = Metrics.create () in
+        let value = Metrics.with_ambient registry f in
+        (value, Metrics.snapshot registry)
+      end
+      else (f (), Metrics.empty)
+    in
+    if traced then begin
+      let (value, metrics), record =
+        capture ~index (fun () ->
+            emit (Attempt_start { index });
+            with_metrics ())
+      in
+      { value; record = Some record; metrics }
+    end
+    else
+      let value, metrics = with_metrics () in
+      { value; record = None; metrics }
+  end
+
+let write_run ~header ?(run_lines = []) ~attempts ~accepted records =
+  if on () then begin
+    let buffer = Buffer.create 4096 in
+    Buffer.add_string buffer (header_line header);
+    List.iter
+      (fun r -> List.iter (Buffer.add_string buffer) (record_lines r))
+      records;
+    List.iter (Buffer.add_string buffer) run_lines;
+    Buffer.add_string buffer (end_line ~attempts ~accepted);
+    write_line (Buffer.contents buffer)
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Replay.                                                             *)
 
 module Replay = struct

@@ -4,12 +4,12 @@
     this module records {e where} those probes go. Instrumented code
     ({!Percolation.Oracle}, {!Percolation.Reveal}, {!Routing.Router},
     the trial engine) emits events into a per-attempt ring buffer
-    installed by {!capture}; the trial engine collects the buffers and
-    writes them to the JSONL sink in attempt order, {e out of band} —
-    after the deterministic accumulator merge, never from worker
-    domains — so tracing can change neither results nor their bytes,
-    and the trace file itself is byte-identical for every [--jobs]
-    value.
+    installed by {!observe}; its callers collect the records and write
+    them to the JSONL sink in attempt order through {!write_run},
+    {e out of band} — after the deterministic accumulator merge, never
+    from worker domains — so tracing can change neither results nor
+    their bytes, and the trace file itself is byte-identical for every
+    [--jobs] value.
 
     When tracing is off (the default) every hook reduces to one
     predictable branch on {!on}; nothing is allocated.
@@ -124,9 +124,10 @@ val record_events : record -> event list
 val record_dropped : record -> int
 
 val capture : index:int -> (unit -> 'a) -> 'a * record
-(** Run the thunk with a fresh ring installed as this domain's ambient
-    buffer (restoring the previous one afterwards, exception-safe) and
-    return what it emitted. Call only when {!on}. *)
+(** The ring primitive behind {!observe}: run the thunk with a fresh
+    ring installed as this domain's ambient buffer (restoring the
+    previous one afterwards, exception-safe) and return what it
+    emitted. Emits nothing itself. Call only when {!on}. *)
 
 val emit : event -> unit
 (** Append to the ambient ring; no-op when none is installed. Hot-path
@@ -157,6 +158,44 @@ val fault_line : chunk:int -> attempt:int -> kind:string -> string
 val record_lines : record -> string list
 (** One line per event (a trailing [dropped] line when the ring
     overflowed), each tagged with the record's attempt index. *)
+
+(** {2 Observed units of work}
+
+    Every unit of work whose probes the trace audits — a trial
+    attempt, a serve query, one [route] or [simulate] run — runs
+    through {!observe}, and every run that collects records writes
+    them through {!write_run}. *)
+
+type 'a observed = {
+  value : 'a;
+  record : record option;  (** [Some] exactly when tracing was on. *)
+  metrics : Metrics.snapshot;
+      (** The unit's own counters; {!Metrics.empty} when metrics were
+          off. *)
+}
+
+val observe : index:int -> (unit -> 'a) -> 'a observed
+(** [observe ~index f] runs [f] as attempt [index]. With tracing on,
+    [f] runs inside a fresh ring ({!capture}) that opens with
+    [attempt_start {index}]; [f] emits its own terminal [accept] or
+    [reject]. With metrics on, [f] ticks a fresh ambient
+    {!Metrics} registry whose snapshot is returned — the global
+    registry is left to the caller. With both off it is [f ()] plus two
+    atomic reads. *)
+
+val write_run :
+  header:(string * Json.t) list ->
+  ?run_lines:string list ->
+  attempts:int ->
+  accepted:int ->
+  record list ->
+  unit
+(** Write one whole run in a single {!write_line}: the [run_start]
+    line from [header], each record's lines in list order, the
+    run-level [run_lines] (e.g. {!fault_line}s) and a [run_end]
+    declaring [attempts] and [accepted]. The counts are explicit
+    because attempts restored from a checkpoint carry no record.
+    No-op when tracing is off. *)
 
 (** {2 Replay — the independent probe accounting check} *)
 

@@ -209,6 +209,14 @@ let connected_via engine ?limit world u v =
 
 let connected ?limit world u v = connected_via (repr_engine world) ?limit world u v
 
+let trace_verdict verdict ~probes =
+  if Obs.Trace.on () then
+    Obs.Trace.emit
+      (match verdict with
+      | Connected distance -> Obs.Trace.Accept { distance; probes }
+      | Disconnected -> Obs.Trace.Reject { reason = Obs.Trace.Disconnected }
+      | Unknown -> Obs.Trace.Reject { reason = Obs.Trace.Reveal_limit })
+
 let cluster_of ?limit world v =
   Topology.Graph.check_vertex (World.graph world) v;
   let members = ref [] in

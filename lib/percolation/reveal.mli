@@ -35,6 +35,12 @@ val connected_via : engine -> ?limit:int -> World.t -> int -> int -> verdict
 (** {!connected} on an explicit engine; every engine returns the same
     verdict and distance, with or without [limit]. *)
 
+val trace_verdict : verdict -> probes:int -> unit
+(** Emit the terminal [trace/v1] event of an attempt conditioned on
+    this verdict: [accept] with the distance and [probes] for
+    [Connected], [reject] ([disconnected] or [reveal_limit]) otherwise.
+    No-op when tracing is off. *)
+
 val cluster_of : ?limit:int -> World.t -> int -> int list * bool
 (** [cluster_of w v] is the open cluster containing [v] (unordered) and
     a flag that is [true] when exploration was truncated by [limit]. *)

@@ -130,8 +130,9 @@ val prefill : t -> unit
 (** Materialise every vertex's open-adjacency row in one pass (the
     coin bitsets are already filled at construction). After [prefill]
     no query writes to the cache, so the world is genuinely immutable
-    and can be shared read-only across domains — the contract resident
-    pools ({!Experiments.Worldpool}, [faultroute serve]) rely on.
+    and can be shared read-only across domains — the contract
+    [faultroute serve]'s resident worlds ({!Serve.Service.start}) rely
+    on.
     No-op on lazy (uncached) worlds, whose queries are already
     write-free. Observable states are unchanged: prefill evaluates the
     same pure coin function queries would. *)

@@ -4,7 +4,7 @@ type resident = {
   wspec : Session.world_spec;
   instance : Topology.Registry.instance;
   world : Percolation.World.t;
-  constructed : bool;
+  constructed : bool;  (* false when an earlier entry built the same world *)
 }
 
 type t = {
@@ -12,22 +12,16 @@ type t = {
   residents : resident list;  (* manifest order *)
   by_id : (string, resident) Hashtbl.t;
   root : Prng.Stream.t;
-  pool : Experiments.Worldpool.t;
 }
 
 let session t = t.sess
 
-let start ?pool (sess : Session.t) =
-  let pool =
-    match pool with
-    | Some p -> p
-    | None ->
-        Experiments.Worldpool.create
-          ~capacity:
-            (max Experiments.Worldpool.default_capacity
-               (List.length sess.Session.worlds))
-          ()
-  in
+let start (sess : Session.t) =
+  (* Each distinct world is built and prefilled once. Graph names are
+     unique per family and parameters (the registries guarantee it) and
+     the graph is a function of (topology, seed), so the name stands in
+     for the graph in the key. *)
+  let worlds = Hashtbl.create 16 in
   let build (w : Session.world_spec) =
     match Topology.Registry.of_spec w.Session.topology with
     | Error e -> Error (Printf.sprintf "world %S: %s" w.Session.wid e)
@@ -37,19 +31,24 @@ let start ?pool (sess : Session.t) =
         match Topology.Registry.build spec ~default_size:size stream with
         | exception Invalid_argument m ->
             Error (Printf.sprintf "world %S: %s" w.Session.wid m)
-        | instance ->
-            let before =
-              (Experiments.Worldpool.stats pool).Experiments.Worldpool.constructed
+        | instance -> (
+            let graph = instance.Topology.Registry.graph in
+            let key =
+              ( graph.Topology.Graph.name,
+                w.Session.p,
+                w.Session.site_p,
+                w.Session.seed )
             in
-            let world =
-              Experiments.Worldpool.get ?site_p:w.Session.site_p pool
-                instance.Topology.Registry.graph ~p:w.Session.p
-                ~seed:w.Session.seed
-            in
-            let after =
-              (Experiments.Worldpool.stats pool).Experiments.Worldpool.constructed
-            in
-            Ok { wspec = w; instance; world; constructed = after > before })
+            match Hashtbl.find_opt worlds key with
+            | Some world -> Ok { wspec = w; instance; world; constructed = false }
+            | None ->
+                let world =
+                  Percolation.World.create ?site_p:w.Session.site_p graph
+                    ~p:w.Session.p ~seed:w.Session.seed
+                in
+                Percolation.World.prefill world;
+                Hashtbl.replace worlds key world;
+                Ok { wspec = w; instance; world; constructed = true }))
   in
   let rec build_all acc = function
     | [] -> Ok (List.rev acc)
@@ -63,7 +62,7 @@ let start ?pool (sess : Session.t) =
   | Ok residents ->
       let by_id = Hashtbl.create 16 in
       List.iter (fun r -> Hashtbl.replace by_id r.wspec.Session.wid r) residents;
-      Ok { sess; residents; by_id; root = Prng.Stream.create sess.Session.seed; pool }
+      Ok { sess; residents; by_id; root = Prng.Stream.create sess.Session.seed }
 
 (* ------------------------------------------------------------------ *)
 (* Per-query evaluation — pure in (session, qindex, item), runs on
@@ -79,7 +78,7 @@ type acct = {
   probes : int;
   accepted : bool;  (* emitted a trace Accept terminal *)
   record : Obs.Trace.record option;
-  metrics : Obs.Metrics.snapshot option;
+  metrics : Obs.Metrics.snapshot;
   elapsed_ns : float;  (* reporting-layer only; 0 when telemetry is off *)
 }
 
@@ -91,7 +90,7 @@ let silent_acct ~op outcome =
     probes = 0;
     accepted = false;
     record = None;
-    metrics = None;
+    metrics = Obs.Metrics.empty;
     elapsed_ns = 0.;
   }
 
@@ -114,29 +113,112 @@ let ok_answer ~qid ~op ~world fields =
        @ fields))
   ^ "\n"
 
-(* Run [f] under this query's trace ring and metrics registry; [f]
-   emits its own terminal events and returns the tallied answer. *)
-let observed ~qindex f =
-  let with_metrics g =
-    if Obs.Metrics.on () then (
-      let registry = Obs.Metrics.create () in
-      let v = Obs.Metrics.with_ambient registry g in
-      (v, Some (Obs.Metrics.snapshot registry)))
-    else (g (), None)
+(* What an evaluated query answers: its outcome key, the answer fields
+   after it, the probes it counts and whether its trace attempt ends
+   in [accept]. *)
+type answer = {
+  key : string;
+  fields : (string * J.t) list;
+  probes : int;
+  accepted : bool;
+}
+
+let answer ?(probes = 0) ?(accepted = false) key fields =
+  Ok { key; fields; probes; accepted }
+
+(* Validate a query and return its resident world and the work to
+   observe. Every check runs here, before the work is observed, so an
+   invalid query emits no attempt lines; the work emits its own
+   terminal trace event, and an invalid route it returns is still an
+   observed attempt. *)
+let prepare t ~qindex (q : Query.t) =
+  let ( let* ) = Result.bind in
+  let opn = Query.op_name q.Query.op in
+  let resident () =
+    match q.Query.world with
+    | None -> Error "missing \"world\""
+    | Some wid -> (
+        match Hashtbl.find_opt t.by_id wid with
+        | Some r -> Ok r
+        | None -> Error (Printf.sprintf "unknown world %S" wid))
   in
-  if Obs.Trace.on () then
-    let (v, snapshot), record =
-      Obs.Trace.capture ~index:qindex (fun () ->
-          with_metrics (fun () ->
-              Obs.Trace.emit (Obs.Trace.Attempt_start { index = qindex });
-              Obs.Trace.emit
-                (Obs.Trace.Query_span { q = qindex; stage = Obs.Trace.Execute });
-              f ()))
-    in
-    (v, snapshot, Some record)
+  let check r name v =
+    let n = r.instance.Topology.Registry.graph.Topology.Graph.vertex_count in
+    if v < n then Ok ()
+    else
+      Error (Printf.sprintf "%s %d out of range (world has %d vertices)" name v n)
+  in
+  let with_default = function
+    | Some _ as limit -> limit
+    | None -> t.sess.Session.limits.Session.reveal_limit
+  in
+  if not (Session.allows t.sess opn) then
+    Error (Printf.sprintf "op %S is not in the session query mix" opn)
   else
-    let v, snapshot = with_metrics (fun () -> f ()) in
-    (v, snapshot, None)
+    match q.Query.op with
+    | Query.Stats ->
+        (* Valid stats queries are answered sequentially by the serve
+           loop; reaching here means the mix allowed it but the loop
+           did not intercept — a service bug, answered
+           (deterministically) rather than asserted. *)
+        Error "stats queries are answered by the session loop"
+    | Query.Route { source; target; router; budget } ->
+        let* r = resident () in
+        let* () = check r "source" source in
+        let* () = check r "target" target in
+        let* entry = Routing.Registry.of_spec router in
+        let* router_t =
+          entry.Routing.Registry.build ~instance:r.instance ~source ~target
+            (Prng.Stream.split t.root qindex)
+        in
+        Ok
+          ( r,
+            fun () ->
+              match Routing.Router.run ?budget router_t r.world ~source ~target with
+              | exception Routing.Router.Invalid_route { router; _ } ->
+                  Error (Printf.sprintf "router %S returned an invalid route" router)
+              | Routing.Outcome.Found { path; probes; _ } ->
+                  let distance = List.length path - 1 in
+                  if Obs.Trace.on () then
+                    Obs.Trace.emit (Obs.Trace.Accept { distance; probes });
+                  answer ~probes ~accepted:true "found"
+                    [ ("probes", J.Int probes); ("path_len", J.Int distance) ]
+              | Routing.Outcome.No_path { probes } ->
+                  if Obs.Trace.on () then
+                    Obs.Trace.emit
+                      (Obs.Trace.Reject { reason = Obs.Trace.Disconnected });
+                  answer ~probes "no_path" [ ("probes", J.Int probes) ]
+              | Routing.Outcome.Budget_exceeded { probes } ->
+                  answer ~probes "budget_exceeded" [ ("probes", J.Int probes) ] )
+    | Query.Reveal { source; target; limit } ->
+        let* r = resident () in
+        let* () = check r "source" source in
+        let* () = check r "target" target in
+        let limit = with_default limit in
+        Ok
+          ( r,
+            fun () ->
+              let verdict =
+                Percolation.Reveal.connected ?limit r.world source target
+              in
+              Percolation.Reveal.trace_verdict verdict ~probes:0;
+              match verdict with
+              | Percolation.Reveal.Connected d ->
+                  answer ~accepted:true "connected" [ ("distance", J.Int d) ]
+              | Percolation.Reveal.Disconnected -> answer "disconnected" []
+              | Percolation.Reveal.Unknown -> answer "unknown" [] )
+    | Query.Cluster { vertex; limit } ->
+        let* r = resident () in
+        let* () = check r "vertex" vertex in
+        let limit = with_default limit in
+        Ok
+          ( r,
+            fun () ->
+              let size, truncated =
+                Percolation.Reveal.cluster_size ?limit r.world vertex
+              in
+              answer "cluster"
+                [ ("size", J.Int size); ("truncated", J.Bool truncated) ] )
 
 let eval_item t ~qindex item =
   match item with
@@ -152,193 +234,35 @@ let eval_item t ~qindex item =
             msg,
           silent_acct ~op:opn "error" )
       in
-      if not (Session.allows t.sess opn) then
-        fail (Printf.sprintf "op %S is not in the session query mix" opn)
-      else
-        let resident =
-          match q.Query.world with
-          | None -> Error "missing \"world\""
-          | Some wid -> (
-              match Hashtbl.find_opt t.by_id wid with
-              | Some r -> Ok r
-              | None -> Error (Printf.sprintf "unknown world %S" wid))
-        in
-        match (q.Query.op, resident) with
-        | Query.Stats, _ ->
-            (* Valid stats queries are answered sequentially by the
-               serve loop; reaching here means the mix allowed it but
-               the loop did not intercept — a service bug, answered
-               (deterministically) rather than asserted. *)
-            fail "stats queries are answered by the session loop"
-        | _, Error msg -> fail msg
-        | op, Ok r -> (
-            let n = r.instance.Topology.Registry.graph.Topology.Graph.vertex_count in
-            let check name v =
-              if v < n then Ok ()
-              else
-                Error
-                  (Printf.sprintf "%s %d out of range (world has %d vertices)"
-                     name v n)
-            in
-            let stream = Prng.Stream.split t.root qindex in
-            let wid = r.wspec.Session.wid in
-            let default_limit = t.sess.Session.limits.Session.reveal_limit in
-            match op with
-            | Query.Stats -> assert false (* handled above *)
-            | Query.Route { source; target; router; budget } -> (
-                match
-                  match check "source" source with
-                  | Error _ as e -> e
-                  | Ok () -> (
-                      match check "target" target with
-                      | Error _ as e -> e
-                      | Ok () -> (
-                          match Routing.Registry.of_spec router with
-                          | Error _ as e -> e
-                          | Ok entry ->
-                              entry.Routing.Registry.build
-                                ~instance:r.instance ~source ~target stream))
-                with
-                | Error msg -> fail msg
-                | Ok router_t -> (
-                    let result, metrics, record =
-                      observed ~qindex (fun () ->
-                          match
-                            Routing.Router.run ?budget router_t r.world
-                              ~source ~target
-                          with
-                          | outcome ->
-                              (match outcome with
-                              | Routing.Outcome.Found { path; probes; _ } ->
-                                  Obs.Trace.emit
-                                    (Obs.Trace.Accept
-                                       {
-                                         distance = List.length path - 1;
-                                         probes;
-                                       })
-                              | Routing.Outcome.No_path _ ->
-                                  Obs.Trace.emit
-                                    (Obs.Trace.Reject
-                                       { reason = Obs.Trace.Disconnected })
-                              | Routing.Outcome.Budget_exceeded _ -> ());
-                              Ok outcome
-                          | exception Routing.Router.Invalid_route { router; _ }
-                            ->
-                              Error
-                                (Printf.sprintf
-                                   "router %S returned an invalid route"
-                                   router))
-                    in
-                    match result with
-                    | Error msg ->
-                        let line, acct = fail msg in
-                        (line, { acct with record; metrics })
-                    | Ok outcome ->
-                        let probes = Routing.Outcome.probes outcome in
-                        let key, fields, accepted =
-                          match outcome with
-                          | Routing.Outcome.Found { path; _ } ->
-                              ( "found",
-                                [ ("probes", J.Int probes);
-                                  ("path_len", J.Int (List.length path - 1)) ],
-                                true )
-                          | Routing.Outcome.No_path _ ->
-                              ("no_path", [ ("probes", J.Int probes) ], false)
-                          | Routing.Outcome.Budget_exceeded _ ->
-                              ( "budget_exceeded",
-                                [ ("probes", J.Int probes) ],
-                                false )
-                        in
-                        ( ok_answer ~qid ~op:opn ~world:wfield
-                            (("outcome", J.String key) :: fields),
-                          {
-                            ok_world = Some wid;
-                            op = opn;
-                            outcome = key;
-                            probes;
-                            accepted;
-                            record;
-                            metrics;
-                            elapsed_ns = 0.;
-                          } )))
-            | Query.Reveal { source; target; limit } -> (
-                match
-                  match check "source" source with
-                  | Error _ as e -> e
-                  | Ok () -> check "target" target
-                with
-                | Error msg -> fail msg
-                | Ok () ->
-                    let limit =
-                      match limit with Some _ -> limit | None -> default_limit
-                    in
-                    let verdict, metrics, record =
-                      observed ~qindex (fun () ->
-                          let v =
-                            Percolation.Reveal.connected ?limit r.world source
-                              target
-                          in
-                          (match v with
-                          | Percolation.Reveal.Connected d ->
-                              Obs.Trace.emit
-                                (Obs.Trace.Accept { distance = d; probes = 0 })
-                          | Percolation.Reveal.Disconnected ->
-                              Obs.Trace.emit
-                                (Obs.Trace.Reject
-                                   { reason = Obs.Trace.Disconnected })
-                          | Percolation.Reveal.Unknown ->
-                              Obs.Trace.emit
-                                (Obs.Trace.Reject
-                                   { reason = Obs.Trace.Reveal_limit }));
-                          v)
-                    in
-                    let key, fields, accepted =
-                      match verdict with
-                      | Percolation.Reveal.Connected d ->
-                          ("connected", [ ("distance", J.Int d) ], true)
-                      | Percolation.Reveal.Disconnected ->
-                          ("disconnected", [], false)
-                      | Percolation.Reveal.Unknown -> ("unknown", [], false)
-                    in
-                    ( ok_answer ~qid ~op:opn ~world:wfield
-                        (("outcome", J.String key) :: fields),
-                      {
-                        ok_world = Some wid;
-                        op = opn;
-                        outcome = key;
-                        probes = 0;
-                        accepted;
-                        record;
-                        metrics;
-                        elapsed_ns = 0.;
-                      } ))
-            | Query.Cluster { vertex; limit } -> (
-                match check "vertex" vertex with
-                | Error msg -> fail msg
-                | Ok () ->
-                    let limit =
-                      match limit with Some _ -> limit | None -> default_limit
-                    in
-                    let (size, truncated), metrics, record =
-                      observed ~qindex (fun () ->
-                          Percolation.Reveal.cluster_size ?limit r.world vertex)
-                    in
-                    ( ok_answer ~qid ~op:opn ~world:wfield
-                        [
-                          ("outcome", J.String "cluster");
-                          ("size", J.Int size);
-                          ("truncated", J.Bool truncated);
-                        ],
-                      {
-                        ok_world = Some wid;
-                        op = opn;
-                        outcome = "cluster";
-                        probes = 0;
-                        accepted = false;
-                        record;
-                        metrics;
-                        elapsed_ns = 0.;
-                      } ))))
+      match prepare t ~qindex q with
+      | Error msg -> fail msg
+      | Ok (r, work) -> (
+          let observed =
+            Obs.Trace.observe ~index:qindex (fun () ->
+                if Obs.Trace.on () then
+                  Obs.Trace.emit
+                    (Obs.Trace.Query_span { q = qindex; stage = Obs.Trace.Execute });
+                work ())
+          in
+          let record = observed.Obs.Trace.record in
+          let metrics = observed.Obs.Trace.metrics in
+          match observed.Obs.Trace.value with
+          | Error msg ->
+              let line, acct = fail msg in
+              (line, { acct with record; metrics })
+          | Ok a ->
+              ( ok_answer ~qid ~op:opn ~world:wfield
+                  (("outcome", J.String a.key) :: a.fields),
+                {
+                  ok_world = Some r.wspec.Session.wid;
+                  op = opn;
+                  outcome = a.key;
+                  probes = a.probes;
+                  accepted = a.accepted;
+                  record;
+                  metrics;
+                  elapsed_ns = 0.;
+                } )))
 
 (* Latency measurement wraps the whole evaluation, workers each timing
    their own queries. The reading rides along in the acct and is only
@@ -433,9 +357,7 @@ let serve ?jobs t ~read ~write =
     if traced then
       Buffer.add_string trace_buffer
         (Obs.Trace.qspan_line ~q:qindex ~stage:Obs.Trace.Tally);
-    match acct.metrics with
-    | Some snapshot -> metrics_acc := Obs.Metrics.merge !metrics_acc snapshot
-    | None -> ()
+    metrics_acc := Obs.Metrics.merge !metrics_acc acct.metrics
   in
   let pending = ref [] and pending_n = ref 0 in
   let beat ~force () =
@@ -583,8 +505,10 @@ let serve ?jobs t ~read ~write =
       (fun key count ->
         if count > 0 then Obs.Metrics.add registry ("serve.outcome." ^ key) count)
       outcome_counts;
-    Obs.Metrics.absorb (Obs.Metrics.snapshot registry);
-    Obs.Metrics.absorb (Experiments.Worldpool.metrics_snapshot t.pool)
+    let built = List.length (List.filter (fun r -> r.constructed) t.residents) in
+    Obs.Metrics.add registry "worldpool.constructed" built;
+    Obs.Metrics.add registry "worldpool.hits" (List.length t.residents - built);
+    Obs.Metrics.absorb (Obs.Metrics.snapshot registry)
   end;
   let world_rows =
     List.sort
@@ -620,7 +544,7 @@ let serve ?jobs t ~read ~write =
   in
   { evidence; overflowed = !rejected > 0 }
 
-let run ?jobs ?pool sess ~read ~write =
-  match start ?pool sess with
+let run ?jobs sess ~read ~write =
+  match start sess with
   | Error _ as e -> e
   | Ok t -> Ok (serve ?jobs t ~read ~write)

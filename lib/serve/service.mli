@@ -1,12 +1,14 @@
 (** The streamed query service behind [faultroute serve].
 
     {!start} loads a {!Session} manifest into a running session: every
-    manifest world is built {e exactly once} through a
-    {!Experiments.Worldpool} (and prefilled, so worker domains read it
-    without writes); {!serve} then answers newline-delimited JSON
-    queries ({!Query}) from a line source, sharding batches across
-    {!Engine_par.Pool} and streaming one answer line per admitted
-    query, in input order.
+    distinct manifest world — distinct by (graph name, [p], [site_p],
+    seed) — is built {e exactly once} and prefilled
+    ({!Percolation.World.prefill}), so worker domains read it without
+    writes, and entries naming the same world share it. {!serve} then
+    answers newline-delimited JSON queries ({!Query}) from a line
+    source, sharding batches across {!Engine_par.Pool} and streaming
+    one answer line per admitted query, in input order. Each valid
+    query runs as one {!Obs.Trace.observe}d attempt.
 
     {2 Determinism}
 
@@ -48,9 +50,8 @@
 type t
 (** A running session: manifest + resident worlds. *)
 
-val start : ?pool:Experiments.Worldpool.t -> Session.t -> (t, string) result
-(** Build every manifest world into the pool (a fresh one sized to the
-    manifest unless [pool] is given). [Error] on an unbuildable
+val start : Session.t -> (t, string) result
+(** Build every distinct manifest world once. [Error] on an unbuildable
     topology — a manifest error, like a parse failure. *)
 
 val session : t -> Session.t
@@ -74,15 +75,15 @@ val serve :
     {!Obs.Trace} enabled, emits one [trace/v1] run (probe-level events
     per evaluated query); with {!Obs.Metrics} enabled, absorbs
     per-query counters, session totals ([serve.*]) and the world
-    pool's construction counters ([worldpool.*]) into the global
-    registry. [jobs] defaults to {!Engine_par.Pool.default_jobs}. *)
+    construction counters into the global registry:
+    [worldpool.constructed] counts distinct worlds built,
+    [worldpool.hits] the manifest entries that shared one. [jobs] defaults to {!Engine_par.Pool.default_jobs}. *)
 
 val read_lines : in_channel -> unit -> string option
 (** A [read] function over a channel. *)
 
 val run :
   ?jobs:int ->
-  ?pool:Experiments.Worldpool.t ->
   Session.t ->
   read:(unit -> string option) ->
   write:(string -> unit) ->

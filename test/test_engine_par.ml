@@ -82,7 +82,7 @@ let test_invalid_arguments () =
     (fun () -> Engine_par.Pool.set_default_jobs 0)
 
 (* ------------------------------------------------------------------ *)
-(* Trial.run_par determinism                                           *)
+(* Trial.run determinism across job counts                            *)
 
 let cube = Topology.Hypercube.graph 5
 
@@ -103,7 +103,7 @@ let segment_spec ~p () =
 
 let check_jobs_invariant name ~seed ~trials ?max_attempts spec =
   let run jobs =
-    Experiments.Trial.run_par ~jobs
+    Experiments.Trial.run ~jobs
       (Prng.Stream.create seed)
       ~trials ?max_attempts spec
   in
@@ -117,7 +117,7 @@ let check_jobs_invariant name ~seed ~trials ?max_attempts spec =
         (Stdlib.compare reference (run jobs) = 0))
     [ 2; 3; 4; 7 ]
 
-let test_run_par_deterministic () =
+let test_run_jobs_invariant () =
   check_jobs_invariant "bfs p=0.7" ~seed:11L ~trials:10 (bfs_spec ~p:0.7 ());
   check_jobs_invariant "bfs p=0.5 rejections" ~seed:19L ~trials:12 (bfs_spec ~p:0.5 ());
   check_jobs_invariant "bfs p=0 exhausts" ~seed:13L ~trials:3 ~max_attempts:20
@@ -128,11 +128,11 @@ let test_run_par_deterministic () =
     (randomized_spec ~p:0.6 ());
   check_jobs_invariant "segment router" ~seed:22L ~trials:10 (segment_spec ~p:0.6 ())
 
-let test_run_par_matches_run () =
-  (* run (ambient default = 1 job) and run_par must agree. *)
+let test_run_default_jobs () =
+  (* run at the ambient default (1 job) and run ~jobs:4 must agree. *)
   let spec = bfs_spec ~p:0.6 () in
   let a = Experiments.Trial.run (Prng.Stream.create 31L) ~trials:8 spec in
-  let b = Experiments.Trial.run_par ~jobs:4 (Prng.Stream.create 31L) ~trials:8 spec in
+  let b = Experiments.Trial.run ~jobs:4 (Prng.Stream.create 31L) ~trials:8 spec in
   Alcotest.(check bool) "identical" true (Stdlib.compare a b = 0)
 
 let test_report_byte_identical () =
@@ -207,8 +207,8 @@ let () =
         ] );
       ( "determinism",
         [
-          case "run_par jobs-invariant" test_run_par_deterministic;
-          case "run = run_par" test_run_par_matches_run;
+          case "run_par jobs-invariant" test_run_jobs_invariant;
+          case "run = run_par" test_run_default_jobs;
           case "report byte-identical" test_report_byte_identical;
           case "threshold jobs-invariant" test_threshold_jobs_invariant;
           case "catalog jobs-invariant" test_catalog_run_all_jobs_invariant;

@@ -241,7 +241,7 @@ let bfs_spec ~p =
     (fun _rand ~source:_ ~target:_ -> Routing.Local_bfs.router)
 
 let run_trial ?jobs () =
-  Experiments.Trial.run_par ?jobs (Prng.Stream.create 17L) ~trials:6
+  Experiments.Trial.run ?jobs (Prng.Stream.create 17L) ~trials:6
     (bfs_spec ~p:0.7)
 
 let test_recoverable_plan_byte_identity_qcheck =
@@ -328,7 +328,7 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 (* A probe budget most conditioned routings exceed: its journal holds
    [Budget_exceeded] cells ("t": "b") next to the found ones. *)
 let run_budgeted_trial ?jobs () =
-  Experiments.Trial.run_par ?jobs (Prng.Stream.create 17L) ~trials:6
+  Experiments.Trial.run ?jobs (Prng.Stream.create 17L) ~trials:6
     (Experiments.Trial.spec ~budget:12 ~graph:cube ~p:0.7 ~source:0 ~target:31
        (fun _rand ~source:_ ~target:_ -> Routing.Local_bfs.router))
 
@@ -373,7 +373,7 @@ let test_checkpoint_key_isolation () =
   Experiments.Checkpoint.deconfigure ();
   configure_exn ~dir ~resume:true;
   let other =
-    Experiments.Trial.run_par ~jobs:1 (Prng.Stream.create 18L) ~trials:6
+    Experiments.Trial.run ~jobs:1 (Prng.Stream.create 18L) ~trials:6
       (bfs_spec ~p:0.7)
   in
   Alcotest.(check int) "different seed restores nothing" 0

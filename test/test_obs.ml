@@ -110,6 +110,95 @@ let test_ring_drop () =
            lines))
 
 (* ------------------------------------------------------------------ *)
+(* Observed units of work                                              *)
+
+let test_observe_off () =
+  let calls = ref 0 in
+  let o =
+    Obs.Trace.observe ~index:5 (fun () ->
+        incr calls;
+        Obs.Metrics.tick "never";
+        !calls)
+  in
+  Alcotest.(check int) "f ran once" 1 !calls;
+  Alcotest.(check int) "value" 1 o.Obs.Trace.value;
+  Alcotest.(check bool) "no record" true (o.Obs.Trace.record = None);
+  Alcotest.(check bool) "empty metrics" true
+    (Obs.Metrics.is_empty o.Obs.Trace.metrics)
+
+let test_observe_traced () =
+  with_tracing ignore @@ fun () ->
+  let o =
+    Obs.Trace.observe ~index:7 (fun () ->
+        Obs.Trace.emit (Obs.Trace.Accept { distance = 2; probes = 0 }))
+  in
+  match o.Obs.Trace.record with
+  | None -> Alcotest.fail "tracing on but no record"
+  | Some record ->
+      Alcotest.(check int) "index" 7 (Obs.Trace.record_index record);
+      (match Obs.Trace.record_events record with
+      | [ Obs.Trace.Attempt_start { index = 7 }; Obs.Trace.Accept _ ] -> ()
+      | _ -> Alcotest.fail "want attempt_start {7} then f's accept");
+      Alcotest.(check bool) "metrics off: empty" true
+        (Obs.Metrics.is_empty o.Obs.Trace.metrics)
+
+let test_observe_metered () =
+  with_metrics @@ fun () ->
+  Obs.Metrics.reset_global ();
+  let o =
+    Obs.Trace.observe ~index:1 (fun () ->
+        Obs.Metrics.tick "unit.ticks";
+        Obs.Metrics.tick "unit.ticks";
+        Obs.Metrics.record "unit.hist" 9)
+  in
+  Alcotest.(check int) "ticks captured" 2
+    (Obs.Metrics.counter o.Obs.Trace.metrics "unit.ticks");
+  Alcotest.(check int) "histogram captured" 1
+    (hist_count o.Obs.Trace.metrics "unit.hist");
+  Alcotest.(check bool) "tracing off: no record" true (o.Obs.Trace.record = None);
+  Alcotest.(check bool) "global registry untouched" true
+    (Obs.Metrics.is_empty (Obs.Metrics.global_snapshot ()))
+
+let test_write_run_replays () =
+  let buffer = Buffer.create 1024 in
+  with_tracing (Buffer.add_string buffer) @@ fun () ->
+  let attempt index terminal =
+    Obs.Trace.observe ~index (fun () ->
+        Obs.Trace.emit (Obs.Trace.Probe { u = 0; v = 1; open_ = true; fresh = true });
+        Obs.Trace.emit terminal)
+  in
+  let records =
+    List.filter_map
+      (fun o -> o.Obs.Trace.record)
+      [
+        attempt 1 (Obs.Trace.Reject { reason = Obs.Trace.Disconnected });
+        attempt 2 (Obs.Trace.Accept { distance = 1; probes = 1 });
+      ]
+  in
+  Obs.Trace.write_run
+    ~header:[ ("kind", Obs.Json.String "unit") ]
+    ~run_lines:[ Obs.Trace.fault_line ~chunk:0 ~attempt:1 ~kind:"crash" ]
+    ~attempts:2 ~accepted:1 records;
+  let lines =
+    List.filter (fun l -> l <> "") (String.split_on_char '\n' (Buffer.contents buffer))
+  in
+  match Obs.Trace.Replay.parse lines with
+  | Error e -> Alcotest.failf "write_run output does not parse: %s" e
+  | Ok runs ->
+      let v = Obs.Trace.Replay.check runs in
+      Alcotest.(check bool) "replays clean" true (Obs.Trace.Replay.ok v);
+      Alcotest.(check int) "one run" 1 v.Obs.Trace.Replay.runs;
+      Alcotest.(check int) "accepted checked" 1 v.Obs.Trace.Replay.checked;
+      (match runs with
+      | [ run ] ->
+          Alcotest.(check (option int)) "declared attempts" (Some 2)
+            run.Obs.Trace.Replay.declared_attempts;
+          Alcotest.(check (option int)) "declared accepted" (Some 1)
+            run.Obs.Trace.Replay.declared_accepted;
+          Alcotest.(check int) "fault line" 1 run.Obs.Trace.Replay.faults
+      | _ -> Alcotest.fail "want one run")
+
+(* ------------------------------------------------------------------ *)
 (* Trial tracing: jobs-invariance and replay                           *)
 
 let cube = Topology.Hypercube.graph 5
@@ -130,7 +219,7 @@ let traced_run ?(jobs = 1) ~seed ~trials spec =
   let buffer = Buffer.create 4096 in
   let result =
     with_tracing (Buffer.add_string buffer) @@ fun () ->
-    Experiments.Trial.run_par ~jobs (Prng.Stream.create seed) ~trials spec
+    Experiments.Trial.run ~jobs (Prng.Stream.create seed) ~trials spec
   in
   (result, Buffer.contents buffer)
 
@@ -270,7 +359,7 @@ let test_probe_known_uncounted () =
 let test_trial_metrics () =
   with_metrics @@ fun () ->
   let run jobs =
-    Experiments.Trial.run_par ~jobs
+    Experiments.Trial.run ~jobs
       (Prng.Stream.create 55L)
       ~trials:8 (bfs_spec ~p:0.6 ())
   in
@@ -300,7 +389,7 @@ let test_trial_metrics () =
 
 let test_metrics_off_empty () =
   let result =
-    Experiments.Trial.run_par ~jobs:2
+    Experiments.Trial.run ~jobs:2
       (Prng.Stream.create 55L)
       ~trials:4 (bfs_spec ~p:0.6 ())
   in
@@ -1317,6 +1406,10 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "ring drop" `Quick test_ring_drop;
+          Alcotest.test_case "observe off" `Quick test_observe_off;
+          Alcotest.test_case "observe traced" `Quick test_observe_traced;
+          Alcotest.test_case "observe metered" `Quick test_observe_metered;
+          Alcotest.test_case "write_run replays" `Quick test_write_run_replays;
           Alcotest.test_case "jobs invariant" `Quick test_trace_jobs_invariant;
           Alcotest.test_case "replay re-derives" `Quick test_trace_replay_rederives;
           Alcotest.test_case "query lifecycle spans" `Quick test_replay_qspans;

@@ -92,6 +92,26 @@ let test_world_symmetric () =
   G.iter_edges hypercube6 (fun u v ->
       Alcotest.(check bool) "symmetric" (P.World.is_open w u v) (P.World.is_open w v u))
 
+let test_world_prefilled_equals_fresh () =
+  (* Prefill materialises every open-adjacency row up front, as serve
+     does for its resident worlds; the world must read exactly as a
+     fresh one does. *)
+  let g = Topology.Hypercube.graph 4 in
+  let prefilled = P.World.create g ~p:0.37 ~seed:9L in
+  P.World.prefill prefilled;
+  let fresh = P.World.create g ~p:0.37 ~seed:9L in
+  G.iter_edges g (fun u v ->
+      Alcotest.(check bool)
+        (Printf.sprintf "edge %d-%d" u v)
+        (P.World.is_open fresh u v)
+        (P.World.is_open prefilled u v));
+  for v = 0 to g.G.vertex_count - 1 do
+    Alcotest.(check (array int))
+      (Printf.sprintf "row %d" v)
+      (P.World.open_neighbors fresh v)
+      (P.World.open_neighbors prefilled v)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Oracle                                                              *)
 
@@ -1418,6 +1438,7 @@ let () =
           case "open neighbors" test_world_open_neighbors;
           case "invalid p" test_world_invalid_p;
           case "symmetric" test_world_symmetric;
+          case "prefilled = fresh" test_world_prefilled_equals_fresh;
         ] );
       ( "oracle",
         [

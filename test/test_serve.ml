@@ -1,5 +1,5 @@
-(* Tests for the serve layer: session/v1 parsing and round-trips, the
-   world pool (memoisation, eviction, prefilled = lazy), query-protocol
+(* Tests for the serve layer: session/v1 parsing and round-trips,
+   world construction (each distinct world built once), query-protocol
    resilience (malformed lines answered, session survives), admission
    overflow, evidence/v1 round-trip + validation + claims, and the
    determinism contract: answer and evidence bytes identical for jobs
@@ -9,7 +9,6 @@ module S = Serve.Session
 module Q = Serve.Query
 module E = Serve.Evidence
 module Svc = Serve.Service
-module W = Experiments.Worldpool
 
 let world ?(wid = "w0") ?(topology = "hypercube:4") ?(p = 0.55) ?site_p
     ?(seed = 5L) () =
@@ -19,7 +18,7 @@ let session ?(name = "t") ?(seed = 7L) ?(queue = S.default_queue) ?max_queries
     ?reveal_limit ?(mix = []) worlds =
   { S.name; seed; worlds; limits = { S.queue; max_queries; reveal_limit }; mix }
 
-let run ?jobs ?pool sess lines =
+let run ?jobs sess lines =
   let remaining = ref lines in
   let read () =
     match !remaining with
@@ -29,7 +28,7 @@ let run ?jobs ?pool sess lines =
         Some l
   in
   let buffer = Buffer.create 256 in
-  match Svc.run ?jobs ?pool sess ~read ~write:(Buffer.add_string buffer) with
+  match Svc.run ?jobs sess ~read ~write:(Buffer.add_string buffer) with
   | Error e -> Alcotest.failf "serve failed to start: %s" e
   | Ok outcome -> (Buffer.contents buffer, outcome)
 
@@ -136,58 +135,6 @@ let test_session_rejects () =
        {"id": "w", "topology": "hypercube:4", "p": 0.5}], "query_mix": ["teleport"]}|}
 
 (* ------------------------------------------------------------------ *)
-(* Worldpool                                                           *)
-
-let hypercube4 () =
-  match Topology.Registry.of_spec "hypercube:4" with
-  | Ok spec ->
-      (Topology.Registry.build spec ~default_size:4
-         (Prng.Stream.create 0L))
-        .Topology.Registry.graph
-  | Error e -> Alcotest.fail e
-
-let test_worldpool_memoises () =
-  let g = hypercube4 () in
-  let pool = W.create () in
-  let w1 = W.get pool g ~p:0.5 ~seed:1L in
-  let w2 = W.get pool g ~p:0.5 ~seed:1L in
-  let w3 = W.get pool g ~p:0.5 ~seed:2L in
-  Alcotest.(check bool) "same key, same world" true (w1 == w2);
-  Alcotest.(check bool) "different seed, different world" true (w1 != w3);
-  let s = W.stats pool in
-  Alcotest.(check int) "constructed" 2 s.W.constructed;
-  Alcotest.(check int) "hits" 1 s.W.hits;
-  Alcotest.(check int) "resident" 2 s.W.resident;
-  (* site_p participates in the key. *)
-  let w4 = W.get ~site_p:0.9 pool g ~p:0.5 ~seed:1L in
-  Alcotest.(check bool) "site_p distinguishes" true (w1 != w4)
-
-let test_worldpool_eviction () =
-  let g = hypercube4 () in
-  let pool = W.create ~capacity:2 () in
-  let w1 = W.get pool g ~p:0.5 ~seed:1L in
-  ignore (W.get pool g ~p:0.5 ~seed:2L);
-  ignore (W.get pool g ~p:0.5 ~seed:3L);
-  let s = W.stats pool in
-  Alcotest.(check int) "evicted oldest" 1 s.W.evicted;
-  Alcotest.(check int) "capacity held" 2 s.W.resident;
-  (* The evicted key is rebuilt on demand — never a stale hit. *)
-  let w1' = W.get pool g ~p:0.5 ~seed:1L in
-  Alcotest.(check bool) "rebuilt after eviction" true (w1 != w1');
-  Alcotest.(check int) "rebuild counted" 4 (W.stats pool).W.constructed
-
-let test_worldpool_prefilled_equals_fresh () =
-  let g = hypercube4 () in
-  let pool = W.create () in
-  let pooled = W.get pool g ~p:0.37 ~seed:9L in
-  let fresh = Percolation.World.create g ~p:0.37 ~seed:9L in
-  Topology.Graph.fold_edges g ~init:() ~f:(fun () u v ->
-      Alcotest.(check bool)
-        (Printf.sprintf "edge %d-%d" u v)
-        (Percolation.World.is_open fresh u v)
-        (Percolation.World.is_open pooled u v))
-
-(* ------------------------------------------------------------------ *)
 (* Service: protocol resilience and accounting                         *)
 
 let test_malformed_lines_survive () =
@@ -262,34 +209,70 @@ let test_overflow_reports () =
     [ "serve:t/overflow" ]
     (List.map (fun c -> c.Experiments.Claim.id) failed)
 
+(* Run [lines] with metrics armed and return the evidence plus the
+   session's [worldpool.*] counters (constructed, hits). *)
+let run_counting sess lines =
+  Obs.Metrics.reset_global ();
+  Obs.Metrics.enable ();
+  let _, { Svc.evidence; _ } =
+    Fun.protect ~finally:Obs.Metrics.disable (fun () -> run sess lines)
+  in
+  let counters = Obs.Metrics.global_snapshot () in
+  Obs.Metrics.reset_global ();
+  ( evidence,
+    ( Obs.Metrics.counter counters "worldpool.constructed",
+      Obs.Metrics.counter counters "worldpool.hits" ) )
+
 let test_constructed_once_and_shared () =
   (* Two ids over the same (topology, p, seed) triple: one construction,
-     one pool hit; a third distinct world constructs again. *)
+     one hit; a third distinct world constructs again, and so does one
+     that differs only in site_p. *)
   let sess =
     session
       [
         world ~wid:"a" ();
         world ~wid:"b" ();
         world ~wid:"c" ~seed:77L ();
+        world ~wid:"d" ~site_p:0.9 ();
       ]
   in
-  let pool = W.create () in
   let q wid i =
     Printf.sprintf
       {|{"id": %d, "op": "route", "world": %S, "source": 0, "target": 15}|} i
       wid
   in
-  let _, { Svc.evidence; _ } =
-    run ~pool sess [ q "a" 1; q "b" 2; q "c" 3; q "a" 4 ]
+  let evidence, (constructed, hits) =
+    run_counting sess [ q "a" 1; q "b" 2; q "c" 3; q "a" 4 ]
   in
   let row wid = List.find (fun r -> r.E.wid = wid) evidence.E.worlds in
   Alcotest.(check int) "a constructed" 1 (row "a").E.constructed;
   Alcotest.(check int) "b shares a's world" 0 (row "b").E.constructed;
   Alcotest.(check int) "c constructed" 1 (row "c").E.constructed;
+  Alcotest.(check int) "site_p distinguishes" 1 (row "d").E.constructed;
   Alcotest.(check int) "a answered twice" 2 (row "a").E.queries;
-  let s = W.stats pool in
-  Alcotest.(check int) "pool constructed" 2 s.W.constructed;
-  Alcotest.(check int) "pool hit for b" 1 s.W.hits
+  Alcotest.(check int) "worlds constructed" 3 constructed;
+  Alcotest.(check int) "hit for b" 1 hits
+
+let test_lazy_world_shared () =
+  (* hypercube:22 is over the cache gate, so its world is lazy; two
+     entries naming it still share one construction. *)
+  let sess =
+    session
+      [
+        world ~wid:"x" ~topology:"hypercube:22" ();
+        world ~wid:"y" ~topology:"hypercube:22" ();
+      ]
+  in
+  let evidence, (constructed, hits) =
+    run_counting sess
+      [ {|{"id": 1, "op": "reveal", "world": "y", "source": 0, "target": 1}|} ]
+  in
+  let row wid = List.find (fun r -> r.E.wid = wid) evidence.E.worlds in
+  Alcotest.(check int) "x constructed" 1 (row "x").E.constructed;
+  Alcotest.(check int) "y shares x's world" 0 (row "y").E.constructed;
+  Alcotest.(check int) "y answered" 1 (row "y").E.queries;
+  Alcotest.(check int) "one construction" 1 constructed;
+  Alcotest.(check int) "one hit" 1 hits
 
 let test_stats_independent_of_capacity () =
   let mk queue = session ~queue [ world ~p:1.0 () ] in
@@ -570,13 +553,6 @@ let () =
           Alcotest.test_case "defaults" `Quick test_session_defaults;
           Alcotest.test_case "rejections" `Quick test_session_rejects;
         ] );
-      ( "worldpool",
-        [
-          Alcotest.test_case "memoises" `Quick test_worldpool_memoises;
-          Alcotest.test_case "eviction" `Quick test_worldpool_eviction;
-          Alcotest.test_case "prefilled = fresh" `Quick
-            test_worldpool_prefilled_equals_fresh;
-        ] );
       ( "service",
         [
           Alcotest.test_case "malformed lines survive" `Quick
@@ -586,6 +562,7 @@ let () =
           Alcotest.test_case "overflow reported" `Quick test_overflow_reports;
           Alcotest.test_case "worlds constructed once" `Quick
             test_constructed_once_and_shared;
+          Alcotest.test_case "lazy world shared" `Quick test_lazy_world_shared;
           Alcotest.test_case "stats capacity-independent" `Quick
             test_stats_independent_of_capacity;
           Alcotest.test_case "route on full world" `Quick
