@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke smoke chaos-smoke churn-smoke serve-smoke obs-smoke check-claims update-baseline update-baseline-full ci clean
+.PHONY: all build test bench bench-smoke smoke chaos-smoke churn-smoke serve-smoke obs-smoke check-claims update-baseline update-baseline-full full-timing ci clean
 
 all: build
 
@@ -297,6 +297,39 @@ update-baseline:
 
 update-baseline-full:
 	dune exec bin/faultroute.exe -- check --update
+
+# Full-mode wall time, which perfbench does not cover yet; kept out of
+# ci because each run takes tens of seconds. Runs full `all --jobs 2`
+# N times (default 3) with this tree's binary and, when given
+# PARENT=path/to/faultroute.exe, with that binary too, alternating
+# which goes first in each round. Every run's stdout must cmp equal to
+# the first run's; then each side's wall times (seconds, from the
+# shell's clock) and their median are printed.
+N ?= 3
+PARENT ?=
+full-timing:
+	mkdir -p artifacts
+	dune build bin/faultroute.exe
+	if [ -n "$(PARENT)" ]; then test -x "$(PARENT)" || { echo "PARENT=$(PARENT): not an executable"; exit 1; }; fi
+	rm -f artifacts/TIMING_first.txt artifacts/TIMING_times.txt
+	@for i in $$(seq 1 $(N)); do \
+	  if [ -z "$(PARENT)" ]; then order=tree; elif [ $$((i % 2)) -eq 1 ]; then order="parent tree"; else order="tree parent"; fi; \
+	  for side in $$order; do \
+	    if [ $$side = tree ]; then bin=./_build/default/bin/faultroute.exe; else bin="$(PARENT)"; fi; \
+	    t0=$$(date +%s.%N); \
+	    $$bin all --jobs 2 > artifacts/TIMING_out.txt || { echo "$$side run $$i failed"; exit 1; }; \
+	    t1=$$(date +%s.%N); \
+	    if [ -f artifacts/TIMING_first.txt ]; then \
+	      cmp artifacts/TIMING_first.txt artifacts/TIMING_out.txt || { echo "$$side run $$i: output differs"; exit 1; }; \
+	    else mv artifacts/TIMING_out.txt artifacts/TIMING_first.txt; fi; \
+	    echo "$$side $$t0 $$t1" >> artifacts/TIMING_times.txt; \
+	  done; \
+	done
+	@awk '{ t[$$1] = t[$$1] " " sprintf("%.2f", $$3 - $$2) } \
+	  END { for (side in t) { n = split(substr(t[side], 2), v, " "); \
+	    for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] + 0 > v[j] + 0; j--) { x = v[j]; v[j] = v[j - 1]; v[j - 1] = x } \
+	    median = (n % 2) ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2; \
+	    printf "%s: runs%s s, median %.2f s\n", side, t[side], median } }' artifacts/TIMING_times.txt
 
 ci: build test smoke chaos-smoke churn-smoke serve-smoke obs-smoke check-claims
 

@@ -38,10 +38,6 @@ val set_default_jobs : int -> unit
 (** Set the ambient job count.
     @raise Invalid_argument if the argument is not positive. *)
 
-val in_worker : unit -> bool
-(** Whether the current domain is executing a pool task (used to run
-    nested parallel calls inline). *)
-
 val collect_prefix :
   ?jobs:int -> limit:int -> until:('a -> bool) -> (int -> 'a) -> 'a array
 (** [collect_prefix ~jobs ~limit ~until work] computes [work i] for a

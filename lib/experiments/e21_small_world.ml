@@ -34,8 +34,12 @@ let run ?(quick = false) stream =
           let greedy_hops = ref Stats.Summary.empty in
           let true_distance = ref Stats.Summary.empty in
           for g = 1 to graphs_per_cell do
-            let graph =
+            let build () =
               Topology.Small_world.graph (Prng.Stream.split substream g) ~m ~r
+            in
+            let graph =
+              if Obs.Timing.on () then Obs.Timing.span "topology.build" build
+              else build ()
             in
             (* Fault-free world: this experiment isolates findability. *)
             let world = Percolation.World.create graph ~p:1.0 ~seed:1L in

@@ -17,10 +17,6 @@ let make ?(seed = 0L) ~fail ~repair () =
   validate_rate "repair" repair;
   { fail; repair; seed }
 
-let fail_rate t = t.fail
-let repair_rate t = t.repair
-let plan_seed t = t.seed
-
 let describe t =
   Printf.sprintf "fail=%g,repair=%g,seed=%Ld" t.fail t.repair t.seed
 

@@ -25,10 +25,6 @@ val make : ?seed:int64 -> fail:float -> repair:float -> unit -> plan
     [[0, 1]]. [fail = 0.] means no churn; [repair = 0.] means a failed
     link never recovers. *)
 
-val fail_rate : plan -> float
-val repair_rate : plan -> float
-val plan_seed : plan -> int64
-
 val describe : plan -> string
 (** The compact spec form, e.g. ["fail=0.05,repair=0.3,seed=7"]. *)
 

@@ -20,7 +20,7 @@ let sink : (string -> unit) ref =
   ref (fun line ->
       output_string stderr line;
       flush stderr)
-let interval = ref 1.0
+let interval_s = 1.0
 let last_beat = ref neg_infinity
 
 (* Heartbeats are numbered 1, 2, 3, ... per enable/reset. The counter
@@ -51,7 +51,6 @@ let reset () =
       seq := 0)
 
 let set_sink f = locked (fun () -> sink := f)
-let set_interval s = locked (fun () -> interval := Float.max 0.01 s)
 
 let gauge_cell name =
   match Hashtbl.find_opt cells name with
@@ -167,7 +166,7 @@ let heartbeat ?extra () =
 let maybe_heartbeat ?extra () =
   if on () then begin
     let due =
-      locked (fun () -> Unix.gettimeofday () -. !last_beat >= !interval)
+      locked (fun () -> Unix.gettimeofday () -. !last_beat >= interval_s)
     in
     if due then heartbeat ?extra ()
   end

@@ -70,10 +70,6 @@ val to_json_line : ?seq:int -> ?extra:(string * Json.t) list -> view -> string
 val set_sink : (string -> unit) -> unit
 (** Where heartbeat lines go; default writes to stderr. *)
 
-val set_interval : float -> unit
-(** Minimum seconds between {!maybe_heartbeat} emissions (default 1.0,
-    floor 0.01). *)
-
 val heartbeat : ?extra:(string * Json.t) list -> unit -> unit
 (** Emit a snapshot line to the sink now (when enabled). Each emitted
     line carries a monotonic [seq] field (1, 2, 3, ... per
@@ -82,5 +78,5 @@ val heartbeat : ?extra:(string * Json.t) list -> unit -> unit
     flag such gaps. *)
 
 val maybe_heartbeat : ?extra:(string * Json.t) list -> unit -> unit
-(** Emit only if at least the configured interval has passed since the
-    last emission — cheap enough to call once per batch. *)
+(** Emit only if at least a second has passed since the last
+    emission — cheap enough to call once per batch. *)

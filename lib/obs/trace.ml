@@ -501,11 +501,6 @@ module Replay = struct
     in
     loop { done_runs = []; current = None; open_attempt = None } 1 lines
 
-  let derived_accept_probes run =
-    List.filter_map
-      (fun a -> match a.outcome with `Accept _ -> Some a.fresh_probes | _ -> None)
-      run.attempts
-
   (* Per-query lifecycle audit: stages of a query must appear in
      strictly increasing admit < enqueue < execute < tally order (each
      at most once, later stages may be skipped — a stats query goes

@@ -227,11 +227,6 @@ module Replay : sig
       Errors on malformed JSON, unknown [ev], or events outside a
       run. *)
 
-  val derived_accept_probes : run -> int list
-  (** The derived distinct-probe count of each accepted attempt, in
-      attempt order — the multiset a report's probe statistics were
-      computed from. *)
-
   type verdict = {
     runs : int;
     attempts : int;

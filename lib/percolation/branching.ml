@@ -1,8 +1,6 @@
 let check_p p =
   if not (p >= 0.0 && p <= 1.0) then invalid_arg "Branching: p outside [0,1]"
 
-let critical_p = 0.5
-
 let survival_to_depth ~p k =
   check_p p;
   if k < 0 then invalid_arg "Branching.survival_to_depth: negative depth";

@@ -55,10 +55,6 @@ val double_tree_connection : p:float -> n:int -> float
 (** Lemma 6 quantity: [Pr\[x ~ y\]] in [TT_{n,p}] — survival to depth
     [n] of the binary process with per-child parameter [p²]. *)
 
-val critical_p : float
-(** [1/2], the critical parameter of the binary process; the double
-    tree's edge threshold is its square root, [1/√2]. *)
-
 val sample_progeny :
   Prng.Stream.t -> p:float -> max_nodes:int -> [ `Extinct of int | `Truncated ]
 (** [sample_progeny stream ~p ~max_nodes] simulates one process until

@@ -287,18 +287,21 @@ let pad_to_budget stream graph ~budget edges =
 let sample stream graph model ~budget =
   if budget < 0 then invalid_arg "Scenario.sample: negative budget";
   validate_model graph model;
-  let raw =
-    match model with
-    | Random -> []
-    | Ball { centers } -> sample_balls stream graph ~centers ~budget
-    | Infection -> sample_infection stream graph ~budget
-    | Blast { decay } -> sample_blast stream graph ~decay ~budget
-    | Around { vertex } -> ball_edges graph vertex ~limit:budget
-    | Min_cut { source; target } ->
-        Topology.Mincut.min_cut graph ~source ~sink:target
+  let draw () =
+    let raw =
+      match model with
+      | Random -> []
+      | Ball { centers } -> sample_balls stream graph ~centers ~budget
+      | Infection -> sample_infection stream graph ~budget
+      | Blast { decay } -> sample_blast stream graph ~decay ~budget
+      | Around { vertex } -> ball_edges graph vertex ~limit:budget
+      | Min_cut { source; target } ->
+          Topology.Mincut.min_cut graph ~source ~sink:target
+    in
+    (* Random is pure padding; the clustered models fall back to random
+       padding only in degenerate graphs, and a min cut smaller than the
+       budget is topped up once the pair is already cut, keeping the
+       budget exact. *)
+    pad_to_budget stream graph ~budget raw
   in
-  (* Random is pure padding; the clustered models fall back to random
-     padding only in degenerate graphs, and a min cut smaller than the
-     budget is topped up once the pair is already cut, keeping the
-     budget exact. *)
-  pad_to_budget stream graph ~budget raw
+  if Obs.Timing.on () then Obs.Timing.span "scenario.sample" draw else draw ()

@@ -85,9 +85,14 @@ let site_cache_of graph ~seed ~site_p =
       Prng.Coin.bernoulli_fill ~seed:(site_seed seed) ~p:sp v_alive ~count:n;
       Some { v_alive }
 
+(* Construction (coin fill, CSR lookup, row and arena allocation) is the
+   [world.build] span: the time a trial spends before its first probe. *)
+let timed_build build =
+  if Obs.Timing.on () then Obs.Timing.span "world.build" build else build ()
+
 let create ?site_p ?(cache = true) graph ~p ~seed =
   check_probabilities ~who:"create" ~p ~site_p;
-  let cache =
+  let build () =
     if cache && fits_gate graph then begin
       let e_coin = bitset graph.Topology.Graph.edge_id_bound in
       Prng.Coin.bernoulli_fill ~seed ~p e_coin
@@ -96,7 +101,7 @@ let create ?site_p ?(cache = true) graph ~p ~seed =
     end
     else None
   in
-  { graph; p; seed; removed = None; site_p; cache }
+  { graph; p; seed; removed = None; site_p; cache = timed_build build }
 
 let of_uniforms ?site_uniforms ?site_p graph ~p ~seed ~uniforms =
   check_probabilities ~who:"of_uniforms" ~p ~site_p;
@@ -105,32 +110,28 @@ let of_uniforms ?site_uniforms ?site_p graph ~p ~seed ~uniforms =
   if Array.length uniforms <> graph.Topology.Graph.edge_id_bound then
     invalid_arg "World.of_uniforms: need one uniform per edge id";
   let n = graph.Topology.Graph.vertex_count in
-  let e_coin = bitset graph.Topology.Graph.edge_id_bound in
   let bit_set b i =
     let j = i lsr 3 in
     Bytes.unsafe_set b j
       (Char.unsafe_chr (Char.code (Bytes.unsafe_get b j) lor (1 lsl (i land 7))))
   in
-  Array.iteri (fun id u -> if u < p then bit_set e_coin id) uniforms;
-  let site =
-    match (site_p, site_uniforms) with
-    | None, _ -> None
-    | Some sp, Some su ->
-        if Array.length su <> n then
-          invalid_arg "World.of_uniforms: need one site uniform per vertex";
-        let v_alive = bitset n in
-        Array.iteri (fun v u -> if u < sp then bit_set v_alive v) su;
-        Some { v_alive }
-    | Some _, None -> site_cache_of graph ~seed ~site_p
+  let build () =
+    let e_coin = bitset graph.Topology.Graph.edge_id_bound in
+    Array.iteri (fun id u -> if u < p then bit_set e_coin id) uniforms;
+    let site =
+      match (site_p, site_uniforms) with
+      | None, _ -> None
+      | Some sp, Some su ->
+          if Array.length su <> n then
+            invalid_arg "World.of_uniforms: need one site uniform per vertex";
+          let v_alive = bitset n in
+          Array.iteri (fun v u -> if u < sp then bit_set v_alive v) su;
+          Some { v_alive }
+      | Some _, None -> site_cache_of graph ~seed ~site_p
+    in
+    Some (make_cache graph ~e_coin ~site)
   in
-  {
-    graph;
-    p;
-    seed;
-    removed = None;
-    site_p;
-    cache = Some (make_cache graph ~e_coin ~site);
-  }
+  { graph; p; seed; removed = None; site_p; cache = timed_build build }
 
 let cached t = t.cache <> None
 let graph t = t.graph

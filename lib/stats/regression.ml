@@ -115,10 +115,6 @@ let exponential_ci stream ?replicates ?confidence points =
   in
   bootstrap_ci stream ?replicates ?confidence ~fit_of:linear transformed
 
-let pp_slope_ci ppf c =
-  Format.fprintf ppf "slope=%.4f CI%.0f%%=[%.4f, %.4f] (B=%d)" c.fit.slope
-    (c.confidence *. 100.0) c.lo c.hi c.replicates
-
 let pp ppf fit =
   Format.fprintf ppf "slope=%.4f intercept=%.4f R\xc2\xb2=%.4f (n=%d)" fit.slope
     fit.intercept fit.r_squared fit.n

@@ -80,8 +80,5 @@ val exponential_ci :
     [y = C·exp(slope·x)].
     @raise Invalid_argument if any [y] is non-positive. *)
 
-val pp_slope_ci : Format.formatter -> slope_ci -> unit
-(** Prints ["slope=… CI95%=[…, …] (B=…)"]. *)
-
 val pp : Format.formatter -> fit -> unit
 (** Prints ["slope=… intercept=… R²=… (n=…)"]. *)

@@ -3,18 +3,14 @@ type align = Left | Right
 type t = {
   headers : string list;
   rows : string list list; (* newest first *)
-  forced_align : (int * align) list;
 }
 
-let create ~headers = { headers; rows = []; forced_align = [] }
+let create ~headers = { headers; rows = [] }
 
 let add_row t cells =
   if List.length cells <> List.length t.headers then
     invalid_arg "Table.add_row: arity mismatch with headers";
   { t with rows = cells :: t.rows }
-
-let add_rows t rows = List.fold_left add_row t rows
-let set_align t i a = { t with forced_align = (i, a) :: t.forced_align }
 
 let looks_numeric cell =
   cell <> ""
@@ -22,10 +18,7 @@ let looks_numeric cell =
        (fun c -> (c >= '0' && c <= '9') || List.mem c [ '.'; '-'; '+'; 'e'; 'E'; '%'; '/' ])
        cell
 
-let column_align t i cells =
-  match List.assoc_opt i t.forced_align with
-  | Some a -> a
-  | None -> if List.for_all looks_numeric cells then Right else Left
+let column_align cells = if List.for_all looks_numeric cells then Right else Left
 
 let render t =
   let rows = List.rev t.rows in
@@ -39,7 +32,7 @@ let render t =
           rows)
   in
   let aligns =
-    List.init columns (fun i -> column_align t i (List.map (fun row -> cell row i) rows))
+    List.init columns (fun i -> column_align (List.map (fun row -> cell row i) rows))
   in
   let pad width align s =
     let gap = width - String.length s in

@@ -1,22 +1,15 @@
 (** Column-aligned plain-text tables for experiment reports. *)
 
-type align = Left | Right
-
 type t
 (** A table under construction. *)
 
 val create : headers:string list -> t
 (** [create ~headers] starts a table. All rows must match the header
-    arity. Numeric-looking columns default to right alignment. *)
+    arity. Numeric-looking columns are right-aligned, the rest left. *)
 
 val add_row : t -> string list -> t
 (** [add_row t cells] appends a row.
     @raise Invalid_argument if the arity differs from the headers. *)
-
-val add_rows : t -> string list list -> t
-
-val set_align : t -> int -> align -> t
-(** [set_align t i a] forces column [i]'s alignment. *)
 
 val render : t -> string
 (** Renders with a header rule, e.g.:

@@ -1,98 +1,97 @@
-(* Residual representation for unit-capacity undirected graphs: each
-   undirected edge may carry one unit of flow in one direction. We store
-   the flow direction (if any) per canonical edge id. An arc u->v is
-   usable iff the edge currently carries no flow, or carries flow v->u
-   (cancelling). *)
+(* Edmonds–Karp for unit-capacity undirected graphs, over the graph's
+   shared {!Csr} rows. Each undirected edge carries at most one unit of
+   flow, one way: [flow.(id)] is the vertex that unit points at, or -1.
+   An arc u->v is usable iff its edge carries no flow, or carries flow
+   v->u (which the arc cancels). The BFS state is flat arrays reused by
+   every augmentation. *)
 
 type residual = {
-  graph : Graph.t;
-  flow : (int, int) Hashtbl.t; (* edge id -> vertex the flow points AT *)
+  csr : Csr.t;
+  flow : int array;
+  pred : int array;  (* BFS predecessor; -1 unreached, the source its own *)
+  via : int array;  (* edge id of the arc that reached each vertex *)
+  queue : int array;
 }
 
-let arc_usable r u v =
-  let id = r.graph.Graph.edge_id u v in
-  match Hashtbl.find_opt r.flow id with
-  | None -> true
-  | Some toward -> toward = u (* cancelling an opposite unit *)
-
-let push_arc r u v =
-  let id = r.graph.Graph.edge_id u v in
-  match Hashtbl.find_opt r.flow id with
-  | None -> Hashtbl.replace r.flow id v
-  | Some toward ->
-      if toward = u then Hashtbl.remove r.flow id
-      else invalid_arg "Mincut.push_arc: arc saturated"
-
-(* BFS for an augmenting path in the residual graph. *)
-let augmenting_path r ~source ~sink =
-  let predecessor = Hashtbl.create 64 in
-  Hashtbl.replace predecessor source source;
-  let queue = Queue.create () in
-  Queue.push source queue;
-  let found = ref false in
-  while (not !found) && not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    Array.iter
-      (fun v ->
-        if (not (Hashtbl.mem predecessor v)) && arc_usable r u v then begin
-          Hashtbl.replace predecessor v u;
-          if v = sink then found := true else Queue.push v queue
-        end)
-      (r.graph.Graph.neighbors u)
+(* Breadth-first search over usable arcs from [source] until [sink] is
+   reached or the frontier empties. Rows are walked in slot order, the
+   order [neighbors] returns, so the paths found (and the cut below) are
+   those of a search over [neighbors]. Afterwards [pred] marks every
+   reached vertex: after a failed search, the whole source side of the
+   residual graph. *)
+let search r ~source ~sink =
+  let { Csr.xadj; targets; edge_ids } = r.csr in
+  Array.fill r.pred 0 (Array.length r.pred) (-1);
+  r.pred.(source) <- source;
+  r.queue.(0) <- source;
+  let head = ref 0 and tail = ref 1 and found = ref false in
+  while (not !found) && !head < !tail do
+    let u = r.queue.(!head) in
+    incr head;
+    for i = xadj.(u) to xadj.(u + 1) - 1 do
+      let v = targets.(i) and id = edge_ids.(i) in
+      let toward = r.flow.(id) in
+      if r.pred.(v) < 0 && (toward < 0 || toward = u) then begin
+        r.pred.(v) <- u;
+        r.via.(v) <- id;
+        if v = sink then found := true
+        else begin
+          r.queue.(!tail) <- v;
+          incr tail
+        end
+      end
+    done
   done;
-  if not !found then None
-  else begin
-    let rec walk v acc =
-      let prev = Hashtbl.find predecessor v in
-      if prev = v then v :: acc else walk prev (v :: acc)
-    in
-    Some (walk sink [])
-  end
+  !found
+
+(* Push one unit along the path [search] found: an arc onto a free edge
+   claims it, an arc against existing flow cancels that flow. *)
+let augment r ~source ~sink =
+  let v = ref sink in
+  while !v <> source do
+    let id = r.via.(!v) in
+    r.flow.(id) <- (if r.flow.(id) < 0 then !v else -1);
+    v := r.pred.(!v)
+  done
 
 let solve g ~source ~sink =
   Graph.check_vertex g source;
   Graph.check_vertex g sink;
   if source = sink then invalid_arg "Mincut: source = sink";
-  let r = { graph = g; flow = Hashtbl.create 256 } in
-  let value = ref 0 in
-  let rec augment () =
-    match augmenting_path r ~source ~sink with
-    | None -> ()
-    | Some path ->
-        let rec push = function
-          | u :: (v :: _ as rest) ->
-              push_arc r u v;
-              push rest
-          | [ _ ] | [] -> ()
-        in
-        push path;
-        incr value;
-        augment ()
+  let n = g.Graph.vertex_count in
+  let r =
+    {
+      csr = Csr.of_graph g;
+      flow = Array.make g.Graph.edge_id_bound (-1);
+      pred = Array.make n (-1);
+      via = Array.make n 0;
+      queue = Array.make n 0;
+    }
   in
-  augment ();
+  let value = ref 0 in
+  while search r ~source ~sink do
+    augment r ~source ~sink;
+    incr value
+  done;
   (r, !value)
 
 let max_flow g ~source ~sink = snd (solve g ~source ~sink)
 
 let min_cut g ~source ~sink =
   let r, _ = solve g ~source ~sink in
-  (* Source side = vertices reachable in the final residual graph. *)
-  let side = Hashtbl.create 64 in
-  Hashtbl.replace side source ();
-  let queue = Queue.create () in
-  Queue.push source queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    Array.iter
-      (fun v ->
-        if (not (Hashtbl.mem side v)) && arc_usable r u v then begin
-          Hashtbl.replace side v ();
-          Queue.push v queue
-        end)
-      (g.Graph.neighbors u)
+  (* The last search failed, so [pred] marks the source side. Edges are
+     listed in [Graph.fold_edges] order: u ascending, each row in slot
+     order, u < v, prepended. *)
+  let { Csr.xadj; targets; _ } = r.csr in
+  let cut = ref [] in
+  for u = 0 to g.Graph.vertex_count - 1 do
+    for i = xadj.(u) to xadj.(u + 1) - 1 do
+      let v = targets.(i) in
+      if u < v then begin
+        let u_in = r.pred.(u) >= 0 and v_in = r.pred.(v) >= 0 in
+        if u_in && not v_in then cut := (u, v) :: !cut
+        else if v_in && not u_in then cut := (v, u) :: !cut
+      end
+    done
   done;
-  Graph.fold_edges g ~init:[] ~f:(fun acc u v ->
-      let u_in = Hashtbl.mem side u and v_in = Hashtbl.mem side v in
-      if u_in && not v_in then (u, v) :: acc
-      else if v_in && not u_in then (v, u) :: acc
-      else acc)
+  !cut

@@ -6,7 +6,8 @@
     few edges a minimum cut identifies, while random faults must hit the
     same cut by luck. This module computes [s–t] edge connectivity and
     extracts a minimum cut on any implicit {!Graph.t} small enough to
-    enumerate. *)
+    enumerate. It searches the graph's shared {!Csr} rows
+    ({!Csr.of_graph}), so repeated cuts on one graph build them once. *)
 
 val max_flow : Graph.t -> source:int -> sink:int -> int
 (** [max_flow g ~source ~sink] is the maximum number of edge-disjoint

@@ -1,34 +1,54 @@
 let l1 ~m u v = Mesh.l1_distance ~d:2 ~m u v
 
 (* Draw one long-range contact for [u]: probability of [v] proportional
-   to d(u,v)^-r. Cumulative scan over all vertices; O(V) per node. *)
-let draw_contact stream ~m ~r ~size u =
-  let weight v =
-    if v = u then 0.0 else float_of_int (l1 ~m u v) ** -.r
-  in
+   to d(u,v)^-r. [weights.(d)] holds d^-r for every grid distance d,
+   with 0 at d = 0 so that [u] never draws itself. Two passes over all
+   vertices in index order (v = y·m + x), tracking grid coordinates as
+   they go: one sums the weights, the other scans the running sum up to
+   the drawn target. Table entries are the same [**] values, summed in
+   the same order, so the draw does not depend on the table. *)
+let draw_contact stream ~m ~weights u =
+  let size = m * m in
+  let ux = u mod m and uy = u / m in
   let total = ref 0.0 in
-  for v = 0 to size - 1 do
-    total := !total +. weight v
+  for y = 0 to m - 1 do
+    let dy = abs (y - uy) in
+    for x = 0 to m - 1 do
+      total := !total +. Array.unsafe_get weights (dy + abs (x - ux))
+    done
   done;
   let target = Prng.Stream.float_unit stream *. !total in
-  let rec scan v acc =
-    if v >= size - 1 then size - 1
+  (* The first vertex other than [u] where the running sum reaches the
+     target; the last vertex if none before it does. *)
+  let contact = ref (-1) in
+  let v = ref 0 and x = ref 0 and y = ref 0 and acc = ref 0.0 in
+  while !contact < 0 do
+    if !v >= size - 1 then contact := size - 1
     else begin
-      let acc = acc +. weight v in
-      if acc >= target && v <> u then v else scan (v + 1) acc
+      acc := !acc +. Array.unsafe_get weights (abs (!x - ux) + abs (!y - uy));
+      if !acc >= target && !v <> u then contact := !v
+      else begin
+        incr v;
+        if !x = m - 1 then begin
+          x := 0;
+          incr y
+        end
+        else incr x
+      end
     end
-  in
-  (* Ensure we never return u itself: weight u = 0 so acc does not move
-     at u; the guard [v <> u] skips it. *)
-  let contact = scan 0 0.0 in
-  if contact = u then (u + 1) mod size else contact
+  done;
+  (* Only the last vertex can fall back onto itself. *)
+  if !contact = u then (u + 1) mod size else !contact
 
 let create stream ~m ~r =
   if m < 3 then invalid_arg "Small_world.create: need m >= 3";
   if r < 0.0 then invalid_arg "Small_world.create: need r >= 0";
   let base = Mesh.graph ~d:2 ~m in
   let size = base.Graph.vertex_count in
-  let contact = Array.init size (fun u -> draw_contact stream ~m ~r ~size u) in
+  let weights =
+    Array.init ((2 * m) - 1) (fun d -> if d = 0 then 0.0 else float_of_int d ** -.r)
+  in
+  let contact = Array.init size (fun u -> draw_contact stream ~m ~weights u) in
   (* Reverse index: who points at v. *)
   let reverse = Array.make size [] in
   Array.iteri (fun u c -> reverse.(c) <- u :: reverse.(c)) contact;

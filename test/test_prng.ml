@@ -257,6 +257,58 @@ let test_derive_distinct () =
     Hashtbl.replace seen derived ()
   done
 
+let bit_of bits i = Char.code (Bytes.get bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+(* [bernoulli_fill] at the exact coin boundaries. The coin is [u < p],
+   so at p = u the edge is closed, one ulp above it is open and one ulp
+   below it is closed. For u < 1/2 an ulp is below 2^-53, so at
+   p = succ u the product p·2^53 falls strictly between two integers:
+   a fill that rounds its threshold down disagrees with the per-id coin
+   there, and one that compares with [<=] disagrees at p = u. Random p
+   never lands on a boundary, so the property test cannot tell those
+   fills apart. Every case also checks OR semantics and the bits past
+   [count]. *)
+let test_coin_fill_boundaries () =
+  let seed = 0x5EEDL in
+  let check_fill ~p ~count ~len ~preset =
+    let bits = Bytes.init len (fun j -> Char.chr (preset j)) in
+    let before = Bytes.copy bits in
+    Prng.Coin.bernoulli_fill ~seed ~p bits ~count;
+    for i = 0 to (8 * len) - 1 do
+      let want =
+        bit_of before i || (i < count && Prng.Coin.bernoulli ~seed ~p i)
+      in
+      if bit_of bits i <> want then
+        Alcotest.failf "p=%h count=%d len=%d: bit %d is %b" p count len i
+          (not want)
+    done
+  in
+  let below_half = ref 0 in
+  for id = 0 to 63 do
+    let u = Prng.Coin.uniform ~seed id in
+    if u < 0.5 then incr below_half;
+    Alcotest.(check bool) "closed at p = u" false (Prng.Coin.bernoulli ~seed ~p:u id);
+    Alcotest.(check bool) "open at succ u" true
+      (Prng.Coin.bernoulli ~seed ~p:(Float.succ u) id);
+    Alcotest.(check bool) "closed at pred u" false
+      (Prng.Coin.bernoulli ~seed ~p:(Float.pred u) id);
+    List.iter
+      (fun p ->
+        check_fill ~p ~count:(id + 1) ~len:((id / 8) + 2) ~preset:(fun _ -> 0))
+      [ u; Float.succ u; Float.pred u ]
+  done;
+  Alcotest.(check bool) "some uniforms below 1/2" true (!below_half >= 8);
+  let presets = [ (fun _ -> 0); (fun _ -> 0xA5); (fun j -> (j * 37) land 0xFF) ] in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun count ->
+          List.iter
+            (fun preset -> check_fill ~p ~count ~len:(((count + 7) / 8) + 2) ~preset)
+            presets)
+        [ 0; 1; 5; 7; 8; 9; 13; 64; 67 ])
+    [ 0.0; 1.0; 0.3; Prng.Coin.uniform ~seed 5 ]
+
 (* ------------------------------------------------------------------ *)
 (* Stream                                                              *)
 
@@ -504,6 +556,7 @@ let () =
           case "rate" test_coin_rate;
           case "seed independence" test_coin_seed_independence;
           case "derive distinct" test_derive_distinct;
+          case "fill boundaries" test_coin_fill_boundaries;
         ] );
       ( "stream",
         [

@@ -421,6 +421,100 @@ let test_mincut_bounded_by_degree () =
       (flow <= min (g.G.degree u) (g.G.degree v))
   done
 
+(* The Edmonds–Karp [Mincut] ran before it moved onto [Csr] rows: flow
+   per edge id and BFS predecessors in Hashtbls, a [Queue] frontier,
+   and a fresh [neighbors] array per expanded vertex. Kept as the
+   differential oracle: the flat version must find the same flow and
+   the same cut list, order included, because [Scenario]'s [Min_cut]
+   model pads its fault set from that list. *)
+let reference_min_cut (g : G.t) ~source ~sink =
+  let flow = Hashtbl.create 256 in
+  (* edge id -> the vertex its unit of flow points at *)
+  let arc_usable u v =
+    match Hashtbl.find_opt flow (g.G.edge_id u v) with
+    | None -> true
+    | Some toward -> toward = u
+  in
+  let push_arc u v =
+    let id = g.G.edge_id u v in
+    match Hashtbl.find_opt flow id with
+    | None -> Hashtbl.replace flow id v
+    | Some toward when toward = u -> Hashtbl.remove flow id
+    | Some _ -> invalid_arg "reference_min_cut: arc saturated"
+  in
+  let reach ~stop =
+    let seen = Hashtbl.create 64 in
+    Hashtbl.replace seen source source;
+    let queue = Queue.create () in
+    Queue.push source queue;
+    let found = ref false in
+    while (not !found) && not (Queue.is_empty queue) do
+      let u = Queue.pop queue in
+      Array.iter
+        (fun v ->
+          if (not (Hashtbl.mem seen v)) && arc_usable u v then begin
+            Hashtbl.replace seen v u;
+            if v = stop then found := true else Queue.push v queue
+          end)
+        (g.G.neighbors u)
+    done;
+    (seen, !found)
+  in
+  let value = ref 0 in
+  let rec augment () =
+    let pred, found = reach ~stop:sink in
+    if found then begin
+      let rec walk v =
+        let u = Hashtbl.find pred v in
+        if u <> v then begin
+          walk u;
+          push_arc u v
+        end
+      in
+      walk sink;
+      incr value;
+      augment ()
+    end
+  in
+  augment ();
+  let side, _ = reach ~stop:(-1) in
+  let cut =
+    G.fold_edges g ~init:[] ~f:(fun acc u v ->
+        let u_in = Hashtbl.mem side u and v_in = Hashtbl.mem side v in
+        if u_in && not v_in then (u, v) :: acc
+        else if v_in && not u_in then (v, u) :: acc
+        else acc)
+  in
+  (!value, cut)
+
+(* Graph families for the differential test, each sized from [k]. *)
+let mincut_families =
+  [|
+    (fun k _ -> Topology.Hypercube.graph (2 + (k mod 5)));
+    (fun k _ -> Topology.Mesh.graph ~d:2 ~m:(2 + (k mod 6)));
+    (fun k _ -> Topology.Mesh.graph ~d:3 ~m:(2 + (k mod 3)));
+    (fun k _ -> Topology.Torus.graph ~d:2 ~m:(3 + (k mod 4)));
+    (fun k _ -> Topology.Complete.graph (2 + (k mod 9)));
+    (fun k _ -> Topology.De_bruijn.graph (2 + (k mod 5)));
+    (fun k _ -> Topology.Butterfly.graph (3 + (k mod 2)));
+    (fun k _ -> Topology.Double_tree.graph (1 + (k mod 5)));
+    (fun k _ -> Topology.Theta.graph (1 + (k mod 9)));
+    (fun k stream ->
+      Topology.Small_world.graph stream ~m:(3 + (k mod 5)) ~r:(float_of_int (k mod 3)));
+  |]
+
+let mincut_differential =
+  QCheck.Test.make ~name:"mincut = reference Edmonds-Karp" ~count:300
+    QCheck.(
+      triple (int_bound (Array.length mincut_families - 1)) small_nat int64)
+    (fun (family, k, seed) ->
+      let stream = Prng.Stream.create seed in
+      let g = mincut_families.(family) k (Prng.Stream.split stream 1) in
+      let source, sink = Prng.Sample.distinct_pair stream g.G.vertex_count in
+      let flow, cut = reference_min_cut g ~source ~sink in
+      Topology.Mincut.max_flow g ~source ~sink = flow
+      && Topology.Mincut.min_cut g ~source ~sink = cut)
+
 let test_mincut_errors () =
   let g = Topology.Hypercube.graph 4 in
   Alcotest.check_raises "same vertex" (Invalid_argument "Mincut: source = sink")
@@ -460,6 +554,72 @@ let test_small_world_contact_bias () =
   in
   Alcotest.(check bool) "r=4 contacts shorter than r=0" true
     (mean_contact_distance 4.0 < mean_contact_distance 0.0)
+
+(* Contact maps recorded from the reference sampler, which summed
+   [Mesh.l1_distance u v ** -. r] over every vertex twice per node, at
+   stream seed 21. The table-driven sampler must draw exactly these:
+   same weights, same summation order, same stream draws. *)
+let small_world_known_contacts =
+  [
+    (3, 0.0, "1 7 6 2 7 0 8 3 7");
+    (3, 2.0, "1 4 5 2 7 0 8 5 7");
+    (3, 4.0, "1 4 5 1 7 1 7 6 7");
+    ( 5,
+      0.0,
+      "1 20 17 8 19 0 23 11 24 4 8 16 15 23 4 12 19 14 0 4 3 18 19 14 \
+       14" );
+    ( 5,
+      2.0,
+      "1 10 7 4 10 0 18 8 22 4 9 14 13 22 9 16 20 18 2 13 10 22 23 22 \
+       19" );
+    ( 5,
+      4.0,
+      "1 6 7 2 9 0 11 6 14 4 11 12 13 18 9 16 21 18 8 14 15 22 23 22 \
+       23" );
+    ( 12,
+      0.0,
+      "5 116 98 46 110 3 136 63 138 24 52 94 86 134 28 76 111 86 2 30 \
+       21 111 116 89 89 80 4 90 32 92 37 106 21 45 100 133 110 95 135 \
+       68 18 57 57 55 19 55 88 31 43 68 96 80 8 22 79 111 88 124 40 \
+       72 96 7 42 80 125 114 70 51 93 15 141 2 128 8 81 30 16 91 113 \
+       39 47 75 57 129 53 99 0 70 38 25 53 51 71 140 64 23 7 26 137 \
+       59 108 130 9 40 77 39 108 116 51 45 141 51 84 110 32 29 76 88 \
+       75 23 32 67 80 4 16 29 70 92 4 71 7 98 14 91 70 82 73 141 37 \
+       74 74 131 118 48" );
+    ( 12,
+      2.0,
+      "1 37 24 4 30 2 90 17 104 8 11 31 24 79 4 20 39 29 3 10 8 43 46 \
+       35 36 29 2 39 16 41 19 44 20 31 46 90 52 49 96 40 25 40 41 42 \
+       30 44 55 35 37 50 62 52 18 38 55 68 59 81 46 58 72 24 50 64 89 \
+       79 65 62 77 43 133 11 99 31 75 62 50 81 90 67 69 82 80 107 73 \
+       96 3 86 76 66 81 80 91 132 93 70 37 75 132 97 112 125 51 91 \
+       103 93 118 119 96 97 136 99 113 125 96 92 115 118 117 90 97 \
+       120 121 36 81 101 124 128 39 127 56 130 72 132 122 126 124 140 \
+       114 127 128 142 141 119" );
+    ( 12,
+      4.0,
+      "1 13 14 4 16 3 19 8 32 8 11 23 13 25 2 16 28 18 5 7 8 33 34 22 \
+       25 26 13 28 16 30 19 42 20 32 35 47 48 38 50 38 28 40 41 42 32 \
+       44 47 35 36 48 51 52 40 41 55 67 57 69 56 58 72 49 61 64 76 77 \
+       65 66 69 57 94 47 84 61 75 63 64 78 90 75 79 82 81 95 85 86 50 \
+       86 77 77 89 90 91 113 93 83 84 85 111 98 112 113 90 101 105 95 \
+       118 119 109 108 134 110 113 125 102 103 117 118 119 107 108 \
+       120 123 100 112 113 125 128 106 128 118 142 120 132 133 134 \
+       135 139 126 138 139 142 143 131" );
+  ]
+
+let test_small_world_known_contacts () =
+  List.iter
+    (fun (m, r, expected) ->
+      let _, contact = Topology.Small_world.create (Prng.Stream.create 21L) ~m ~r in
+      let expected =
+        String.split_on_char ' ' expected |> List.map int_of_string |> Array.of_list
+      in
+      Alcotest.(check (array int))
+        (Printf.sprintf "contacts m=%d r=%.0f" m r)
+        expected
+        (Array.init (m * m) contact))
+    small_world_known_contacts
 
 let check_neighbors_fresh g =
   for v = 0 to g.G.vertex_count - 1 do
@@ -590,12 +750,14 @@ let () =
           Alcotest.test_case "symmetric" `Quick test_mincut_symmetric;
           Alcotest.test_case "bounded by degree" `Quick test_mincut_bounded_by_degree;
           Alcotest.test_case "errors" `Quick test_mincut_errors;
+          QCheck_alcotest.to_alcotest ~long:false mincut_differential;
         ] );
       ( "small world",
         [
           Alcotest.test_case "contact map" `Quick test_small_world_contact_map;
           Alcotest.test_case "contains grid" `Quick test_small_world_contains_grid;
           Alcotest.test_case "contact bias" `Quick test_small_world_contact_bias;
+          Alcotest.test_case "known contacts" `Quick test_small_world_known_contacts;
         ] );
       ("graph helpers", [ Alcotest.test_case "helpers" `Quick test_graph_helpers ]);
     ]
