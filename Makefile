@@ -104,7 +104,10 @@ smoke:
 # byte-identically with restored chunks. Its quick grid is 75 cells in
 # 19 chunks and the sweep has no early stop, so every --jobs 2
 # schedule appends all 19 and the tenth append always happens. Leg 5:
-# a malformed supervision flag (--retries below 1, a zero, negative,
+# E6's depth x p sweep, a Runner grid of 10 chunks for quick E6 with no
+# early stop, killed by die@5 resumes at --jobs 4 byte-identically with
+# restored chunks; every --jobs 2 schedule appends all 10 chunks, so
+# the fifth append always happens. Leg 6: a malformed supervision flag (--retries below 1, a zero, negative,
 # nan or inf --chunk-deadline, --resume without --checkpoint) exits 1
 # with one stderr line and empty stdout; it runs the binary directly
 # so no dune output mixes into stderr.
@@ -134,6 +137,12 @@ chaos-smoke:
 	dune exec bin/faultroute.exe -- exp E25 --quick --jobs 4 --seed 1 --checkpoint artifacts/CHAOS_e25_ckpt --resume --metrics-out artifacts/CHAOS_e25_metrics.json > artifacts/CHAOS_e25_resumed.txt
 	cmp artifacts/CHAOS_e25_clean.txt artifacts/CHAOS_e25_resumed.txt
 	grep -q '"checkpoint.chunks.restored": [1-9]' artifacts/CHAOS_e25_metrics.json
+	rm -rf artifacts/CHAOS_e6_ckpt
+	dune exec bin/faultroute.exe -- exp E6 --quick --jobs 2 --seed 1 > artifacts/CHAOS_e6_clean.txt
+	dune exec bin/faultroute.exe -- exp E6 --quick --jobs 2 --seed 1 --checkpoint artifacts/CHAOS_e6_ckpt --inject 'die@5' > /dev/null 2>&1; test $$? -eq 137
+	dune exec bin/faultroute.exe -- exp E6 --quick --jobs 4 --seed 1 --checkpoint artifacts/CHAOS_e6_ckpt --resume --metrics-out artifacts/CHAOS_e6_metrics.json > artifacts/CHAOS_e6_resumed.txt
+	cmp artifacts/CHAOS_e6_clean.txt artifacts/CHAOS_e6_resumed.txt
+	grep -q '"checkpoint.chunks.restored": [1-9]' artifacts/CHAOS_e6_metrics.json
 	dune build bin/faultroute.exe
 	for flag in '--retries 0' '--retries=-3' '--chunk-deadline=0' '--chunk-deadline=-1' '--chunk-deadline nan' '--chunk-deadline inf' '--resume'; do \
 	  ./_build/default/bin/faultroute.exe exp E1 --quick $$flag > artifacts/CHAOS_flag.out 2> artifacts/CHAOS_flag.err; \

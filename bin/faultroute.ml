@@ -622,8 +622,8 @@ let cmd_threshold topology size seed jobs trials =
     Percolation.Clusters.has_giant (Percolation.Clusters.census world)
   in
   let estimate =
-    Percolation.Threshold.bisect ~jobs ~trials_per_pivot:trials stream ~event ~lo:0.0
-      ~hi:1.0
+    Experiments.Threshold.bisect ~jobs ~trials_per_pivot:trials
+      ~name:graph.Topology.Graph.name stream ~event ~lo:0.0 ~hi:1.0
   in
   Printf.printf "%s: estimated giant-component threshold p_c ~= %.4f\n"
     graph.Topology.Graph.name estimate;

@@ -45,16 +45,3 @@ let connected_within world ~member x y =
      with Exit -> ());
     !found
   end
-
-let estimate_eta stream ~trials ~graph ~p ~member ~target ~cut_edge =
-  let x, y = cut_edge in
-  let inner = if member x then x else y in
-  if not (member inner) then
-    invalid_arg "Lower_bound.estimate_eta: cut edge has no endpoint in S";
-  let successes = ref 0 in
-  for trial = 1 to trials do
-    let seed = Prng.Coin.derive (Prng.Stream.seed stream) trial in
-    let world = Percolation.World.create graph ~p ~seed in
-    if connected_within world ~member inner target then incr successes
-  done;
-  Stats.Proportion.make ~successes:!successes ~trials

@@ -6,11 +6,13 @@
 
     [Pr\[X < t\] ≤ (tη + Pr\[(u ~ v) ∈ S\]) / Pr\[u ~ v\]].
 
-    This module evaluates that bound: analytically for the worked
-    examples of the paper (theta graph, double tree, hypercube ball) and
-    by Monte-Carlo estimation of [Pr\[(v ~ e) ∈ S\]] on any small graph —
-    letting tests confirm the analytic [η]'s and experiments compare the
-    measured complexity of real routers against the certified bound. *)
+    This module evaluates that bound analytically for the worked
+    examples of the paper (theta graph, double tree, hypercube ball),
+    and decides the event [{(x ~ y) ∈ S}] on one world
+    ({!connected_within}). A Monte-Carlo estimate of
+    [Pr\[(v ~ e) ∈ S\]] averages that event over independent worlds;
+    E17 runs one on [Experiments.Runner]'s grid, and the tests check
+    the analytic [η]'s the same way. *)
 
 val bound : t:float -> eta:float -> pr_path_in_s:float -> pr_connected:float -> float
 (** The right-hand side of Lemma 5's inequality, clamped to [\[0,1\]].
@@ -37,20 +39,6 @@ val connected_within :
   Percolation.World.t -> member:(int -> bool) -> int -> int -> bool
 (** [connected_within w ~member x y] — is there an open path from [x] to
     [y] using only vertices satisfying [member]? (The event
-    [{(x ~ y) ∈ S}] of the paper.) *)
-
-val estimate_eta :
-  Prng.Stream.t ->
-  trials:int ->
-  graph:Topology.Graph.t ->
-  p:float ->
-  member:(int -> bool) ->
-  target:int ->
-  cut_edge:int * int ->
-  Stats.Proportion.t
-(** Monte-Carlo estimate of [Pr\[(v ~ e) ∈ S\]] over fresh worlds: the
-    fraction of [trials] seeds in which the cut edge's inner endpoint
-    connects to [target] within [member]. (The probability is over the
-    whole percolation, including the cut edge itself being open — as in
-    the Lemma, where [e]'s own state is irrelevant because only paths
-    inside [S] count; we accordingly test from the endpoint inside [S].) *)
+    [{(x ~ y) ∈ S}] of the paper.) For [{(v ~ e) ∈ S}] with a cut edge
+    [e], pass [e]'s endpoint inside [S]: only paths inside [S] count,
+    so [e]'s own state is irrelevant. *)

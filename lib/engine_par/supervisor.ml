@@ -135,8 +135,6 @@ let record_unit_failure ~unit ~message =
         failed_units = Printf.sprintf "%s: %s" unit message :: g.failed_units;
       })
 
-let record_unit_retry () = absorb_locked (fun g -> { g with retries = g.retries + 1 })
-
 let global_summary () =
   Mutex.lock global_lock;
   let s = !global in

@@ -120,9 +120,7 @@ val unrecoverable : summary -> bool
 
 val record_unit_failure : unit:string -> message:string -> unit
 (** Register an unrecoverable non-pool unit (e.g. an experiment whose
-    run raised even after retry) in the global summary. *)
-
-val record_unit_retry : unit -> unit
+    run raised) in the global summary. *)
 
 val global_summary : unit -> summary
 (** Everything absorbed since {!reset_global}, sorted. *)

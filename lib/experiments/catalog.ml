@@ -39,28 +39,24 @@ let find id =
   List.find_opt (fun e -> String.lowercase_ascii e.id = wanted) all
 
 (* Under supervision a broken experiment must not take the campaign
-   down: retry once (pure streams make the retry exact), then ship a
-   stub report and register the loss in the supervisor's global
-   summary, which the CLI turns into a faults/v1 section and exit
-   code 5. Unsupervised runs keep the historical crash barrier — an
-   exception aborts the campaign, which is the right default for
-   development. *)
+   down: ship a stub report and register the loss in the supervisor's
+   global summary, which the CLI turns into a faults/v1 section and exit
+   code 5. No rerun: faults are injected only at Runner chunk
+   boundaries, where the supervisor already retries, and the rest is
+   pure in the experiment's stream, so a rerun could only raise again.
+   Unsupervised runs keep the historical crash barrier — an exception
+   aborts the campaign, which is the right default for development. *)
 let run_resilient e quick experiment_stream =
   match e.run ?quick experiment_stream with
   | report -> report
-  | exception first ->
-      Engine_par.Supervisor.record_unit_retry ();
-      (match e.run ?quick experiment_stream with
-      | report -> report
-      | exception _ ->
-          let message = Printexc.to_string first in
-          Engine_par.Supervisor.record_unit_failure ~unit:e.id ~message;
-          Report.make ~id:e.id ~title:e.title
-            ~claim:"(not evaluated: experiment failed unrecoverably)"
-            ~seed:(Prng.Stream.seed experiment_stream)
-            ~notes:
-              [ Printf.sprintf "experiment failed unrecoverably: %s" message ]
-            [])
+  | exception failure ->
+      let message = Printexc.to_string failure in
+      Engine_par.Supervisor.record_unit_failure ~unit:e.id ~message;
+      Report.make ~id:e.id ~title:e.title
+        ~claim:"(not evaluated: experiment failed unrecoverably)"
+        ~seed:(Prng.Stream.seed experiment_stream)
+        ~notes:[ Printf.sprintf "experiment failed unrecoverably: %s" message ]
+        []
 
 let run_all ?quick ?jobs ~seed () =
   let stream = Prng.Stream.create seed in

@@ -16,9 +16,9 @@
       functions depend on (the caller builds the canonical string:
       {!Trial} names topology, p, endpoints, router, budget, reveal
       limit, root seed, trials, attempt cap and chunk size; E26 names
-      its churn sweep, and the degradation sweep of E22 and E25 its
-      grid) — everything {e except} the job count, which chunk results
-      do not depend on. A resume with any parameter changed simply
+      its churn sweep; {!Runner.grid} names its caller, seed and shape)
+      — everything {e except} the job count, which chunk results do not
+      depend on. A resume with any parameter changed simply
       misses and recomputes.
 
     {2 Line format}

@@ -38,25 +38,39 @@ let run ?(quick = false) stream =
   in
   let max_deviation = ref 0.0 in
   let sub_threshold_rates = ref [] in
+  (* One Runner grid over depth x trial, each depth's double tree built
+     once. Trial t of a depth is seeded from that depth's substream and
+     cut at every p, so each depth's measured curve is non-decreasing in
+     p deterministically (root-to-root connectivity is monotone); only
+     the depth axis draws fresh substreams. *)
+  let trees =
+    Array.of_list
+      (List.map
+         (fun n -> (Topology.Double_tree.graph n, Topology.Double_tree.root2 ~n))
+         depths)
+  in
+  let rows =
+    Runner.grid
+      ~name:(Printf.sprintf "%s;quick=%b" id quick)
+      stream ~cells:(Array.length trees) ~trials
+      (fun n_index trial ->
+        let graph, y = trees.(n_index) in
+        let substream = Prng.Stream.split stream n_index in
+        let seed = Prng.Coin.derive (Prng.Stream.seed substream) (trial + 1) in
+        Array.of_list
+          (List.map
+             (fun p ->
+               let world = Percolation.World.create graph ~p ~seed in
+               match Percolation.Reveal.connected world Topology.Double_tree.root1 y with
+               | Percolation.Reveal.Connected _ -> 1.0
+               | Percolation.Reveal.Disconnected | Percolation.Reveal.Unknown -> 0.0)
+             ps))
+  in
   List.iteri
     (fun n_index n ->
-      let graph = Topology.Double_tree.graph n in
-      let x = Topology.Double_tree.root1 and y = Topology.Double_tree.root2 ~n in
-      (* One [Threshold.sweep] per depth: the same trial seeds are cut
-         at every p, so each depth's measured curve is non-decreasing in
-         p deterministically (root-to-root connectivity is monotone) —
-         only the depth axis draws fresh substreams. *)
-      let substream = Prng.Stream.split stream n_index in
-      let rates =
-        Percolation.Threshold.sweep substream ~trials ~ps
-          ~event:(fun ~p ~seed ->
-            let world = Percolation.World.create graph ~p ~seed in
-            match Percolation.Reveal.connected world x y with
-            | Percolation.Reveal.Connected _ -> true
-            | Percolation.Reveal.Disconnected | Percolation.Reveal.Unknown -> false)
-      in
       List.iteri
-        (fun p_index (p, rate) ->
+        (fun p_index p ->
+          let rate = Runner.mean rows.(n_index) p_index in
           let exact = exact_connection ~n ~p in
           max_deviation := Float.max !max_deviation (Float.abs (rate -. exact));
           (* The first p of the sweep sits below 1/sqrt(2) in both modes. *)
@@ -69,7 +83,7 @@ let run ?(quick = false) stream =
                 Printf.sprintf "%.3f" rate;
                 Printf.sprintf "%.3f" exact;
               ])
-        rates)
+        ps)
     depths;
   let notes =
     [

@@ -72,10 +72,22 @@ let run ?(quick = false) stream =
   let closed = Routing.Ball_walks.eta_closed_form ~n ~p ~l in
   let graph = Topology.Hypercube.graph n in
   let member v = Topology.Hypercube.hamming center v <= l in
+  (* Monte-Carlo Pr[(v ~ e) in S] for the cut edge e = (target, flip
+     target (l + 1)), tested from its endpoint inside the ball. *)
+  let rows =
+    Runner.grid
+      ~name:(Printf.sprintf "%s;quick=%b" id quick)
+      stream ~cells:1 ~trials:mc_trials
+      (fun _ trial ->
+        let seed = Prng.Coin.derive (Prng.Stream.seed stream) (trial + 1) in
+        let world = Percolation.World.create graph ~p ~seed in
+        let inside = Routing.Lower_bound.connected_within world ~member target center in
+        [| (if inside then 1.0 else 0.0) |])
+  in
   let mc =
-    Routing.Lower_bound.estimate_eta stream ~trials:mc_trials ~graph ~p ~member
-      ~target:center
-      ~cut_edge:(target, Topology.Hypercube.flip target (l + 1))
+    Stats.Proportion.make
+      ~successes:(Array.fold_left (fun k row -> k + int_of_float row.(0)) 0 rows.(0))
+      ~trials:(Array.length rows.(0))
   in
   let mc_lo, mc_hi = Stats.Proportion.wilson_ci mc in
   let chain_table =

@@ -14,6 +14,44 @@ let claim =
   "p_c = 1/2 exactly for the 2-d mesh (Kesten); ~0.2488 for the 3-d mesh. \
    Crossings of successive-size giant-fraction curves estimate both."
 
+(* One Runner grid over size x trial, each size's graph built once.
+   Trial t of size m draws one world seed from [split stream m] and is
+   measured at every p, so each trial's giant fraction is non-decreasing
+   in p (monotone coupling), which removes sampling noise from the
+   crossings. *)
+let giant_curves ~name stream ~world_at ~graphs ~ps ~trials =
+  let cells = Array.of_list graphs in
+  let rows =
+    Runner.grid ~name stream ~cells:(Array.length cells) ~trials (fun cell trial ->
+        let size, graph = cells.(cell) in
+        let substream = Prng.Stream.split stream size in
+        let seed = Prng.Coin.derive (Prng.Stream.seed substream) trial in
+        let world = world_at graph ~seed in
+        Array.of_list
+          (List.map
+             (fun p ->
+               Percolation.Clusters.giant_fraction (Percolation.Clusters.census (world p)))
+             ps))
+  in
+  List.mapi
+    (fun cell (size, _) ->
+      let points = List.mapi (fun i p -> (p, Runner.mean rows.(cell) i)) ps in
+      { Percolation.Scaling.size; points })
+    graphs
+
+(* Each seed's draws are sampled once into a Coupled family and cut at
+   every p when the graph fits the cache gate; larger graphs fall back
+   to per-p worlds with the same seeds and identical states. *)
+let coupled_world graph ~seed =
+  if
+    graph.Topology.Graph.edge_id_bound <= Percolation.World.cache_gate
+    && graph.Topology.Graph.vertex_count <= Percolation.World.cache_gate
+  then begin
+    let family = Percolation.Coupled.create graph ~seed in
+    fun p -> Percolation.Coupled.world_at family ~p
+  end
+  else fun p -> Percolation.World.create graph ~p ~seed
+
 let run ?(quick = false) stream =
   let trials = if quick then 8 else 30 in
   let cases =
@@ -44,14 +82,13 @@ let run ?(quick = false) stream =
   let claims = ref [] in
   List.iteri
     (fun case_index (name, d, sizes, ps, literature) ->
-      let substream = Prng.Stream.split stream case_index in
       let curves =
-        List.map
-          (fun m ->
-            Percolation.Scaling.measure_giant_curve substream
-              ~graph_of_size:(fun m -> Topology.Mesh.graph ~d ~m)
-              ~size:m ~ps ~trials)
-          sizes
+        giant_curves
+          ~name:(Printf.sprintf "%s;quick=%b" id quick)
+          (Prng.Stream.split stream case_index)
+          ~world_at:coupled_world
+          ~graphs:(List.map (fun m -> (m, Topology.Mesh.graph ~d ~m)) sizes)
+          ~ps ~trials
       in
       List.iter
         (fun curve ->

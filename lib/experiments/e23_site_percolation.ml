@@ -27,30 +27,13 @@ let run ?(quick = false) stream =
     else [ 0.50; 0.54; 0.57; 0.59; 0.61; 0.64; 0.70 ]
   in
   let curves =
-    List.map
-      (fun m ->
-        let substream = Prng.Stream.split stream m in
-        let seeds =
-          Array.init trials (fun t -> Prng.Coin.derive (Prng.Stream.seed substream) t)
-        in
-        let graph = Topology.Mesh.graph ~d ~m in
-        let points =
-          List.map
-            (fun site_p ->
-              let total = ref 0.0 in
-              Array.iter
-                (fun seed ->
-                  let world = Percolation.World.create ~site_p graph ~p:1.0 ~seed in
-                  total :=
-                    !total
-                    +. Percolation.Clusters.giant_fraction
-                         (Percolation.Clusters.census world))
-                seeds;
-              (site_p, !total /. float_of_int trials))
-            ps
-        in
-        { Percolation.Scaling.size = m; points })
-      sizes
+    E19_finite_size_scaling.giant_curves
+      ~name:(Printf.sprintf "%s;quick=%b" id quick)
+      stream
+      ~world_at:(fun graph ~seed site_p ->
+        Percolation.World.create ~site_p graph ~p:1.0 ~seed)
+      ~graphs:(List.map (fun m -> (m, Topology.Mesh.graph ~d ~m)) sizes)
+      ~ps ~trials
   in
   let site_estimate = Percolation.Scaling.estimate_threshold curves in
   let threshold_table =

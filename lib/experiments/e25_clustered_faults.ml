@@ -12,7 +12,7 @@
    giant-component fraction, corner-to-corner survival, and
    conditioned greedy routing cost.
 
-   The budget × model × trial grid runs as one Runner call ([sweep]),
+   The budget × model × trial grid runs as one Runner grid ([sweep]),
    shared with E22, so both sweeps are parallel, fault-injectable and
    checkpoint/resumable like any trial campaign. *)
 
@@ -38,25 +38,22 @@ let sweep ~census stream graph ~source ~target ~budgets ~models ~trials =
   let budgets = Array.of_list budgets and models = Array.of_list models in
   let n_models = Array.length models in
   if n_models > 10 then invalid_arg "E25.sweep: at most 10 models";
-  let per_budget = n_models * trials in
-  let count = Array.length budgets * per_budget in
-  let key =
-    lazy
-      (Printf.sprintf
-         "degradation;graph=%s;source=%d;target=%d;budgets=%s;models=%s;trials=%d;census=%b;seed=%Ld;chunk=%d"
-         graph.Topology.Graph.name source target
-         (String.concat "," (Array.to_list (Array.map string_of_int budgets)))
-         (String.concat ","
-            (Array.to_list (Array.map Percolation.Scenario.model_name models)))
-         trials census (Prng.Stream.seed stream) Runner.chunk_size)
+  (* E22 runs this sweep with another grid, so the name spells out
+     everything the cells read. *)
+  let name =
+    Printf.sprintf "degradation;graph=%s;source=%d;target=%d;budgets=%s;models=%s;census=%b"
+      graph.Topology.Graph.name source target
+      (String.concat "," (Array.to_list (Array.map string_of_int budgets)))
+      (String.concat ","
+         (Array.to_list (Array.map Percolation.Scenario.model_name models)))
+      census
   in
-  (* One cell per (budget, model, trial): giant fraction (nan without
-     the census), pair survival as 0/1, greedy probes (nan unless a
-     route was found) — all pure in the index. *)
-  let compute index =
-    let budget_index = index / per_budget in
-    let model_index = (index / trials) mod n_models in
-    let trial = (index mod trials) + 1 in
+  (* One cell per (budget, model), one row per trial: giant fraction
+     (nan without the census), pair survival as 0/1, greedy probes (nan
+     unless a route was found) — all pure in (cell, trial). *)
+  let compute cell trial =
+    let budget_index = cell / n_models and model_index = cell mod n_models in
+    let trial = trial + 1 in
     let substream =
       Prng.Stream.split stream ((budget_index * 10) + model_index)
     in
@@ -85,27 +82,23 @@ let sweep ~census stream graph ~source ~target ~budgets ~models ~trials =
     | Percolation.Reveal.Disconnected | Percolation.Reveal.Unknown ->
         [| giant; 0.0; nan |]
   in
-  let chunks, _faults = Runner.run ~key ~codec:Checkpoint.floats ~count compute in
+  let rows =
+    Runner.grid ~name stream ~cells:(Array.length budgets * n_models) ~trials compute
+  in
+  (* Summaries skip nan: no census, or no route found. *)
+  let summary rows i =
+    Array.fold_left
+      (fun s row -> if Float.is_nan row.(i) then s else Stats.Summary.add s row.(i))
+      Stats.Summary.empty rows
+  in
   Array.init (Array.length budgets) (fun budget_index ->
       Array.init n_models (fun model_index ->
-          let first = (budget_index * per_budget) + (model_index * trials) in
-          let giant = ref Stats.Summary.empty in
-          let probes = ref Stats.Summary.empty in
-          let survived = ref 0 and measured = ref 0 in
-          for trial = 0 to trials - 1 do
-            match Runner.cell chunks (first + trial) with
-            | Some [| g; s; p |] ->
-                incr measured;
-                if census then giant := Stats.Summary.add !giant g;
-                if s > 0.5 then incr survived;
-                if not (Float.is_nan p) then probes := Stats.Summary.add !probes p
-            | _ -> () (* quarantined chunk: skip *)
-          done;
+          let rows = rows.((budget_index * n_models) + model_index) in
           {
-            giant = !giant;
-            survived = !survived;
-            measured = !measured;
-            probes = !probes;
+            giant = summary rows 0;
+            survived = Array.fold_left (fun k row -> k + int_of_float row.(1)) 0 rows;
+            measured = Array.length rows;
+            probes = summary rows 2;
           }))
 
 let run ?(quick = false) stream =

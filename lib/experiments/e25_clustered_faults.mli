@@ -36,8 +36,9 @@ val sweep :
     its faults from [split s t], where [s] is
     [split stream (10 * b + m)].
 
-    The whole grid is one {!Runner} call with {!Checkpoint.floats}
-    cells, so it runs on [--jobs] domains, takes injected faults and
+    The whole grid is one {!Runner.grid}, cell [b * |models| + m],
+    named by the graph, the pair, the budgets, the models and
+    [census], so it runs on [--jobs] domains, takes injected faults and
     resumes from a checkpoint; a quarantined chunk's trials are left
     out of [measured]. With [census] each faulted world also gets a
     cluster census for [giant].

@@ -51,3 +51,22 @@ let run ?jobs ~key ~codec ~count ?(until = fun _ -> false) compute =
 
 let cell chunks i =
   Option.map (fun cells -> cells.(i mod chunk_size)) chunks.(i / chunk_size)
+
+let grid ?jobs ~name stream ~cells ~trials compute =
+  if cells < 0 || trials < 0 then invalid_arg "Runner.grid: negative shape";
+  let key =
+    lazy
+      (Printf.sprintf "%s;seed=%Ld;cells=%d;trials=%d;chunk=%d" name
+         (Prng.Stream.seed stream) cells trials chunk_size)
+  in
+  let chunks, _faults =
+    run ?jobs ~key ~codec:Checkpoint.floats ~count:(cells * trials) (fun i ->
+        compute (i / trials) (i mod trials))
+  in
+  Array.init cells (fun c ->
+      List.init trials (fun t -> cell chunks ((c * trials) + t))
+      |> List.filter_map Fun.id |> Array.of_list)
+
+let mean rows i =
+  Array.fold_left (fun total row -> total +. row.(i)) 0.0 rows
+  /. float_of_int (Array.length rows)

@@ -11,9 +11,11 @@
     ambient [faultplan/v1] and lookup/store through {!Checkpoint}.
 
     Callers: {!Trial} (one routing attempt per index), E26 (one
-    churned simulation per index) and the degradation sweep E22 and E25
-    share (one faulted world per index), the last two with
-    {!Checkpoint.floats} cells.
+    churned simulation per index, {!Checkpoint.floats} cells) and
+    {!grid}, which carries every library sweep over independent worlds:
+    {!Threshold}, E6's depth × p connectivity, E17's η estimate, the
+    giant-fraction curves of E19 and E23, and the degradation sweep of
+    E22 and E25.
 
     The contract: [compute] must be a {e pure} function of its index —
     derive every random decision from a per-index stream split, never
@@ -55,3 +57,25 @@ val run :
 val cell : 'a array option array -> int -> 'a option
 (** [cell chunks i] is index [i]'s cell in {!run}'s chunks, [None]
     when its chunk was quarantined. *)
+
+val grid :
+  ?jobs:int ->
+  name:string ->
+  Prng.Stream.t ->
+  cells:int ->
+  trials:int ->
+  (int -> int -> float array) ->
+  float array array array
+(** [grid ~name stream ~cells ~trials compute] runs [compute cell trial]
+    as index [cell * trials + trial] of one {!run} with
+    {!Checkpoint.floats} cells. Entry [.(cell)] holds that cell's
+    values in trial order, without the trials of a quarantined chunk.
+    The key is [name], [stream]'s seed and the shape, so [name] must fix
+    everything else the cells read: an experiment passes its id and
+    mode. [compute] derives its own streams; build per-cell set-up
+    outside it.
+    @raise Invalid_argument on a negative shape. *)
+
+val mean : float array array -> int -> float
+(** [mean rows i] is the mean of entry [i] over a cell's [rows], summed
+    in trial order ([nan] for no rows). *)

@@ -204,6 +204,8 @@ let run_round t =
 (* With nothing in flight, [wake] holds exactly the nodes that are not idle. *)
 let quiescent t = in_flight t = 0 && t.wake = []
 
+(* Profiling only: a whole simulation, every round of it, is the
+   [netsim.run] span. *)
 let run ?(max_rounds = 10_000) ~until t =
   let rec loop () =
     if until t then `Stopped t.round
@@ -215,7 +217,7 @@ let run ?(max_rounds = 10_000) ~until t =
       else loop ()
     end
   in
-  loop ()
+  if Obs.Timing.on () then Obs.Timing.span "netsim.run" loop else loop ()
 
 let fold_states t ~init ~f =
   let acc = ref init in

@@ -14,7 +14,7 @@ let components world =
       if World.is_open world u v then ignore (Union_find.union uf u v));
   uf
 
-let census world =
+let count world =
   let g = World.graph world in
   let n = g.Topology.Graph.vertex_count in
   let uf = Union_find.create n in
@@ -41,6 +41,11 @@ let census world =
     vertex_count = n;
     open_edge_count = !open_edges;
   }
+
+(* Profiling only: one census is the [clusters.census] span. *)
+let census world =
+  if Obs.Timing.on () then Obs.Timing.span "clusters.census" (fun () -> count world)
+  else count world
 
 let giant_fraction c =
   if c.vertex_count = 0 then 0.0

@@ -1,44 +1,5 @@
 type curve = { size : int; points : (float * float) list }
 
-let measure_giant_curve stream ~graph_of_size ~size ~ps ~trials =
-  let graph = graph_of_size size in
-  (* One seed set per size, shared across all p: the standard monotone
-     coupling makes each trial's giant fraction non-decreasing in p,
-     which removes sampling noise from the crossing estimates. Each
-     seed's draws are sampled once into a {!Coupled} family and every p
-     of the sweep cuts the same family — one sampling sweep per (size,
-     trial) instead of one per (size, trial, p). Accumulation stays in
-     seed order per p (per-p accumulator cells, seeds outermost), so the
-     float sums — and the emitted curve bytes — are unchanged. *)
-  let substream = Prng.Stream.split stream size in
-  let seeds = Array.init trials (fun t -> Prng.Coin.derive (Prng.Stream.seed substream) t) in
-  let ps = Array.of_list ps in
-  let totals = Array.make (Array.length ps) 0.0 in
-  let fits =
-    graph.Topology.Graph.edge_id_bound <= World.cache_gate
-    && graph.Topology.Graph.vertex_count <= World.cache_gate
-  in
-  Array.iter
-    (fun seed ->
-      let world_at =
-        if fits then begin
-          let family = Coupled.create graph ~seed in
-          fun p -> Coupled.world_at family ~p
-        end
-        else fun p -> World.create graph ~p ~seed
-      in
-      Array.iteri
-        (fun i p ->
-          totals.(i) <-
-            totals.(i) +. Clusters.giant_fraction (Clusters.census (world_at p)))
-        ps)
-    seeds;
-  let points =
-    Array.to_list
-      (Array.mapi (fun i p -> (p, totals.(i) /. float_of_int trials)) ps)
-  in
-  { size; points }
-
 let interpolate curve x =
   match curve.points with
   | [] | [ _ ] -> invalid_arg "Scaling.interpolate: need at least two points"

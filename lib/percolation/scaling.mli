@@ -6,26 +6,12 @@
     critical point. Estimating [p_c] from the crossings of
     successive-size curves converges much faster than reading a single
     curve's midpoint: this is the standard Binder-crossing trick, used
-    by E19 to pin the 2-d mesh threshold near Kesten's 1/2. *)
+    by E19 to pin the 2-d mesh threshold near Kesten's 1/2. E19 and E23
+    measure the curves on [Experiments.Runner]'s grid; this module only
+    reads them. *)
 
 type curve = { size : int; points : (float * float) list }
 (** A measured response curve: [(p, value)] pairs, increasing in [p]. *)
-
-val measure_giant_curve :
-  Prng.Stream.t ->
-  graph_of_size:(int -> Topology.Graph.t) ->
-  size:int ->
-  ps:float list ->
-  trials:int ->
-  curve
-(** [measure_giant_curve stream ~graph_of_size ~size ~ps ~trials] samples
-    the mean giant-component fraction at each [p] over [trials] worlds.
-    The same seed set is reused across all [p] (monotone coupling), so
-    each measured curve is exactly non-decreasing — crossings carry no
-    per-point sampling noise. Each seed's draws are sampled once into a
-    {!Coupled} family and cut at every [p] (when the graph fits
-    {!World.cache_gate}; larger graphs fall back to per-[p] worlds with
-    the same seeds and identical states). *)
 
 val interpolate : curve -> float -> float
 (** Piecewise-linear evaluation of a curve; clamps outside its range.

@@ -163,8 +163,8 @@ let test_threshold_jobs_invariant () =
     Percolation.Clusters.has_giant (Percolation.Clusters.census world)
   in
   let estimate jobs =
-    Percolation.Threshold.bisect ~jobs ~trials_per_pivot:10 ~iterations:6
-      (Prng.Stream.create 41L) ~event ~lo:0.0 ~hi:1.0
+    Experiments.Threshold.bisect ~jobs ~trials_per_pivot:10 ~iterations:6
+      ~name:"mesh" (Prng.Stream.create 41L) ~event ~lo:0.0 ~hi:1.0
   in
   let reference = estimate 1 in
   List.iter

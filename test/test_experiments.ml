@@ -224,11 +224,11 @@ let test_quick_experiments_produce_tables () =
     [ "E5"; "E6"; "E10"; "E11"; "E13"; "E17"; "E19"; "E22"; "E23"; "E24" ]
 
 let test_converted_sweeps_jobs_identical () =
-  (* The coupled-sweep conversions must stay byte-identical across job
-     counts: the coupling moved sweep randomness from per-p coin hashing
-     to one shared uniform sample, and the parallel engine must not be
-     able to tell. E22 and E25 run their budget x model x trial grid as
-     one Runner call, so they must not be able to tell either. *)
+  (* Every experiment must stay byte-identical across job counts: the
+     coupled sweeps moved their randomness from per-p coin hashing to
+     one shared uniform sample, and every library sweep (E6, E17, E19,
+     E22, E23, E25) runs on one Runner grid, so the parallel engine must
+     not be able to tell. *)
   let saved = Engine_par.Pool.default_jobs () in
   Fun.protect
     ~finally:(fun () -> Engine_par.Pool.set_default_jobs saved)
@@ -242,7 +242,7 @@ let test_converted_sweeps_jobs_identical () =
           Alcotest.(check string)
             (id ^ " identical under jobs=1 and jobs=4")
             (render 1) (render 4))
-        [ "E1"; "E5"; "E11"; "E22"; "E25" ])
+        (List.map (fun e -> e.Experiments.Catalog.id) Experiments.Catalog.all))
 
 let test_e10_connectivity_close_to_exact () =
   let report = run_quick "E10" in
@@ -253,6 +253,84 @@ let test_e10_connectivity_close_to_exact () =
       let rows = String.split_on_char '\n' csv |> List.filter (fun l -> l <> "") in
       Alcotest.(check int) "header + 2 rows" 3 (List.length rows)
   | _ -> Alcotest.fail "one table expected"
+
+(* ------------------------------------------------------------------ *)
+(* Threshold and the Runner grid                                       *)
+
+let test_threshold_success_rate () =
+  let stream = Prng.Stream.create 6L in
+  let rate =
+    Experiments.Threshold.success_rate ~name:"coin" stream ~trials:200
+      ~event:(fun ~seed -> Prng.Coin.bernoulli ~seed ~p:0.3 0)
+  in
+  Alcotest.(check bool) (Printf.sprintf "rate %.2f near 0.3" rate) true
+    (rate > 0.2 && rate < 0.4)
+
+let test_threshold_bisect_known () =
+  (* Event: a single coin is open at probability p — the "threshold" of
+     the median success probability 1/2 is p = 1/2. *)
+  let stream = Prng.Stream.create 7L in
+  let estimate =
+    Experiments.Threshold.bisect ~trials_per_pivot:400 ~name:"coins" stream
+      ~event:(fun ~p ~seed ->
+        let opens = ref 0 in
+        for i = 0 to 99 do
+          if Prng.Coin.bernoulli ~seed ~p i then incr opens
+        done;
+        !opens >= 50)
+      ~lo:0.0 ~hi:1.0
+  in
+  Alcotest.(check bool) (Printf.sprintf "estimate %.3f near 0.5" estimate) true
+    (estimate > 0.45 && estimate < 0.55)
+
+let test_threshold_sweep () =
+  (* A p sweep on the grid: one row per trial, one column per p, the
+     trial's seed shared across the row. *)
+  let stream = Prng.Stream.create 8L in
+  let ps = [| 0.1; 0.9 |] in
+  let rows =
+    (Experiments.Runner.grid ~name:"coin-sweep" stream ~cells:1 ~trials:100
+       (fun _ trial ->
+         let seed = Prng.Coin.derive (Prng.Stream.seed stream) (trial + 1) in
+         Array.map (fun p -> if Prng.Coin.bernoulli ~seed ~p 0 then 1.0 else 0.0) ps))
+      .(0)
+  in
+  Alcotest.(check int) "every trial measured" 100 (Array.length rows);
+  Alcotest.(check bool) "ordered" true
+    (Experiments.Runner.mean rows 0 < Experiments.Runner.mean rows 1)
+
+let test_threshold_mesh_half () =
+  (* End-to-end: the 2-d mesh giant threshold should land near 1/2. A
+     small grid keeps this fast; tolerance is generous. *)
+  let graph = Topology.Mesh.graph ~d:2 ~m:24 in
+  let stream = Prng.Stream.create 9L in
+  let event ~p ~seed =
+    let world = P.World.create graph ~p ~seed in
+    P.Clusters.has_giant ~threshold:0.2 (P.Clusters.census world)
+  in
+  let estimate =
+    Experiments.Threshold.bisect ~trials_per_pivot:20 ~iterations:8 ~name:"mesh"
+      stream ~event ~lo:0.1 ~hi:0.9
+  in
+  Alcotest.(check bool) (Printf.sprintf "p_c estimate %.3f near 0.5" estimate) true
+    (estimate > 0.38 && estimate < 0.62)
+
+let test_scaling_measured_curve_monotone () =
+  (* Giant fraction must increase with p (up to sampling noise, which the
+     shared coupling removes entirely: same seeds, monotone worlds). *)
+  let stream = Prng.Stream.create 71L in
+  let curves =
+    Experiments.E19_finite_size_scaling.giant_curves ~name:"curve" stream
+      ~world_at:(fun graph ~seed ->
+        let family = P.Coupled.create graph ~seed in
+        fun p -> P.Coupled.world_at family ~p)
+      ~graphs:[ (12, Topology.Mesh.graph ~d:2 ~m:12) ]
+      ~ps:[ 0.3; 0.5; 0.7 ] ~trials:5
+  in
+  match curves with
+  | [ { P.Scaling.size = 12; points = [ (_, a); (_, b); (_, c) ] } ] ->
+      Alcotest.(check bool) "increasing" true (a <= b && b <= c)
+  | _ -> Alcotest.fail "one curve of three points expected"
 
 let () =
   let case name f = Alcotest.test_case name `Quick f in
@@ -270,6 +348,14 @@ let () =
           case "invalid" test_trial_invalid;
         ] );
       ("report", [ case "render" test_report_render; case "csv" test_report_csv ]);
+      ( "threshold",
+        [
+          case "success rate" test_threshold_success_rate;
+          case "bisect known" test_threshold_bisect_known;
+          case "sweep" test_threshold_sweep;
+          case "mesh p_c ~ 1/2" test_threshold_mesh_half;
+        ] );
+      ("scaling", [ case "measured curve monotone" test_scaling_measured_curve_monotone ]);
       ( "catalog",
         [ case "complete" test_catalog_complete; case "find" test_catalog_find ] );
       ( "science",

@@ -510,51 +510,108 @@ let run_runner ?jobs () =
   in
   Array.concat (Array.to_list (Array.map Option.get chunks))
 
+(* The grid over the same computation: cell [c], trial [t] is index
+   [c * grid_trials + t] of [run_runner], so chunk 1 (indices 4..7)
+   holds trial 4 of cell 0 and trials 0..2 of cell 1. *)
+let grid_trials = 5
+
+let run_grid ?jobs () =
+  let stream = Prng.Stream.create 23L in
+  Experiments.Runner.grid ?jobs ~name:"test-grid" stream ~cells:2
+    ~trials:grid_trials (fun cell trial ->
+      runner_compute stream ((cell * grid_trials) + trial))
+
+(* Each Runner test runs on both inputs: a name, the run, and a check
+   that its cells are non-trivial. *)
+type runner_input =
+  | Input : string * (?jobs:int -> unit -> 'a) * ('a -> bool) -> runner_input
+
+let runner_inputs =
+  let blocked cell = cell.(2) > 0.0 in
+  [
+    Input ("run", run_runner, Array.exists blocked);
+    Input ("grid", run_grid, Array.exists (Array.exists blocked));
+  ]
+
 let test_runner_jobs_identical () =
-  with_clean_supervision @@ fun () ->
-  let reference = run_runner ~jobs:1 () in
-  Alcotest.(check bool) "cells non-trivial" true
-    (Array.exists (fun cell -> cell.(2) > 0.0) reference);
   List.iter
-    (fun jobs ->
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs %d identical" jobs)
-        true
-        (Stdlib.compare reference (run_runner ~jobs ()) = 0))
-    [ 2; 4 ]
+    (fun (Input (name, run, non_trivial)) ->
+      with_clean_supervision @@ fun () ->
+      let reference = run ~jobs:1 () in
+      Alcotest.(check bool) (name ^ ": cells non-trivial") true (non_trivial reference);
+      List.iter
+        (fun jobs ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: jobs %d identical" name jobs)
+            true
+            (Stdlib.compare reference (run ~jobs ()) = 0))
+        [ 2; 4 ])
+    runner_inputs
 
 let test_runner_crash_plan_identical () =
   (* A recoverable crash@K plan retries the chunk exactly; the churned
      cells must come out bit-identical to the fault-free run. *)
-  let reference = with_clean_supervision (fun () -> run_runner ~jobs:1 ()) in
-  with_clean_supervision @@ fun () ->
-  Plan.set_ambient
-    (Some (Plan.make ~seed:5L [ Plan.Crash_on_chunk 1; Plan.Crash_on_chunk 2 ]));
-  let chaotic = run_runner ~jobs:4 () in
-  Alcotest.(check bool) "crash plan byte-identical" true
-    (Stdlib.compare reference chaotic = 0);
-  let summary = Supervisor.global_summary () in
-  Alcotest.(check bool) "the plan actually fired" true
-    (summary.Supervisor.retries > 0)
+  List.iter
+    (fun (Input (name, run, _)) ->
+      let reference = with_clean_supervision (fun () -> run ~jobs:1 ()) in
+      with_clean_supervision @@ fun () ->
+      Plan.set_ambient
+        (Some (Plan.make ~seed:5L [ Plan.Crash_on_chunk 1; Plan.Crash_on_chunk 2 ]));
+      let chaotic = run ~jobs:4 () in
+      Alcotest.(check bool) (name ^ ": crash plan byte-identical") true
+        (Stdlib.compare reference chaotic = 0);
+      let summary = Supervisor.global_summary () in
+      Alcotest.(check bool) (name ^ ": the plan actually fired") true
+        (summary.Supervisor.retries > 0))
+    runner_inputs
 
 let test_runner_checkpoint_resume () =
-  with_dir @@ fun dir ->
-  let reference = with_clean_supervision (fun () -> run_runner ~jobs:1 ()) in
-  with_clean_supervision @@ fun () ->
-  configure_exn ~dir ~resume:false;
-  let first = run_runner ~jobs:1 () in
-  Alcotest.(check bool) "value chunks journaled" true
-    (Experiments.Checkpoint.appended () > 0);
-  Experiments.Checkpoint.deconfigure ();
-  configure_exn ~dir ~resume:true;
-  let resumed = run_runner ~jobs:4 () in
-  Alcotest.(check bool) "resume byte-identical" true
-    (Stdlib.compare first resumed = 0);
-  Alcotest.(check bool) "and matches the unsupervised run" true
-    (Stdlib.compare reference resumed = 0);
-  Alcotest.(check int) "nothing recomputed" 0 (Experiments.Checkpoint.appended ());
-  Alcotest.(check bool) "cells restored from the journal" true
-    (Experiments.Checkpoint.restored () > 0)
+  List.iter
+    (fun (Input (name, run, _)) ->
+      with_dir @@ fun dir ->
+      let reference = with_clean_supervision (fun () -> run ~jobs:1 ()) in
+      with_clean_supervision @@ fun () ->
+      configure_exn ~dir ~resume:false;
+      let first = run ~jobs:1 () in
+      Alcotest.(check bool) (name ^ ": value chunks journaled") true
+        (Experiments.Checkpoint.appended () > 0);
+      Experiments.Checkpoint.deconfigure ();
+      configure_exn ~dir ~resume:true;
+      let resumed = run ~jobs:4 () in
+      Alcotest.(check bool) (name ^ ": resume byte-identical") true
+        (Stdlib.compare first resumed = 0);
+      Alcotest.(check bool) (name ^ ": and matches the unsupervised run") true
+        (Stdlib.compare reference resumed = 0);
+      Alcotest.(check int) (name ^ ": nothing recomputed") 0
+        (Experiments.Checkpoint.appended ());
+      Alcotest.(check bool) (name ^ ": cells restored from the journal") true
+        (Experiments.Checkpoint.restored () > 0))
+    runner_inputs
+
+let test_runner_grid_quarantine () =
+  (* With one attempt per chunk, crash@1 loses chunk 1 for good: cell 0
+     keeps trials 0..3 and cell 1 trials 3..4, each in trial order. *)
+  let cells = with_clean_supervision (fun () -> run_runner ~jobs:1 ()) in
+  let reference = with_clean_supervision (fun () -> run_grid ~jobs:1 ()) in
+  Alcotest.(check bool) "grid cells are the runner's, cut by cell" true
+    (Stdlib.compare reference
+       [| Array.sub cells 0 grid_trials; Array.sub cells grid_trials grid_trials |]
+    = 0);
+  List.iter
+    (fun jobs ->
+      with_clean_supervision @@ fun () ->
+      Supervisor.arm { Supervisor.default_policy with Supervisor.max_attempts = 1 };
+      Plan.set_ambient (Some (Plan.make [ Plan.Crash_on_chunk 1 ]));
+      let lossy = run_grid ~jobs () in
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs %d: exactly chunk 1's trials missing" jobs)
+        true
+        (Stdlib.compare lossy
+           [| Array.sub reference.(0) 0 4; Array.sub reference.(1) 3 2 |]
+        = 0);
+      Alcotest.(check (list int)) "chunk 1 quarantined" [ 1 ]
+        (Supervisor.global_summary ()).Supervisor.quarantined)
+    [ 1; 4 ]
 
 let test_runner_vchunk_resume () =
   (* Journals written before the single cell format tagged float-vector
@@ -647,6 +704,7 @@ let () =
           case "crash plan identical" test_runner_crash_plan_identical;
           case "checkpoint resume" test_runner_checkpoint_resume;
           case "vchunk lines resume" test_runner_vchunk_resume;
+          case "grid drops quarantined trials" test_runner_grid_quarantine;
         ] );
       ("atomic_file", [ case "write and append" test_atomic_file ]);
     ]

@@ -381,62 +381,6 @@ let test_chemical_eccentricity_sample () =
   List.iter (fun d -> Alcotest.(check bool) "positive" true (d >= 1)) ds
 
 (* ------------------------------------------------------------------ *)
-(* Threshold                                                           *)
-
-let test_threshold_success_rate () =
-  let stream = Prng.Stream.create 6L in
-  let rate =
-    P.Threshold.success_rate stream ~trials:200 ~event:(fun ~seed ->
-        Prng.Coin.bernoulli ~seed ~p:0.3 0)
-  in
-  Alcotest.(check bool) (Printf.sprintf "rate %.2f near 0.3" rate) true
-    (rate > 0.2 && rate < 0.4)
-
-let test_threshold_bisect_known () =
-  (* Event: a single coin is open at probability p — the "threshold" of
-     the median success probability 1/2 is p = 1/2. *)
-  let stream = Prng.Stream.create 7L in
-  let estimate =
-    P.Threshold.bisect ~trials_per_pivot:400 stream
-      ~event:(fun ~p ~seed ->
-        let opens = ref 0 in
-        for i = 0 to 99 do
-          if Prng.Coin.bernoulli ~seed ~p i then incr opens
-        done;
-        !opens >= 50)
-      ~lo:0.0 ~hi:1.0
-  in
-  Alcotest.(check bool) (Printf.sprintf "estimate %.3f near 0.5" estimate) true
-    (estimate > 0.45 && estimate < 0.55)
-
-let test_threshold_sweep () =
-  let stream = Prng.Stream.create 8L in
-  let results =
-    P.Threshold.sweep stream ~trials:100
-      ~event:(fun ~p ~seed -> Prng.Coin.bernoulli ~seed ~p 0)
-      ~ps:[ 0.1; 0.9 ]
-  in
-  match results with
-  | [ (0.1, low); (0.9, high) ] ->
-      Alcotest.(check bool) "ordered" true (low < high)
-  | _ -> Alcotest.fail "wrong shape"
-
-let test_threshold_mesh_half () =
-  (* End-to-end: the 2-d mesh giant threshold should land near 1/2. A
-     small grid keeps this fast; tolerance is generous. *)
-  let graph = Topology.Mesh.graph ~d:2 ~m:24 in
-  let stream = Prng.Stream.create 9L in
-  let event ~p ~seed =
-    let world = P.World.create graph ~p ~seed in
-    P.Clusters.has_giant ~threshold:0.2 (P.Clusters.census world)
-  in
-  let estimate =
-    P.Threshold.bisect ~trials_per_pivot:20 ~iterations:8 stream ~event ~lo:0.1 ~hi:0.9
-  in
-  Alcotest.(check bool) (Printf.sprintf "p_c estimate %.3f near 0.5" estimate) true
-    (estimate > 0.38 && estimate < 0.62)
-
-(* ------------------------------------------------------------------ *)
 (* Site percolation                                                    *)
 
 let test_site_bond_world_all_alive () =
@@ -633,22 +577,6 @@ let test_scaling_estimate_threshold () =
   match P.Scaling.estimate_threshold [ sigmoid 4; sigmoid 8; sigmoid 16 ] with
   | Some estimate -> Alcotest.(check (float 0.02)) "sigmoid family" 0.5 estimate
   | None -> Alcotest.fail "expected crossings"
-
-let test_scaling_measured_curve_monotone () =
-  (* Giant fraction must increase with p (up to sampling noise, which the
-     shared coupling removes entirely: same seeds, monotone worlds). *)
-  let stream = Prng.Stream.create 71L in
-  let curve =
-    P.Scaling.measure_giant_curve stream
-      ~graph_of_size:(fun m -> Topology.Mesh.graph ~d:2 ~m)
-      ~size:12
-      ~ps:[ 0.3; 0.5; 0.7 ]
-      ~trials:5
-  in
-  match curve.P.Scaling.points with
-  | [ (_, a); (_, b); (_, c) ] ->
-      Alcotest.(check bool) "increasing" true (a <= b && b <= c)
-  | _ -> Alcotest.fail "three points expected"
 
 (* ------------------------------------------------------------------ *)
 (* Branching                                                           *)
@@ -1540,7 +1468,6 @@ let () =
           case "crossing exact" test_scaling_crossing_exact;
           case "no crossing" test_scaling_no_crossing;
           case "estimate threshold" test_scaling_estimate_threshold;
-          case "measured curve monotone" test_scaling_measured_curve_monotone;
         ] );
       ( "branching",
         [
@@ -1552,13 +1479,6 @@ let () =
           case "double tree recursion" test_branching_double_tree_matches_e6;
           case "simulation matches survival" test_branching_simulation_matches_survival;
           case "extinct sizes ~ c(p)" test_branching_extinct_sizes;
-        ] );
-      ( "threshold",
-        [
-          case "success rate" test_threshold_success_rate;
-          case "bisect known" test_threshold_bisect_known;
-          case "sweep" test_threshold_sweep;
-          case "mesh p_c ~ 1/2" test_threshold_mesh_half;
         ] );
       ("properties", List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests);
     ]

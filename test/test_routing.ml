@@ -353,6 +353,24 @@ let test_connected_within () =
     (R.Lower_bound.connected_within world ~member Topology.Theta.endpoint_u
        Topology.Theta.endpoint_v)
 
+(* Monte-Carlo Pr[(inner ~ target) in S] as E17 measures it: one grid
+   cell, world seeds Coin.derive (seed stream) t for t from 1. *)
+let estimate_eta stream ~trials ~graph ~p ~member ~inner ~target =
+  let outcomes =
+    (Experiments.Runner.grid ~name:"eta" stream ~cells:1 ~trials (fun _ trial ->
+         let seed = Prng.Coin.derive (Prng.Stream.seed stream) (trial + 1) in
+         let world = P.World.create graph ~p ~seed in
+         [|
+           (if R.Lower_bound.connected_within world ~member inner target then 1.0
+            else 0.0);
+         |]))
+      .(0)
+  in
+  Stats.Proportion.make
+    ~successes:
+      (Array.fold_left (fun k row -> if row.(0) > 0.5 then k + 1 else k) 0 outcomes)
+    ~trials:(Array.length outcomes)
+
 let test_estimate_eta_matches_theta_formula () =
   (* Lemma 5's eta for the theta graph is exactly p: the middle endpoint
      of a cut edge reaches v within S iff edge (middle, v) is open. *)
@@ -362,9 +380,9 @@ let test_estimate_eta_matches_theta_formula () =
   let member v = v <> Topology.Theta.endpoint_u in
   let stream = Prng.Stream.create 61L in
   let estimate =
-    R.Lower_bound.estimate_eta stream ~trials:800 ~graph ~p ~member
-      ~target:Topology.Theta.endpoint_v
-      ~cut_edge:(Topology.Theta.endpoint_u, Topology.Theta.middle 0)
+    (* The cut edge (u, m_0)'s endpoint inside S is the middle m_0. *)
+    estimate_eta stream ~trials:800 ~graph ~p ~member
+      ~inner:(Topology.Theta.middle 0) ~target:Topology.Theta.endpoint_v
   in
   Alcotest.(check bool) "wilson interval covers p" true
     (Stats.Proportion.within estimate ~lo:p ~hi:p)
@@ -383,11 +401,13 @@ let test_estimate_eta_matches_double_tree_formula () =
     Array.to_list (graph.G.neighbors leaf)
     |> List.find (fun w -> Topology.Double_tree.role_of ~n w = Topology.Double_tree.Internal1)
   in
+  (* The cut edge (parent_in_tree1, leaf) crosses into S at the leaf. *)
+  Alcotest.(check (pair bool bool)) "cut edge crosses S" (false, true)
+    (member parent_in_tree1, member leaf);
   let stream = Prng.Stream.create 62L in
   let estimate =
-    R.Lower_bound.estimate_eta stream ~trials:2000 ~graph ~p ~member
+    estimate_eta stream ~trials:2000 ~graph ~p ~member ~inner:leaf
       ~target:(Topology.Double_tree.root2 ~n)
-      ~cut_edge:(parent_in_tree1, leaf)
   in
   let expected = R.Lower_bound.eta_double_tree ~p ~n in
   Alcotest.(check bool)
