@@ -166,7 +166,10 @@ chaos-smoke:
 # streams drawn under churn), a churned flood whose links never recover
 # (repair=0) and a greedy run whose links toggle every round
 # (fail=repair=1) are compared with the committed
-# examples/netsim/simulate-golden.txt. Leg 4: an out-of-range
+# examples/netsim/simulate-golden.txt, and the metrics/v1 of the
+# churned flood and of the 10-cube walk (a probing protocol) with
+# examples/netsim/{flood-churn,walk}-metrics-golden.json, which pins
+# the counter set: a counter never ticked stays absent. Leg 4: an out-of-range
 # --source/--target fails cleanly with empty stdout and a single error
 # line naming the vertex (simulate adds its usage block): exit 2 for
 # simulate, 1 for route and mincut; a churn spec repeating a key and
@@ -195,12 +198,15 @@ churn-smoke:
 	cmp artifacts/CHURN_e26_clean.txt artifacts/CHURN_v1_resumed.txt
 	grep -q '"checkpoint.chunks.restored": \([2-9]\|[1-9][0-9]\)' artifacts/CHURN_v1_metrics.json
 	rm -f artifacts/NETSIM_sim.txt
-	for p in flood gossip greedy walk; do dune exec bin/faultroute.exe -- simulate hypercube:10 -p 0.6 --seed 5 --rounds 300 --protocol $$p >> artifacts/NETSIM_sim.txt || exit 1; done
-	dune exec bin/faultroute.exe -- simulate mesh2:200 -p 0.7 --protocol flood --churn 'fail=0.05,repair=0.3,seed=7' >> artifacts/NETSIM_sim.txt
+	for p in flood gossip greedy; do dune exec bin/faultroute.exe -- simulate hypercube:10 -p 0.6 --seed 5 --rounds 300 --protocol $$p >> artifacts/NETSIM_sim.txt || exit 1; done
+	dune exec bin/faultroute.exe -- simulate hypercube:10 -p 0.6 --seed 5 --rounds 300 --protocol walk --metrics-out artifacts/NETSIM_walk_metrics.json >> artifacts/NETSIM_sim.txt
+	dune exec bin/faultroute.exe -- simulate mesh2:200 -p 0.7 --protocol flood --churn 'fail=0.05,repair=0.3,seed=7' --metrics-out artifacts/NETSIM_flood_metrics.json >> artifacts/NETSIM_sim.txt
 	for p in 'gossip --rounds 60' walk; do dune exec bin/faultroute.exe -- simulate hypercube:8 -p 0.9 --seed 11 --churn 'fail=0.05,repair=0.3,seed=7' --protocol $$p >> artifacts/NETSIM_sim.txt || exit 1; done
 	dune exec bin/faultroute.exe -- simulate mesh2:60 -p 0.8 --seed 11 --protocol flood --churn 'fail=0.02,repair=0,seed=3' >> artifacts/NETSIM_sim.txt
 	dune exec bin/faultroute.exe -- simulate hypercube:8 -p 0.9 --seed 11 --protocol greedy --churn 'fail=1,repair=1,seed=5' >> artifacts/NETSIM_sim.txt
 	cmp examples/netsim/simulate-golden.txt artifacts/NETSIM_sim.txt
+	cmp examples/netsim/flood-churn-metrics-golden.json artifacts/NETSIM_flood_metrics.json
+	cmp examples/netsim/walk-metrics-golden.json artifacts/NETSIM_walk_metrics.json
 	dune build bin/faultroute.exe
 	./_build/default/bin/faultroute.exe simulate hypercube:4 --source 99 > artifacts/NETSIM_oor.out 2> artifacts/NETSIM_oor.err; test $$? -eq 2
 	test ! -s artifacts/NETSIM_oor.out

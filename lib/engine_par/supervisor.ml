@@ -247,8 +247,10 @@ let run_supervised ~policy ~inject ~record work chunk =
 let no_injection ~chunk:_ ~attempt:_ = Pass
 
 let collect_prefix ?jobs ?(policy = default_policy)
-    ?(inject = no_injection) ~limit ~until work =
+    ?(inject = no_injection) ?(first = 0) ~limit ~until work =
   validate_policy policy;
+  if first < 0 || first > limit then
+    invalid_arg "Supervisor.collect_prefix: first outside [0, limit]";
   let retries = Atomic.make 0 in
   let failures_lock = Mutex.create () in
   let failures = ref [] in
@@ -260,7 +262,7 @@ let collect_prefix ?jobs ?(policy = default_policy)
   in
   let armed_deadline = policy.deadline_s <> None in
   if armed_deadline then Atomic.set watchdog true;
-  let supervised c = run_supervised ~policy ~inject ~record work c in
+  let supervised i = run_supervised ~policy ~inject ~record work (first + i) in
   let until_outcome = function
     | Completed r -> until r
     | Quarantined _ -> false
@@ -269,7 +271,8 @@ let collect_prefix ?jobs ?(policy = default_policy)
     Fun.protect
       ~finally:(fun () -> if armed_deadline then Atomic.set watchdog false)
       (fun () ->
-        Pool.collect_prefix ?jobs ~limit ~until:until_outcome supervised)
+        Pool.collect_prefix ?jobs ~limit:(limit - first) ~until:until_outcome
+          supervised)
   in
   let quarantined =
     Array.to_list outcomes

@@ -104,6 +104,7 @@ val collect_prefix :
   ?jobs:int ->
   ?policy:policy ->
   ?inject:(chunk:int -> attempt:int -> injection) ->
+  ?first:int ->
   limit:int ->
   until:('a -> bool) ->
   (int -> 'a) ->
@@ -113,7 +114,13 @@ val collect_prefix :
     stops dispensing. [inject] must be a pure function of
     [(chunk, attempt)] (never of scheduling), or determinism is lost;
     it defaults to no injection. The returned summary is also absorbed
-    into the campaign-wide {!global_summary}. *)
+    into the campaign-wide {!global_summary}.
+
+    [first] (default 0) starts dispensing at that chunk, for a caller
+    that already holds the chunks before it: slot [i] of the result is
+    chunk [first + i], while [work], [inject] and the summary see
+    absolute chunk indices.
+    @raise Invalid_argument unless [0 <= first <= limit]. *)
 
 val unrecoverable : summary -> bool
 (** Whether anything was lost for good — the CLI's exit-5 condition. *)

@@ -21,31 +21,52 @@ let run ?jobs ~key ~codec ~count ?(until = fun _ -> false) compute =
         (Engine_par.Pool.collect_prefix ?jobs ~limit:n_chunks ~until work),
       Engine_par.Supervisor.empty_summary )
   else begin
-    let work =
-      if not (Checkpoint.active ()) then work
-      else begin
-        (* Forced here, on the calling domain, before any worker runs. *)
-        let key = Checkpoint.digest_key (Lazy.force key) in
-        fun c ->
+    (* Forced here, on the calling domain, before any worker runs. *)
+    let key =
+      if Checkpoint.active () then Some (Checkpoint.digest_key (Lazy.force key))
+      else None
+    in
+    (* A resume passes the journal's in-order prefix through [until]
+       here, before dispatch: domains racing through restored chunks
+       could otherwise dispense a chunk past the one where [until]
+       fires, compute it and append it. *)
+    let rec restore c restored =
+      match key with
+      | Some key when c < n_chunks -> (
           match Checkpoint.lookup codec ~key ~chunk:c with
-          | Some cells -> cells
-          | None ->
-              let cells = work c in
-              Checkpoint.store codec ~key ~chunk:c cells;
-              cells
-      end
+          | Some cells when until cells -> (List.rev (cells :: restored), true)
+          | Some cells -> restore (c + 1) (cells :: restored)
+          | None -> (List.rev restored, false))
+      | Some _ | None -> (List.rev restored, false)
+    in
+    let restored, stopped = restore 0 [] in
+    let work =
+      match key with
+      | None -> work
+      | Some key -> (
+          fun c ->
+            match Checkpoint.lookup codec ~key ~chunk:c with
+            | Some cells -> cells
+            | None ->
+                let cells = work c in
+                Checkpoint.store codec ~key ~chunk:c cells;
+                cells)
     in
     let outcomes, summary =
-      Engine_par.Supervisor.collect_prefix ?jobs
-        ?policy:(Engine_par.Supervisor.current_policy ())
-        ?inject:(Option.map Faultsim.Plan.injector plan)
-        ~limit:n_chunks ~until work
+      if stopped then ([||], Engine_par.Supervisor.empty_summary)
+      else
+        Engine_par.Supervisor.collect_prefix ?jobs
+          ?policy:(Engine_par.Supervisor.current_policy ())
+          ?inject:(Option.map Faultsim.Plan.injector plan)
+          ~first:(List.length restored) ~limit:n_chunks ~until work
     in
-    ( Array.map
-        (function
-          | Engine_par.Supervisor.Completed cells -> Some cells
-          | Engine_par.Supervisor.Quarantined _ -> None)
-        outcomes,
+    ( Array.append
+        (Array.of_list (List.map Option.some restored))
+        (Array.map
+           (function
+             | Engine_par.Supervisor.Completed cells -> Some cells
+             | Engine_par.Supervisor.Quarantined _ -> None)
+           outcomes),
       summary )
   end
 

@@ -52,6 +52,18 @@ val run :
     back. [key] is forced and digested on the calling domain, and only
     when a checkpoint is active. [jobs] defaults to the ambient pool
     default.
+
+    On a resume the journal's restored chunks [0, 1, ...], up to the
+    first it lacks, pass through [until] in order on the calling
+    domain before anything is dispatched. Only the chunks after that
+    prefix are dispatched, and none once [until] has answered [true],
+    so a resume computes no chunk its journal already makes
+    unnecessary. Each restored chunk is looked up, and counted, once.
+    The chunks of that prefix are never supervised, so a fault plan
+    never fires on them. A restored chunk after the first gap is
+    dispatched with the rest and meets the injector like a computed
+    one: under a plan it cannot recover from, it is quarantined
+    although the journal holds it.
     @raise Invalid_argument on negative [count]. *)
 
 val cell : 'a array option array -> int -> 'a option

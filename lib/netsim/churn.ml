@@ -213,13 +213,17 @@ let cursor t edge =
 
 (* Geometric(rate) on {1, 2, ...} by inverse CDF, given
    [log_rate = log1p (-. rate)]. rate = 0 never fires (caller
-   special-cases); rate = 1 fires immediately. *)
+   special-cases); rate = 1 fires immediately. The clamp compares ints:
+   the polymorphic [max] costs a C call on each of about a million
+   draws per churned flood. *)
 let geometric gen rate log_rate =
   if rate >= 1.0 then 1
   else
     let u = Prng.Xoshiro256.next_float gen in
     let k = Float.ceil (Float.log1p (-.u) /. log_rate) in
-    if Float.is_finite k && k < 1073741823.0 then max 1 (int_of_float k)
+    if Float.is_finite k && k < 1073741823.0 then
+      let k = int_of_float k in
+      if k < 1 then 1 else k
     else max_int / 4
 
 (* Draw toggles until the undrawn part starts after [round]; a zero

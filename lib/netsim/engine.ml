@@ -1,5 +1,9 @@
 type ('state, 'message) t = {
   world : Percolation.World.t;
+  graph : Topology.Graph.t;
+  csr : Topology.Csr.t option;
+      (* cached worlds: a node's row is its [neighbors], sliced without
+         the graph's closure. Lazy worlds keep the closure. *)
   protocol : ('state, 'message) Protocol.t;
   states : 'state array;
   link_capacity : int option;
@@ -23,12 +27,104 @@ type ('state, 'message) t = {
   stream_seed : int64;
   metrics : Metrics.t;
   mutable round : int;
+  mutable node : int; (* the node stepping now, whose calls [api] makes *)
+  api_probe : int -> bool;
+  api_send : int -> 'message -> unit;
+  api_random_int : int -> int;
 }
 
 let wake t node =
   if Bytes.get t.woken node = '\000' then begin
     Bytes.set t.woken node '\001';
     t.wake <- node :: t.wake
+  end
+
+let node_stream t node =
+  match Hashtbl.find_opt t.node_streams node with
+  | Some stream -> stream
+  | None ->
+      let stream = Prng.Stream.create (Prng.Coin.derive t.stream_seed node) in
+      Hashtbl.replace t.node_streams node stream;
+      stream
+
+(* Up at this round per the churn overlay (vacuously true unchurned).
+   Percolation-openness is checked separately by the callers. *)
+let churn_up t ~edge =
+  match t.churn with
+  | None -> true
+  | Some state -> Churn.link_up state ~edge ~round:t.round
+
+let queue_delivery t ~node ~sender message =
+  t.pending.(node) <- (sender, message) :: t.pending.(node);
+  t.pending_count <- t.pending_count + 1;
+  wake t node
+
+(* Under a capacity limit, a send enters the directed link's backlog;
+   the drain phase below moves up to [capacity] messages per link per
+   round into the next round's inboxes. *)
+let enqueue_on_link t ~sender ~receiver message =
+  let key = (sender, receiver) in
+  let backlog =
+    match Hashtbl.find_opt t.queued key with
+    | Some q -> q
+    | None ->
+        let q = Queue.create () in
+        Hashtbl.replace t.queued key q;
+        q
+  in
+  Queue.push message backlog;
+  t.queued_count <- t.queued_count + 1
+
+let drain_links t capacity =
+  Hashtbl.iter
+    (fun (sender, receiver) backlog ->
+      (* A churned-down link holds its backlog (store-and-forward
+         waits for repair); nothing is lost, so no blocked tick. *)
+      if churn_up t ~edge:(t.graph.Topology.Graph.edge_id sender receiver) then begin
+        let moved = ref 0 in
+        while !moved < capacity && not (Queue.is_empty backlog) do
+          let message = Queue.pop backlog in
+          t.queued_count <- t.queued_count - 1;
+          Metrics.tick_delivered t.metrics;
+          queue_delivery t ~node:receiver ~sender message;
+          incr moved
+        done
+      end)
+    t.queued
+
+(* [probe] and [send] resolve the edge once: [edge_id] raises
+   [Not_an_edge] for a non-neighbour, and its id serves the coin and
+   the churn overlay alike. *)
+let probe t v =
+  let node = t.node in
+  let id = t.graph.Topology.Graph.edge_id node v in
+  Metrics.tick_raw_probe t.metrics;
+  let fresh = not (Hashtbl.mem t.probed id) in
+  if fresh then begin
+    Hashtbl.replace t.probed id ();
+    Metrics.tick_distinct_probe t.metrics
+  end;
+  let open_ =
+    Percolation.World.is_open_id t.world node v ~id && churn_up t ~edge:id
+  in
+  if Obs.Trace.on () then
+    Obs.Trace.emit (Obs.Trace.Probe { u = node; v; open_; fresh });
+  open_
+
+(* Validates adjacency; delivery depends on the percolated state but the
+   sender learns nothing from the call. *)
+let send t v message =
+  let node = t.node in
+  let id = t.graph.Topology.Graph.edge_id node v in
+  Metrics.tick_sent t.metrics;
+  if Percolation.World.is_open_id t.world node v ~id then begin
+    if churn_up t ~edge:id then
+      match t.link_capacity with
+      | None ->
+          Metrics.tick_delivered t.metrics;
+          queue_delivery t ~node:v ~sender:node message
+      | Some _ -> enqueue_on_link t ~sender:node ~receiver:v message
+    else Metrics.tick_churn_blocked t.metrics
   end
 
 let create ?seed ?link_capacity ?churn world protocol =
@@ -42,8 +138,14 @@ let create ?seed ?link_capacity ?churn world protocol =
     | Some s -> s
     | None -> Prng.Coin.derive (Percolation.World.seed world) 0x51
   in
-  let t = {
+  (* The api closures are built here, once: each reads the stepping
+     node from [t]. *)
+  let rec t = {
     world;
+    graph;
+    csr =
+      (if Percolation.World.cached world then Some (Topology.Csr.of_graph graph)
+       else None);
     protocol;
     states = Array.init n (fun node -> protocol.Protocol.init ~node);
     link_capacity;
@@ -64,81 +166,30 @@ let create ?seed ?link_capacity ?churn world protocol =
     stream_seed;
     metrics = Metrics.create ();
     round = 0;
+    node = 0;
+    api_probe = (fun v -> probe t v);
+    api_send = (fun v message -> send t v message);
+    api_random_int =
+      (fun bound -> Prng.Stream.int_in (node_stream t t.node) bound);
   } in
   Array.iteri (fun node s -> if not (protocol.Protocol.idle s) then wake t node) t.states;
   t
 
 let world t = t.world
 let churned t = Option.is_some t.churn
-
-(* Up at this round per the churn overlay (vacuously true unchurned).
-   Percolation-openness is checked separately by the callers. *)
-let churn_up t ~edge =
-  match t.churn with
-  | None -> true
-  | Some state -> Churn.link_up state ~edge ~round:t.round
-
 let protocol_name t = t.protocol.Protocol.name
 let round t = t.round
 let metrics t = t.metrics
 let state t node = t.states.(node)
 let in_flight t = t.pending_count + t.queued_count
 
-let queue_delivery t ~node ~sender message =
-  t.pending.(node) <- (sender, message) :: t.pending.(node);
-  t.pending_count <- t.pending_count + 1;
-  wake t node
-
 let inject t ~node ~sender message =
-  Topology.Graph.check_vertex (Percolation.World.graph t.world) node;
+  Topology.Graph.check_vertex t.graph node;
   queue_delivery t ~node ~sender message
-
-let node_stream t node =
-  match Hashtbl.find_opt t.node_streams node with
-  | Some stream -> stream
-  | None ->
-      let stream = Prng.Stream.create (Prng.Coin.derive t.stream_seed node) in
-      Hashtbl.replace t.node_streams node stream;
-      stream
-
-(* Under a capacity limit, a send enters the directed link's backlog;
-   the drain phase below moves up to [capacity] messages per link per
-   round into the next round's inboxes. *)
-let enqueue_on_link t ~sender ~receiver message =
-  let key = (sender, receiver) in
-  let backlog =
-    match Hashtbl.find_opt t.queued key with
-    | Some q -> q
-    | None ->
-        let q = Queue.create () in
-        Hashtbl.replace t.queued key q;
-        q
-  in
-  Queue.push message backlog;
-  t.queued_count <- t.queued_count + 1
-
-let drain_links t capacity =
-  let graph = Percolation.World.graph t.world in
-  Hashtbl.iter
-    (fun (sender, receiver) backlog ->
-      (* A churned-down link holds its backlog (store-and-forward
-         waits for repair); nothing is lost, so no blocked tick. *)
-      if churn_up t ~edge:(graph.Topology.Graph.edge_id sender receiver) then begin
-        let moved = ref 0 in
-        while !moved < capacity && not (Queue.is_empty backlog) do
-          let message = Queue.pop backlog in
-          t.queued_count <- t.queued_count - 1;
-          Metrics.tick_delivered t.metrics;
-          queue_delivery t ~node:receiver ~sender message;
-          incr moved
-        done
-      end)
-    t.queued
 
 (* Only woken nodes step, in ascending order: inboxes and trace/v1 probe
    events come out in the order stepping every node would give. *)
 let run_round t =
-  let graph = Percolation.World.graph t.world in
   let inboxes = t.pending in
   t.pending <- t.spare;
   t.spare <- inboxes;
@@ -151,44 +202,22 @@ let run_round t =
   Metrics.tick_round t.metrics;
   for i = 0 to Array.length active - 1 do
     let node = active.(i) in
-    let probe v =
-      let id = graph.Topology.Graph.edge_id node v in
-      Metrics.tick_raw_probe t.metrics;
-      let fresh = not (Hashtbl.mem t.probed id) in
-      if fresh then begin
-        Hashtbl.replace t.probed id ();
-        Metrics.tick_distinct_probe t.metrics
-      end;
-      let open_ =
-        Percolation.World.is_open t.world node v && churn_up t ~edge:id
-      in
-      if Obs.Trace.on () then
-        Obs.Trace.emit (Obs.Trace.Probe { u = node; v; open_; fresh });
-      open_
-    in
-    let send v message =
-      (* Validates adjacency; delivery depends on the percolated state
-         but the sender learns nothing from the call. *)
-      let id = graph.Topology.Graph.edge_id node v in
-      Metrics.tick_sent t.metrics;
-      if Percolation.World.is_open t.world node v then begin
-        if churn_up t ~edge:id then
-          match t.link_capacity with
-          | None ->
-              Metrics.tick_delivered t.metrics;
-              queue_delivery t ~node:v ~sender:node message
-          | Some _ -> enqueue_on_link t ~sender:node ~receiver:v message
-        else Metrics.tick_churn_blocked t.metrics
-      end
+    t.node <- node;
+    let neighbors =
+      match t.csr with
+      | Some csr ->
+          let lo = csr.Topology.Csr.xadj.(node) in
+          Array.sub csr.Topology.Csr.targets lo (csr.Topology.Csr.xadj.(node + 1) - lo)
+      | None -> t.graph.Topology.Graph.neighbors node
     in
     let api =
       {
         Api.node;
         round = t.round;
-        neighbors = graph.Topology.Graph.neighbors node;
-        probe;
-        send;
-        random_int = (fun bound -> Prng.Stream.int_in (node_stream t node) bound);
+        neighbors;
+        probe = t.api_probe;
+        send = t.api_send;
+        random_int = t.api_random_int;
       }
     in
     let inbox = List.rev inboxes.(node) in

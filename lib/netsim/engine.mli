@@ -12,7 +12,21 @@
     through probes and deliveries, so the engine is a distributed
     realization of the paper's probe model (messages double as free
     one-sided evidence that a link is open — exactly like a successful
-    probe). *)
+    probe).
+
+    {2 Cost model}
+
+    A round costs its sends, probes and woken nodes, not its
+    bookkeeping. Each step allocates the node's {!Api.t} record and
+    its [neighbors] array; [probe], [send] and [random_int] are built
+    once per engine, and the counters are plain fields ({!Metrics}).
+    On a cached world ({!Percolation.World.cached}) [neighbors] is a
+    slice of the node's row in the graph's shared {!Topology.Csr}; a
+    lazy world calls the graph's [neighbors] closure. [send] and
+    [probe] call the graph's [edge_id] once and pass the id to
+    {!Percolation.World.is_open_id}; a probe also looks the id up in
+    a hash table of distinct probed edges. Under churn, a probe and a
+    send on an open link add one {!Churn.link_up}, amortized O(1). *)
 
 type ('state, 'message) t
 
@@ -26,6 +40,9 @@ val create :
 (** [create world protocol] initialises every node's state. [seed]
     (default derived from the world seed) drives the per-node
     [random_int] streams only — link states belong to the world.
+    It allocates O(|V|) words and no churn state (a link's cursor is
+    made at its first query). On a cached world it takes the graph's
+    memoised {!Topology.Csr.of_graph}, the one the world was cut from.
 
     [link_capacity] switches the network from unbounded bandwidth (the
     default: every sent message on an open link arrives next round) to

@@ -1,40 +1,54 @@
-(* Cost accounting is an Obs.Metrics registry under [netsim.*] names;
-   the historical fields survive as thin counter views. *)
+(* Six plain counters: the engine ticks one per round, send, delivery,
+   probe and block, so each tick is a field increment, not a registry
+   lookup. The [netsim.*] names exist only in [snapshot]. *)
 
-type t = Obs.Metrics.t
+type t = {
+  mutable rounds : int;
+  mutable sent : int;
+  mutable delivered : int;
+  mutable raw : int;
+  mutable distinct : int;
+  mutable blocked : int;
+}
 
-let k_rounds = "netsim.rounds"
-let k_sent = "netsim.messages_sent"
-let k_delivered = "netsim.messages_delivered"
-let k_raw = "netsim.raw_probes"
-let k_distinct = "netsim.distinct_probes"
-let k_churn_blocked = "netsim.churn.blocked"
+let create () =
+  { rounds = 0; sent = 0; delivered = 0; raw = 0; distinct = 0; blocked = 0 }
 
-let create () = Obs.Metrics.create ()
+let tick_round t = t.rounds <- t.rounds + 1
+let tick_sent t = t.sent <- t.sent + 1
+let tick_delivered t = t.delivered <- t.delivered + 1
+let tick_raw_probe t = t.raw <- t.raw + 1
+let tick_distinct_probe t = t.distinct <- t.distinct + 1
+let tick_churn_blocked t = t.blocked <- t.blocked + 1
 
-let tick_round t = Obs.Metrics.incr t k_rounds
-let tick_sent t = Obs.Metrics.incr t k_sent
-let tick_delivered t = Obs.Metrics.incr t k_delivered
-let tick_raw_probe t = Obs.Metrics.incr t k_raw
-let tick_distinct_probe t = Obs.Metrics.incr t k_distinct
-let tick_churn_blocked t = Obs.Metrics.incr t k_churn_blocked
+let rounds t = t.rounds
+let messages_sent t = t.sent
+let messages_delivered t = t.delivered
+let raw_probes t = t.raw
+let distinct_probes t = t.distinct
+let churn_blocked t = t.blocked
 
-let rounds t = Obs.Metrics.peek t k_rounds
-let messages_sent t = Obs.Metrics.peek t k_sent
-let messages_delivered t = Obs.Metrics.peek t k_delivered
-let raw_probes t = Obs.Metrics.peek t k_raw
-let distinct_probes t = Obs.Metrics.peek t k_distinct
-let churn_blocked t = Obs.Metrics.peek t k_churn_blocked
-
-let snapshot = Obs.Metrics.snapshot
+(* A counter never ticked stays out of the snapshot: metrics/v1 lists
+   only the counters a run moved, and the committed goldens of
+   [make churn-smoke] pin that set. *)
+let snapshot t =
+  let registry = Obs.Metrics.create () in
+  List.iter
+    (fun (name, n) -> if n > 0 then Obs.Metrics.add registry name n)
+    [
+      ("netsim.rounds", t.rounds);
+      ("netsim.messages_sent", t.sent);
+      ("netsim.messages_delivered", t.delivered);
+      ("netsim.raw_probes", t.raw);
+      ("netsim.distinct_probes", t.distinct);
+      ("netsim.churn.blocked", t.blocked);
+    ];
+  Obs.Metrics.snapshot registry
 
 let delivery_rate t =
-  let sent = messages_sent t in
-  if sent = 0 then nan else float_of_int (messages_delivered t) /. float_of_int sent
+  if t.sent = 0 then nan else float_of_int t.delivered /. float_of_int t.sent
 
 let pp ppf t =
   Format.fprintf ppf "rounds=%d sent=%d delivered=%d probes=%d (%d raw)"
-    (rounds t) (messages_sent t) (messages_delivered t) (distinct_probes t)
-    (raw_probes t);
-  let blocked = churn_blocked t in
-  if blocked > 0 then Format.fprintf ppf " churn-blocked=%d" blocked
+    t.rounds t.sent t.delivered t.distinct t.raw;
+  if t.blocked > 0 then Format.fprintf ppf " churn-blocked=%d" t.blocked

@@ -1,13 +1,14 @@
 (** Global cost accounting of a simulation run.
 
-    Since the observability layer landed this is a thin view over an
-    {!Obs.Metrics} registry: every count lives in a counter named
-    [netsim.rounds], [netsim.messages_sent], [netsim.messages_delivered],
-    [netsim.raw_probes] or [netsim.distinct_probes], and {!snapshot}
-    exposes them in the same mergeable form the trial engine uses —
-    [faultroute simulate --metrics-out] writes them alongside
-    everything else. The accessors below are live reads of the
-    underlying counters. *)
+    Six plain integer counters, one field each, ticked by the engine on
+    every round, send, delivery, probe and churn block. They are not a
+    view over an {!Obs.Metrics} registry: {!snapshot} builds one on
+    demand under the names [netsim.rounds], [netsim.messages_sent],
+    [netsim.messages_delivered], [netsim.raw_probes],
+    [netsim.distinct_probes] and [netsim.churn.blocked], leaving out
+    every counter still at zero, in the mergeable form the trial engine
+    uses — [faultroute simulate --metrics-out] writes them alongside
+    everything else. The accessors below are live reads. *)
 
 type t
 
@@ -47,8 +48,8 @@ val churn_blocked : t -> int
     Zero on unchurned runs. *)
 
 val snapshot : t -> Obs.Metrics.snapshot
-(** The underlying counters as a pure mergeable snapshot (the
-    [netsim.*] namespace). *)
+(** The non-zero counters as a pure mergeable snapshot (the [netsim.*]
+    namespace); a counter never ticked is absent, not 0. *)
 
 val delivery_rate : t -> float
 (** [messages_delivered / messages_sent]; [nan] when nothing was sent. *)

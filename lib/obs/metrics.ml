@@ -12,12 +12,6 @@ let add t name n =
 
 let incr t name = add t name 1
 
-let peek t name =
-  match Hashtbl.find_opt t name with
-  | Some (Counter r) -> !r
-  | Some (Hist _) -> invalid_arg ("Metrics.peek: " ^ name ^ " is a histogram")
-  | None -> 0
-
 let observe t name v =
   match Hashtbl.find_opt t name with
   | Some (Hist h) -> Hist.add h (float_of_int v)

@@ -36,12 +36,6 @@ val observe : t -> string -> int -> unit
 (** Record one value into the named histogram (a {!Hist.t}:
     power-of-two buckets plus exact count / sum / min / max). *)
 
-val peek : t -> string -> int
-(** Live value of a counter in the registry, 0 when absent — for thin
-    metric views (e.g. [Netsim.Metrics]) that read while the run is
-    still mutating.
-    @raise Invalid_argument on a histogram name. *)
-
 (** {2 Snapshots} *)
 
 type snapshot

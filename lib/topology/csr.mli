@@ -27,4 +27,9 @@ val of_graph : Graph.t -> t
 (** Like {!build}, but memoised on the graph's {e physical identity}
     and safe to call from any domain: every world over the same graph
     value shares one structure. Structurally equal but physically
-    distinct graphs build independent copies (correct, just unshared). *)
+    distinct graphs build independent copies (correct, just unshared).
+
+    The memo holds its last 8 graphs and their structures by strong
+    references, in a process-global list: a graph no caller can reach
+    any more stays alive, with its CSR (O(Σ degree) words), until 8
+    newer graphs push it out. *)

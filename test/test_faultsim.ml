@@ -363,6 +363,30 @@ let test_checkpoint_round_trip () =
       ((fun ~jobs -> run_budgeted_trial ~jobs), Some "\"t\": \"b\"");
     ]
 
+let test_checkpoint_resume_computes_nothing () =
+  (* Trial's [until] fires on the jobs-2 journal's in-order prefix, so a
+     resume at jobs 4 must dispatch nothing. Four domains racing
+     through restored chunks would dispense one past the journal in
+     some schedules and append it; the loop gives them the chance. *)
+  with_dir @@ fun dir ->
+  with_clean_supervision @@ fun () ->
+  configure_exn ~dir ~resume:false;
+  let first = run_trial ~jobs:2 () in
+  let written = Experiments.Checkpoint.appended () in
+  Experiments.Checkpoint.deconfigure ();
+  for round = 1 to 40 do
+    configure_exn ~dir ~resume:true;
+    let resumed = run_trial ~jobs:4 () in
+    let label what = Printf.sprintf "resume %d: %s" round what in
+    Alcotest.(check bool) (label "identical") true (Stdlib.compare first resumed = 0);
+    Alcotest.(check int) (label "nothing recomputed") 0
+      (Experiments.Checkpoint.appended ());
+    Alcotest.(check bool) (label "each chunk restored at most once") true
+      (let restored = Experiments.Checkpoint.restored () in
+       restored > 0 && restored <= written);
+    Experiments.Checkpoint.deconfigure ()
+  done
+
 let test_checkpoint_key_isolation () =
   (* A different seed must miss the journal, not restore a wrong
      result. *)
@@ -502,12 +526,14 @@ let runner_compute stream index =
     float_of_int (Netsim.Metrics.churn_blocked m);
   |]
 
-let run_runner ?jobs () =
+(* Three chunks: indices 0..3, 4..7 and 8..9. *)
+let run_runner_chunks ?jobs () =
   let stream = Prng.Stream.create 23L in
-  let chunks, _faults =
-    Experiments.Runner.run ?jobs ~key:(lazy "test-runner;seed=23")
-      ~codec:Experiments.Checkpoint.floats ~count:10 (runner_compute stream)
-  in
+  Experiments.Runner.run ?jobs ~key:(lazy "test-runner;seed=23")
+    ~codec:Experiments.Checkpoint.floats ~count:10 (runner_compute stream)
+
+let run_runner ?jobs () =
+  let chunks, _faults = run_runner_chunks ?jobs () in
   Array.concat (Array.to_list (Array.map Option.get chunks))
 
 (* The grid over the same computation: cell [c], trial [t] is index
@@ -613,6 +639,49 @@ let test_runner_grid_quarantine () =
         (Supervisor.global_summary ()).Supervisor.quarantined)
     [ 1; 4 ]
 
+let test_runner_resume_under_crash_plan () =
+  (* One attempt per chunk and crash@1 leave a journal with a gap: it
+     holds chunks 0 and 2. The resume restores chunk 0, the prefix
+     before the gap, without supervising it, so crash@0 never fires.
+     Chunk 2 comes after the gap and is dispatched with chunk 1, so it
+     meets the injector like a computed chunk: crash@2 loses it,
+     although the journal holds it. *)
+  let reference =
+    with_clean_supervision (fun () -> fst (run_runner_chunks ~jobs:1 ()))
+  in
+  let one_attempt faults =
+    Supervisor.arm { Supervisor.default_policy with Supervisor.max_attempts = 1 };
+    Plan.set_ambient (Some (Plan.make faults))
+  in
+  List.iter
+    (fun jobs ->
+      with_dir @@ fun dir ->
+      with_clean_supervision @@ fun () ->
+      let label what = Printf.sprintf "jobs %d: %s" jobs what in
+      configure_exn ~dir ~resume:false;
+      one_attempt [ Plan.Crash_on_chunk 1 ];
+      ignore (run_runner_chunks ~jobs:1 ());
+      Alcotest.(check int) (label "chunks 0 and 2 journaled") 2
+        (Experiments.Checkpoint.appended ());
+      Experiments.Checkpoint.deconfigure ();
+      configure_exn ~dir ~resume:true;
+      one_attempt [ Plan.Crash_on_chunk 0; Plan.Crash_on_chunk 2 ];
+      let chunks, summary = run_runner_chunks ~jobs () in
+      Alcotest.(check bool) (label "chunks 0 and 1 as the clean run, 2 lost") true
+        (Stdlib.compare chunks [| reference.(0); reference.(1); None |] = 0);
+      Alcotest.(check (list (pair int int)))
+        (label "only chunk 2 injected, once") [ (2, 1) ]
+        (List.map
+           (fun (f : Supervisor.failure) -> (f.Supervisor.chunk, f.Supervisor.attempt))
+           summary.Supervisor.failures);
+      Alcotest.(check (list int)) (label "chunk 2 quarantined") [ 2 ]
+        summary.Supervisor.quarantined;
+      Alcotest.(check int) (label "chunk 0 restored") 1
+        (Experiments.Checkpoint.restored ());
+      Alcotest.(check int) (label "chunk 1 computed and appended") 1
+        (Experiments.Checkpoint.appended ()))
+    [ 1; 4 ]
+
 let test_runner_vchunk_resume () =
   (* Journals written before the single cell format tagged float-vector
      chunks [vchunk]; they must still restore every chunk. *)
@@ -693,6 +762,8 @@ let () =
       ( "checkpoint",
         [
           case "round-trip" test_checkpoint_round_trip;
+          case "resume at more jobs computes nothing"
+            test_checkpoint_resume_computes_nothing;
           case "key isolation" test_checkpoint_key_isolation;
           case "resume after torn line" test_resume_after_torn_line;
           case "resume after rejected cells" test_resume_after_rejected_cells;
@@ -704,6 +775,7 @@ let () =
           case "crash plan identical" test_runner_crash_plan_identical;
           case "checkpoint resume" test_runner_checkpoint_resume;
           case "vchunk lines resume" test_runner_vchunk_resume;
+          case "resume under a crash plan" test_runner_resume_under_crash_plan;
           case "grid drops quarantined trials" test_runner_grid_quarantine;
         ] );
       ("atomic_file", [ case "write and append" test_atomic_file ]);

@@ -435,25 +435,35 @@ let test_butterfly_capacity_only_delays () =
 (* ------------------------------------------------------------------ *)
 (* Engine edge guards                                                  *)
 
+(* Node 0 of the path 0-1-2-3 calls [use] on vertex 2, two hops away:
+   the engine must reject it with the graph's own exception rather than
+   silently answering, on a cached world (CSR rows) and a lazy one (the
+   [edge_id] closure) alike. *)
+let check_non_neighbour_raises what use =
+  List.iter
+    (fun cache ->
+      let bad =
+        {
+          Netsim.Protocol.name = "bad-" ^ what;
+          init = (fun ~node:_ -> ());
+          step = (fun api () _ -> if api.Netsim.Api.node = 0 then use api 2);
+          idle = (fun _ -> false);
+        }
+      in
+      let w = P.World.create ~cache (path_graph 4) ~p:1.0 ~seed:1L in
+      Alcotest.(check bool) "world path as asked" cache (P.World.cached w);
+      let engine = Netsim.Engine.create w bad in
+      match Netsim.Engine.run_round engine with
+      | () -> Alcotest.failf "%s to a non-neighbour should raise (cache %b)" what cache
+      | exception Topology.Graph.Not_an_edge _ -> ())
+    [ true; false ]
+
 let test_probe_non_neighbour_raises () =
-  (* A protocol that probes a vertex two hops away on the path: the
-     engine must reject it with the graph's own exception rather than
-     silently answering. *)
-  let bad =
-    {
-      Netsim.Protocol.name = "bad-probe";
-      init = (fun ~node:_ -> ());
-      step =
-        (fun api () _ ->
-          if api.Netsim.Api.node = 0 then
-            ignore (api.Netsim.Api.probe 2 : bool));
-      idle = (fun _ -> false);
-    }
-  in
-  let engine = Netsim.Engine.create (world (path_graph 4)) bad in
-  match Netsim.Engine.run_round engine with
-  | () -> Alcotest.fail "probing a non-neighbour should raise"
-  | exception Topology.Graph.Not_an_edge _ -> ()
+  check_non_neighbour_raises "probe" (fun api v ->
+      ignore (api.Netsim.Api.probe v : bool))
+
+let test_send_non_neighbour_raises () =
+  check_non_neighbour_raises "send" (fun api v -> api.Netsim.Api.send v ())
 
 let test_inject_delivers_at_round_one () =
   let engine = Netsim.Engine.create (world (cube 3)) probing_protocol in
@@ -708,6 +718,53 @@ let same_as_stepping_every_node ?link_capacity ?churn ~rounds world protocol sta
   run protocol = run every_node
   && !steps = rounds * (P.World.graph world).Topology.Graph.vertex_count
 
+(* A check over one run configuration, for any protocol. *)
+type agree = {
+  agree :
+    'state 'message.
+    ?link_capacity:int ->
+    ?churn:Netsim.Churn.plan ->
+    p:float ->
+    seed:int64 ->
+    Topology.Graph.t ->
+    ('state, 'message) Netsim.Protocol.t ->
+    (('state, 'message) Netsim.Engine.t -> unit) ->
+    bool;
+}
+
+(* [agree] must hold for every in-tree protocol with its start (flood,
+   gossip, greedy-forward and random-walk on a 5-cube, butterfly
+   bit-fixing on a 3-butterfly) at a random seed and p, with churn and
+   a link capacity of 1 each on or off, and probe tracing on. *)
+let every_protocol_agrees ~name { agree } =
+  QCheck.Test.make ~name ~count:60
+    QCheck.(quad int64 (float_range 0.3 1.0) bool bool)
+    (fun (seed, p, churned, capped) ->
+      let churn =
+        if churned then Some (Netsim.Churn.make ~fail:0.1 ~repair:0.3 ~seed ())
+        else None
+      in
+      let link_capacity = if capped then Some 1 else None in
+      let same graph protocol start =
+        agree ?link_capacity ?churn ~p ~seed graph protocol start
+      in
+      let source = Int64.to_int (Int64.logand seed 31L) and target = 31 in
+      let n = 3 in
+      Obs.Trace.enable ~sink:ignore;
+      Fun.protect ~finally:Obs.Trace.disable (fun () ->
+          same (cube 5) Netsim.Flood.protocol (fun e -> Netsim.Flood.start e ~source)
+          && same (cube 5) Netsim.Gossip.protocol (fun e ->
+                 Netsim.Gossip.start e ~source)
+          && same (cube 5)
+               (Netsim.Greedy_forward.protocol ~target ~metric:hamming_metric)
+               (fun e -> Netsim.Greedy_forward.start e ~source)
+          && same (cube 5) (Netsim.Random_walk.protocol ~target) (fun e ->
+                 Netsim.Random_walk.start e ~source)
+          && same (Topology.Butterfly.graph n) (Netsim.Butterfly_route.protocol ~n)
+               (fun e ->
+                 Netsim.Butterfly_route.inject_permutation (Prng.Stream.create seed) e
+                   ~n ~passes:2)))
+
 (* ------------------------------------------------------------------ *)
 (* QCheck properties                                                   *)
 
@@ -793,35 +850,27 @@ let qcheck_tests =
         List.for_all
           (fun order -> List.for_all (fun round -> List.for_all (agree round) edges) order)
           [ ascending; List.rev ascending; Array.to_list shuffled ]);
-    Test.make ~name:"active-set schedule = stepping every node" ~count:60
-      (quad int64 (float_range 0.3 1.0) bool bool)
-      (fun (seed, p, churned, capped) ->
-        let churn =
-          if churned then Some (Netsim.Churn.make ~fail:0.1 ~repair:0.3 ~seed ())
-          else None
-        in
-        let link_capacity = if capped then Some 1 else None in
-        let same world protocol start =
-          same_as_stepping_every_node ?link_capacity ?churn ~rounds:40 world protocol
-            start
-        in
-        let cube_world = P.World.create (cube 5) ~p ~seed in
-        let source = Int64.to_int (Int64.logand seed 31L) and target = 31 in
-        let n = 3 in
-        let butterfly_world = P.World.create (Topology.Butterfly.graph n) ~p ~seed in
-        Obs.Trace.enable ~sink:ignore;
-        Fun.protect ~finally:Obs.Trace.disable (fun () ->
-            same cube_world Netsim.Flood.protocol (fun e -> Netsim.Flood.start e ~source)
-            && same cube_world Netsim.Gossip.protocol (fun e ->
-                   Netsim.Gossip.start e ~source)
-            && same cube_world
-                 (Netsim.Greedy_forward.protocol ~target ~metric:hamming_metric)
-                 (fun e -> Netsim.Greedy_forward.start e ~source)
-            && same cube_world (Netsim.Random_walk.protocol ~target) (fun e ->
-                   Netsim.Random_walk.start e ~source)
-            && same butterfly_world (Netsim.Butterfly_route.protocol ~n) (fun e ->
-                   Netsim.Butterfly_route.inject_permutation (Prng.Stream.create seed) e
-                     ~n ~passes:2)));
+    every_protocol_agrees ~name:"cached world = lazy world"
+      {
+        agree =
+          (fun ?link_capacity ?churn ~p ~seed graph protocol start ->
+            (* Cached worlds slice [neighbors] from CSR rows, lazy ones
+               call the graph's closure: states, counters and probe
+               events must agree. *)
+            let run cache =
+              let w = P.World.create ~cache graph ~p ~seed in
+              assert (P.World.cached w = cache);
+              observe ?link_capacity ?churn ~rounds:40 w protocol start
+            in
+            run true = run false);
+      };
+    every_protocol_agrees ~name:"active-set schedule = stepping every node"
+      {
+        agree =
+          (fun ?link_capacity ?churn ~p ~seed graph protocol start ->
+            same_as_stepping_every_node ?link_capacity ?churn ~rounds:40
+              (P.World.create graph ~p ~seed) protocol start);
+      };
   ]
 
 let () =
@@ -875,6 +924,7 @@ let () =
       ( "edge guards",
         [
           case "non-neighbour probe raises" test_probe_non_neighbour_raises;
+          case "non-neighbour send raises" test_send_non_neighbour_raises;
           case "inject delivers at round 1" test_inject_delivers_at_round_one;
           case "inject out of range raises" test_inject_out_of_range_raises;
         ] );
