@@ -38,12 +38,16 @@ bench-smoke:
 # under-sampled report fails the run (exit 3). Then malformed options:
 # a -p outside [0, 1] (NaN and inf included), --trials 0, --budget 0,
 # a mincut whose --source equals its --target, a non-finite top
-# --interval, and an unwritable output path (README.md/x lies under a
-# regular file) given to --trace, --telemetry-out, --metrics-out,
-# --profile-out, --ledger, serve --evidence-out, check --out or check
-# --update --baseline exit 1 with empty stdout and one stderr line,
-# before any work; simulate rejects a bad -p with exit 2 and one line
-# beside its usage block. Then --help=plain for the tool and every
+# --interval, a census or threshold on mesh2:200000 (its 4e10-vertex
+# union-find needs 320 GB), and an unwritable output path (README.md/x
+# lies under a regular file) given to --trace, --telemetry-out,
+# --metrics-out, --profile-out, --ledger, serve --evidence-out, check
+# --out or check --update --baseline exit 1 with empty stdout and one
+# stderr line, before any work. Each case runs with its address space
+# capped at 8 GB (ulimit -v), so the 320 GB allocation fails at once
+# whatever the host's overcommit policy and never touches a page.
+# simulate rejects a bad -p with exit 2 and one line beside its usage
+# block. Then --help=plain for the tool and every
 # subcommand must exit 0 without a single "cmdliner error" line (a bad
 # escape in an option's doc string prints one per rendering). The
 # binary runs directly so no dune output mixes into the stderr
@@ -58,13 +62,14 @@ smoke:
 	dune exec bin/faultroute.exe -- all --quick --jobs 2 --strict-shortfall > /dev/null
 	dune build bin/faultroute.exe
 	for args in 'route hypercube:8 -p 1.5' 'route hypercube:8 -p nan' 'census hypercube:8 -p 1.5' 'census hypercube:8 -p inf' 'threshold mesh2:8 --trials 0' 'route hypercube:8 --budget 0' 'mincut hypercube:4 --source 3 --target 3' \
+	  'census mesh2:200000' 'threshold mesh2:200000 --trials 1' \
 	  'top --replay --interval nan examples/obs/serve-telemetry.jsonl' 'top --replay --interval inf examples/obs/serve-telemetry.jsonl' \
 	  'exp E1 --quick --trace $(BAD_PATH)' 'route hypercube:4 --trace $(BAD_PATH)' 'simulate hypercube:4 --trace $(BAD_PATH)' \
 	  'exp E1 --quick --telemetry-out $(BAD_PATH)' 'route hypercube:4 --telemetry-out $(BAD_PATH)' 'simulate hypercube:4 --telemetry-out $(BAD_PATH)' \
 	  'exp E1 --quick --metrics-out $(BAD_PATH)' 'exp E1 --quick --profile-out $(BAD_PATH)' 'exp E1 --quick --ledger $(BAD_PATH)' \
 	  'serve --manifest examples/serve/session.json --queries examples/serve/queries.jsonl --evidence-out $(BAD_PATH)' \
 	  'check --quick --out $(BAD_PATH)' 'check --quick --update --baseline $(BAD_PATH)'; do \
-	  ./_build/default/bin/faultroute.exe $$args > artifacts/SMOKE_opt.out 2> artifacts/SMOKE_opt.err; \
+	  (ulimit -v 8000000; exec ./_build/default/bin/faultroute.exe $$args) > artifacts/SMOKE_opt.out 2> artifacts/SMOKE_opt.err; \
 	  test $$? -eq 1 || { echo "$$args: want exit 1"; exit 1; }; \
 	  test ! -s artifacts/SMOKE_opt.out || { echo "$$args: stdout not empty"; exit 1; }; \
 	  test "$$(wc -l < artifacts/SMOKE_opt.err)" -eq 1 || { echo "$$args: want one stderr line"; exit 1; }; \
@@ -232,7 +237,12 @@ churn-smoke:
 # --jobs 1 and --jobs 4; answers and evidence/v1 must be byte-identical
 # and every claim in the evidence file must hold (each world built
 # exactly once, every admitted query answered). Leg 2: a traced run
-# over the small demo queries whose trace/v1 must replay exactly.
+# over the small demo queries whose trace/v1 must replay exactly. Leg
+# 3: the 10k replay itself must reproduce the committed
+# examples/serve/evidence-10k-golden.json byte for byte, and its
+# answers the sha256 in examples/serve/answers-10k-golden.sha256, so a
+# reveal or routing change that moves any answer fails even when every
+# job count agrees; regenerate both only for an intended answer change.
 serve-smoke:
 	mkdir -p artifacts
 	for i in 1 2 3 4 5 6 7 8 9 10; do cat examples/serve/queries-10k.jsonl; done > artifacts/SERVE_queries_100k.jsonl
@@ -246,6 +256,9 @@ serve-smoke:
 	dune exec bin/faultroute.exe -- serve --manifest examples/serve/session.json --queries examples/serve/queries.jsonl --trace artifacts/SERVE_trace.jsonl > /dev/null
 	head -1 artifacts/SERVE_trace.jsonl | grep -q '"schema": "trace/v1"'
 	dune exec bin/faultroute.exe -- trace artifacts/SERVE_trace.jsonl
+	dune exec bin/faultroute.exe -- serve --manifest examples/serve/session.json --queries examples/serve/queries-10k.jsonl --jobs 2 --out artifacts/SERVE_answers_10k.jsonl --evidence-out artifacts/SERVE_evidence_10k.json
+	cmp examples/serve/evidence-10k-golden.json artifacts/SERVE_evidence_10k.json
+	sha256sum < artifacts/SERVE_answers_10k.jsonl | cmp examples/serve/answers-10k-golden.sha256 -
 
 # Run telemetry end to end. A serve run with the whole reporting layer
 # armed (telemetry/v1 heartbeats, profile/v1 spans, metrics/v1,
@@ -266,8 +279,10 @@ serve-smoke:
 # route and a random-walk simulate must match
 # examples/obs/{route,simulate}-trace-golden.jsonl, so any change to an
 # observed attempt's events moves a byte. Then the cost side:
-# instrumenting the hot paths must leave the disabled-path cost
-# unchanged (--obs-guard, <5%).
+# instrumenting the hot paths must leave the disabled path alone
+# (--obs-guard: every switch off and the same minor words per kernel
+# run after an instrumented run, and kernel/reference time ratios
+# within 5% or 2 ms).
 OBS_EX = examples/obs
 obs-smoke:
 	mkdir -p artifacts

@@ -5,8 +5,8 @@
    work — only the machinery differs):
 
    - reveal-BFS: full open-cluster exploration from a fixed source,
-     fresh world per iteration (arena BFS + memoised coins vs Hashtbl
-     frontier + rehash-per-query);
+     fresh prefilled world per iteration (arena BFS over open rows cut
+     from coin bitsets vs Hashtbl frontier + rehash-per-query);
    - oracle-probe: an unrestricted probe sweep over every edge followed
      by a full re-probe pass (bitset probe memory vs Hashtbl);
    - trial-run: a whole [Trial.run] under the default (cached)
@@ -79,8 +79,8 @@ let perc_cases () =
   let gnp = topo "complete" ~size:gnp_n in
   let db = topo "de-bruijn" ~size:db_n in
   [
-    (* Supercritical but sparse (mean open degree 2 of 16): the cached
-       arena stores only open neighbors, while the lazy reference hashes
+    (* Supercritical but sparse (mean open degree 2 of 16): prefilled
+       rows hold only open neighbors, while the lazy reference hashes
        a coin for every one of the 16 incident edges per expansion — the
        open-row compression that dense-graph/low-p regimes buy. *)
     case
@@ -123,10 +123,11 @@ let reveal_kernel case ~worlds ~cache () =
   let acc = ref 0 in
   for k = 1 to worlds do
     let world = world_of case ~cache k in
-    (* Resident worlds are prefilled in production (serve's world table), so
-       the cached engine is measured the same way: one sequential row
-       sweep — timed here — instead of random-order fills during the
-       first BFS. *)
+    (* Resident worlds are prefilled in production (serve's world table),
+       so the cached engine is measured the same way: one CSR sweep that
+       cuts exact-size open rows — timed here — then four BFS passes that
+       read them. A one-shot trial world is never prefilled; its reveal
+       tests CSR coin bits, which [trial_kernel] measures. *)
     if cache then Percolation.World.prefill world;
     for _pass = 1 to 4 do
       let size, _ = Percolation.Reveal.cluster_size world case.source in
@@ -329,18 +330,65 @@ let append_history ~out ~history =
             ~line:(Obs.Json.to_string json ^ "\n");
           Printf.printf "appended snapshot to %s\n" history)
 
-(* The zero-cost-when-off contract, checked empirically: the
-   oracle-probe kernel is timed with instrumentation disabled, then an
-   instrumented run (tracing into a null sink, metrics into a scratch
-   registry) exercises every hook, then the kernel is timed disabled
-   again. The two disabled timings must agree to within 5% — a leak of
-   instrumentation state (a ring left installed, a flag left set) shows
-   up as a persistent slowdown. A small absolute floor keeps the check
-   meaningful on noisy CI machines. *)
+(* A fixed single-threaded kernel that uses none of the library's code:
+   a pointer chase through a cache-sized random cycle, then hash-table
+   and list churn — the mix of perfbench's host-speed reference, scaled
+   down to the guard kernel's few milliseconds. Host load slows both
+   kernels of an adjacent pair alike, so their ratio holds still where
+   raw times drift. *)
+let reference_cycle =
+  lazy
+    (let size = 1 lsl 15 in
+     let a = Array.init size Fun.id in
+     (* Sattolo's shuffle from a fixed xorshift: one cycle through all
+        slots. *)
+     let s = ref 0x2545F4914F6CDD1 in
+     for i = size - 1 downto 1 do
+       s := !s lxor (!s lsl 13) land max_int;
+       s := !s lxor (!s lsr 7);
+       s := !s lxor (!s lsl 17) land max_int;
+       let j = !s mod i in
+       let t = a.(i) in
+       a.(i) <- a.(j);
+       a.(j) <- t
+     done;
+     a)
+
+let reference_kernel () =
+  let a = Lazy.force reference_cycle in
+  let p = ref 0 and acc = ref 0 in
+  for _ = 1 to 600_000 do
+    p := Array.unsafe_get a !p;
+    acc := !acc + !p
+  done;
+  let h = Hashtbl.create 16 in
+  for i = 1 to 12_000 do
+    Hashtbl.replace h (i land 4095) (List.init 8 (fun k -> k + i));
+    match Hashtbl.find_opt h ((i * 7) land 4095) with
+    | Some l -> acc := !acc + List.length l
+    | None -> ()
+  done;
+  !acc
+
+(* The zero-cost-when-off contract, checked twice over.
+
+   Deterministically: an instrumented run (tracing into a null sink,
+   metrics, timing spans and telemetry all armed) exercises every hook
+   of the oracle-probe kernel and must record probes; after it is
+   disarmed every switch must read off, and one kernel run must
+   allocate exactly the minor words it allocated before — a hook left
+   installed or a flag left set shows up here whatever the host's load.
+
+   Empirically: the kernel is timed with instrumentation disabled
+   before and after that run, each time as 25 adjacent pairs of a
+   reference-kernel sample and a kernel sample, in processor time. The median
+   kernel/reference ratios must agree to within 5%, or their
+   difference, priced at the mean of the two median reference times,
+   must stay under 2 ms — a persistent slowdown the switches do not show. *)
 let obs_guard () =
   (* A small fixed case, not the first (big) percolation case: the
      guard compares two timings of identical code, so what it needs is
-     a kernel stable across the ~45 repetitions — the cache-footprint
+     a kernel stable across the ~100 samples — the cache-footprint
      cases drift with thermal/frequency state over that window, and a
      constant instrumentation leak shows up as a larger fraction of a
      small kernel anyway. *)
@@ -358,27 +406,49 @@ let obs_guard () =
   in
   let worlds = 10 in
   let kernel () = oracle_kernel case ~worlds ~cache:true () in
-  (* Best-of-N, not median: the guard compares two timings of the same
-     code, so any difference is pure noise — and the minimum is the
-     estimator least contaminated by scheduler interference. *)
-  let time_best f =
+  (* Processor time, not wall time: a sample the scheduler preempts
+     under load keeps its cost instead of gaining the wait. *)
+  let time f =
+    let t0 = Sys.time () in
     ignore (Sys.opaque_identity (f ()));
-    let best = ref infinity in
-    for _ = 1 to 15 do
-      let t0 = Unix.gettimeofday () in
-      ignore (Sys.opaque_identity (f ()));
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
+    Sys.time () -. t0
+  in
+  let median xs =
+    let xs = Array.copy xs in
+    Array.sort compare xs;
+    xs.(Array.length xs / 2)
+  in
+  (* Medians of the kernel/reference ratio and of the reference time. *)
+  let paired () =
+    ignore (Sys.opaque_identity (reference_kernel ()));
+    ignore (Sys.opaque_identity (kernel ()));
+    let pairs =
+      Array.init 25 (fun _ ->
+          let reference = time reference_kernel in
+          (time kernel /. reference, reference))
+    in
+    (median (Array.map fst pairs), median (Array.map snd pairs))
+  in
+  let minor_words () =
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (kernel ()));
+    Gc.minor_words () -. before
   in
   Printf.printf "== obs guard (oracle-probe kernel, %s) ==\n" case.case_name;
-  let disabled_before = time_best kernel in
+  let ratio_before, reference_before = paired () in
+  let words_before = minor_words () in
   Obs.Trace.enable ~sink:(fun _ -> ());
   Obs.Metrics.enable ();
+  Obs.Timing.enable ();
+  Obs.Telemetry.enable ();
   let instrumented = Obs.Trace.observe ~index:1 kernel in
   Obs.Trace.disable ();
   Obs.Metrics.disable ();
+  Obs.Timing.disable ();
+  Obs.Telemetry.disable ();
+  assert (
+    not (Obs.Trace.on () || Obs.Metrics.on () || Obs.Timing.on () || Obs.Telemetry.on ()));
+  let words_after = minor_words () in
   let probes =
     Obs.Metrics.counter instrumented.Obs.Trace.metrics "oracle.probe.fresh"
   in
@@ -386,13 +456,24 @@ let obs_guard () =
     print_endline "obs-guard: FAIL — instrumented run recorded no probes";
     1
   end
-  else begin
-    let disabled_after = time_best kernel in
-    let delta = abs_float (disabled_after -. disabled_before) in
-    let relative = delta /. disabled_before in
+  else if words_after <> words_before then begin
     Printf.printf
-      "disabled before: %.3f ms   disabled after: %.3f ms   delta: %.1f%%\n"
-      (disabled_before *. 1e3) (disabled_after *. 1e3) (relative *. 100.0);
+      "obs-guard: FAIL — the disabled kernel allocated %.0f minor words before \
+       the instrumented run and %.0f after\n"
+      words_before words_after;
+    1
+  end
+  else begin
+    let ratio_after, reference_after = paired () in
+    let relative = abs_float (ratio_after -. ratio_before) /. ratio_before in
+    let reference = (reference_before +. reference_after) /. 2.0 in
+    let delta = abs_float (ratio_after -. ratio_before) *. reference in
+    Printf.printf
+      "minor words per run: %.0f before and after\n\
+       kernel/reference before: %.3f   after: %.3f   delta: %.1f%% (%.3f ms at \
+       mean reference %.3f ms)\n"
+      words_before ratio_before ratio_after (relative *. 100.0) (delta *. 1e3)
+      (reference *. 1e3);
     if relative < 0.05 || delta < 0.002 then begin
       print_endline "obs-guard: OK — instrumentation leaves the disabled path alone";
       0

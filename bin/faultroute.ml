@@ -595,11 +595,23 @@ let cmd_route topology size p source target router_name budget common =
         (Format.asprintf "%a" Routing.Outcome.pp outcome);
       0
 
+(* A census allocates a union-find of three words per vertex. On a
+   graph far past memory that allocation fails at once, before anything
+   is printed, and the run exits 1 with one line. *)
+let with_census_memory (graph : Topology.Graph.t) k =
+  match k () with
+  | code -> code
+  | exception Out_of_memory ->
+      Printf.eprintf "%s: %d vertices, too many to count clusters in memory\n"
+        graph.Topology.Graph.name graph.Topology.Graph.vertex_count;
+      Verdict.Exit_code.error
+
 let cmd_census topology size p seed =
   with_valid_options [ p_error p ] @@ fun () ->
   let stream = Prng.Stream.create seed in
   with_instance topology ~size stream @@ fun instance ->
   let graph = instance.Topology.Registry.graph in
+  with_census_memory graph @@ fun () ->
   let world = Percolation.World.create graph ~p ~seed in
   let census = Percolation.Clusters.census world in
   Printf.printf "world: %s, p = %.4f, seed = %Ld\n" graph.Topology.Graph.name p seed;
@@ -617,6 +629,7 @@ let cmd_threshold topology size seed jobs trials =
   let stream = Prng.Stream.create seed in
   with_instance topology ~size stream @@ fun instance ->
   let graph = instance.Topology.Registry.graph in
+  with_census_memory graph @@ fun () ->
   let event ~p ~seed =
     let world = Percolation.World.create graph ~p ~seed in
     Percolation.Clusters.has_giant (Percolation.Clusters.census world)

@@ -7,23 +7,23 @@ type census = {
   open_edge_count : int;
 }
 
-let components world =
-  let g = World.graph world in
-  let uf = Union_find.create g.Topology.Graph.vertex_count in
-  Topology.Graph.iter_edges g (fun u v ->
-      if World.is_open world u v then ignore (Union_find.union uf u v));
-  uf
+(* One union per open edge, in [Graph.iter_edges] order on both world
+   representations, so root ids — and with them [membership]'s
+   tie-break — do not depend on the representation. Also returns the
+   open-edge count. *)
+let union_open world =
+  let uf = Union_find.create (World.graph world).Topology.Graph.vertex_count in
+  let open_edges = ref 0 in
+  World.iter_open_edges world (fun u v ->
+      incr open_edges;
+      ignore (Union_find.union uf u v));
+  (uf, !open_edges)
+
+let components world = fst (union_open world)
 
 let count world =
-  let g = World.graph world in
-  let n = g.Topology.Graph.vertex_count in
-  let uf = Union_find.create n in
-  let open_edges = ref 0 in
-  Topology.Graph.iter_edges g (fun u v ->
-      if World.is_open world u v then begin
-        incr open_edges;
-        ignore (Union_find.union uf u v)
-      end);
+  let uf, open_edges = union_open world in
+  let n = Union_find.element_count uf in
   (* Each component is counted exactly once, at its canonical root —
      no Hashtbl needed. *)
   let size_list = ref [] in
@@ -39,7 +39,7 @@ let count world =
     largest = (if Array.length sizes > 0 then sizes.(0) else 0);
     second_largest = (if Array.length sizes > 1 then sizes.(1) else 0);
     vertex_count = n;
-    open_edge_count = !open_edges;
+    open_edge_count = open_edges;
   }
 
 (* Profiling only: one census is the [clusters.census] span. *)

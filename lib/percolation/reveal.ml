@@ -8,7 +8,8 @@ type verdict = Connected of int | Disconnected | Unknown
      vertex).
    - [bfs_arena]: a visited bitset and an int-array queue indexed by
      vertex id, used for cached worlds (the size gate guarantees the
-     arrays fit). No hashing, no boxing. Same visit order as
+     arrays fit), reading prefilled open rows or CSR rows with coin-bit
+     tests ({!World.rows}). No hashing, no boxing. Same visit order as
      [bfs_table].
 
    Shared limit convention — both engines MUST implement it identically
@@ -68,6 +69,9 @@ let bit_set b i =
 let bit_get b i =
   Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
+(* Survival bit of a vertex; [None] is bond percolation. *)
+let[@inline] alive_bit alive v = match alive with None -> true | Some a -> bit_get a v
+
 let bfs_arena ?limit world start ~stop ~visit =
   let n = (World.graph world).Topology.Graph.vertex_count in
   (* Visited lives in a bitset (n bits, cache-resident) rather than an
@@ -89,7 +93,7 @@ let bfs_arena ?limit world start ~stop ~visit =
     let discovered = ref 1 in
     let truncated = ref false in
     let result = ref `Exhausted in
-    (* [discover] is the one limit/stop/visit body both loop variants
+    (* [discover] is the one limit/stop/visit body the row readings
        share — allocated once per BFS, called directly per fresh vertex. *)
     let discover v du1 =
       (* Limit convention: check before recording the fresh vertex. *)
@@ -108,51 +112,39 @@ let bfs_arena ?limit world start ~stop ~visit =
           Array.unsafe_set queue !tail v;
           incr tail
     in
+    (* Straight-line loops over the world's rows — no cross-module call,
+       no closure invocation per neighbor: a prefilled world's open rows,
+       or any other cached world's CSR rows with coin-bit tests. *)
+    let rows = World.rows world in
     (try
-       match World.adjacency_view world with
-       | Some (rows, arena0) ->
-           (* Straight-line array loop over the world's open-adjacency
-              cache: no cross-module call, no closure invocation per
-              neighbor. Rows materialise on first touch; growth replaces
-              the arena array, so re-fetch the view after a miss. *)
-           let arena = ref arena0 in
-           while !head < !tail do
-             if !head = !level_end then begin
-               incr depth;
-               level_end := !tail
-             end;
-             let u = Array.unsafe_get queue !head in
-             incr head;
-             let du1 = !depth + 1 in
-             let s = Array.unsafe_get rows (2 * u) in
-             let s =
-               if s >= 0 then s
-               else begin
-                 World.ensure_row world u;
-                 (match World.adjacency_view world with
-                 | Some (_, a) -> arena := a
-                 | None -> assert false);
-                 Array.unsafe_get rows (2 * u)
-               end
-             in
-             let ar = !arena in
-             for i = s to s + Array.unsafe_get rows ((2 * u) + 1) - 1 do
-               let v = Array.unsafe_get ar i in
+       while !head < !tail do
+         if !head = !level_end then begin
+           incr depth;
+           level_end := !tail
+         end;
+         let u = Array.unsafe_get queue !head in
+         incr head;
+         let du1 = !depth + 1 in
+         match rows with
+         | Some (World.Prefilled { offsets; targets }) ->
+             for i = offsets.(u) to offsets.(u + 1) - 1 do
+               let v = Array.unsafe_get targets i in
                if not (bit_get visited v) then discover v du1
              done
-           done
-       | None ->
-           while !head < !tail do
-             if !head = !level_end then begin
-               incr depth;
-               level_end := !tail
-             end;
-             let u = Array.unsafe_get queue !head in
-             incr head;
-             let du1 = !depth + 1 in
+         | Some (World.Coins { csr = { Topology.Csr.xadj; targets; edge_ids }; coins; alive })
+           ->
+             if alive_bit alive u then
+               for i = xadj.(u) to xadj.(u + 1) - 1 do
+                 let v = Array.unsafe_get targets i in
+                 if bit_get coins (Array.unsafe_get edge_ids i)
+                    && alive_bit alive v
+                    && not (bit_get visited v)
+                 then discover v du1
+               done
+         | None ->
              World.iter_open_neighbors world u (fun v ->
                  if not (bit_get visited v) then discover v du1)
-           done
+       done
      with Exit -> ());
     match !result with
     | `Stopped d -> `Stopped d

@@ -11,10 +11,14 @@
     Two BFS engines serve the queries, picked by the world's
     representation: lazy worlds use the Hashtbl-frontier reference
     engine, cached worlds ({!World.cached}) an arena engine with a
-    visited bitset and an int-array queue. Both visit vertices in the
-    same order and implement one limit convention (a truncated run
-    visits exactly [limit] vertices), so every answer is
-    engine-independent (property-tested). *)
+    visited bitset and an int-array queue. The arena engine reads a
+    prefilled world's open rows ({!World.prefill}), any other cached
+    world's CSR rows with coin-bit tests, and a removal overlay's
+    neighbors through {!World.iter_open_neighbors} ({!World.rows}); it
+    writes only its own bitset and queue, never the world. Both engines
+    visit vertices in the same order and implement one limit convention
+    (a truncated run visits exactly [limit] vertices), so every answer
+    is engine-independent (property-tested). *)
 
 type verdict = Connected of int | Disconnected | Unknown
 (** [Connected d]: an open path exists and the percolation distance is
@@ -22,7 +26,8 @@ type verdict = Connected of int | Disconnected | Unknown
 
 type engine = Table | Arena
 (** Explicit engine selector. Production entry points pick by
-    representation: [Table] for lazy worlds, [Arena] for cached ones.
+    representation: [Table] for lazy worlds, [Arena] for cached ones
+    (prefilled or not; the name predates the CSR reading).
     The [_via] entry points exist so differential tests can run the
     [Table] reference on a cached world and compare it with [Arena]. *)
 

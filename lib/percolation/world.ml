@@ -1,33 +1,23 @@
 (* Cached worlds carry their coins eagerly: one sequential
    [Prng.Coin.bernoulli_fill] sweep at construction writes the whole
    edge-coin bitset (and the vertex-survival bitset under site
-   percolation), so every later [is_open] is a bit test. On top of the
-   coins sits a lazily materialised CSR of open-adjacency rows in one
-   growing int arena — rows are cut from the graph's shared
-   {!Topology.Csr} structure on first query, so no query path ever
-   calls a topology's [neighbors] closure more than once per vertex per
-   world. Memoisation is invisible: both representations evaluate the
-   same pure coin function. *)
-type site_cache = { v_alive : Bytes.t }
-
+   percolation), so every later [is_open] is a bit test. Adjacency
+   queries scan the graph's shared {!Topology.Csr} rows with those bit
+   tests, so a one-shot trial world allocates nothing per vertex and
+   never writes after construction. Only [prefill] cuts exact-size
+   open rows, once, for resident worlds whose many queries repay the
+   cut; [Reveal]'s BFS is their one reader. Memoisation is invisible:
+   both representations evaluate the same pure coin function. *)
 type cache = {
   e_coin : Bytes.t;
       (* Bit per edge id: the bare edge coin (endpoint survival and
-         removal overlays are applied on top at query time). Filled
-         eagerly at construction. *)
+         removal overlays are applied on top at query time). *)
+  v_alive : Bytes.t option;  (* Bit per vertex, under site percolation. *)
   csr : Topology.Csr.t;  (* shared, graph-owned adjacency *)
-  rows : int array;
-      (* Interleaved per-vertex row metadata: [rows.(2v)] is the offset
-         of [v]'s open-adjacency row in [arena] (-1 = not yet
-         materialised), [rows.(2v + 1)] its length. Interleaving keeps
-         offset and length on one cache line — the lookup is a random
-         access per BFS vertex expansion. *)
-  mutable arena : int array;
-      (* Open-neighbor targets, rows appended in first-query order.
-         Growth replaces the array (never mutates filled rows), so an
-         iterator holding a stale reference still reads correct data. *)
-  mutable arena_used : int;
-  site : site_cache option;
+  mutable open_rows : (int array * int array) option;
+      (* Set once, by [prefill]: offsets (length [vertex_count + 1]) and
+         targets of every vertex's coin-open row, in CSR order. Read
+         only through [rows]. *)
 }
 
 type t = {
@@ -62,31 +52,22 @@ let fits_gate graph =
   graph.Topology.Graph.edge_id_bound <= cache_gate
   && graph.Topology.Graph.vertex_count <= cache_gate
 
-(* Assemble a cache around an already filled edge-coin bitset. The
-   arena starts at the vertex count and doubles; rows are appended on
-   first query. *)
-let make_cache graph ~e_coin ~site =
-  let n = graph.Topology.Graph.vertex_count in
-  {
-    e_coin;
-    csr = Topology.Csr.of_graph graph;
-    rows = Array.make (2 * n) (-1);
-    arena = Array.make (max 64 n) 0;
-    arena_used = 0;
-    site;
-  }
+(* Assemble a cache around already filled coin bitsets: the shared
+   CSR is the only adjacency a fresh world carries. *)
+let make_cache graph ~e_coin ~v_alive =
+  { e_coin; v_alive; csr = Topology.Csr.of_graph graph; open_rows = None }
 
-let site_cache_of graph ~seed ~site_p =
+let site_bits graph ~seed ~site_p =
   match site_p with
   | None -> None
   | Some sp ->
       let n = graph.Topology.Graph.vertex_count in
       let v_alive = bitset n in
       Prng.Coin.bernoulli_fill ~seed:(site_seed seed) ~p:sp v_alive ~count:n;
-      Some { v_alive }
+      Some v_alive
 
-(* Construction (coin fill, CSR lookup, row and arena allocation) is the
-   [world.build] span: the time a trial spends before its first probe. *)
+(* Construction (coin fill and CSR lookup) is the [world.build] span:
+   the time a trial spends before its first probe. *)
 let timed_build build =
   if Obs.Timing.on () then Obs.Timing.span "world.build" build else build ()
 
@@ -97,7 +78,7 @@ let create ?site_p ?(cache = true) graph ~p ~seed =
       let e_coin = bitset graph.Topology.Graph.edge_id_bound in
       Prng.Coin.bernoulli_fill ~seed ~p e_coin
         ~count:graph.Topology.Graph.edge_id_bound;
-      Some (make_cache graph ~e_coin ~site:(site_cache_of graph ~seed ~site_p))
+      Some (make_cache graph ~e_coin ~v_alive:(site_bits graph ~seed ~site_p))
     end
     else None
   in
@@ -118,7 +99,7 @@ let of_uniforms ?site_uniforms ?site_p graph ~p ~seed ~uniforms =
   let build () =
     let e_coin = bitset graph.Topology.Graph.edge_id_bound in
     Array.iteri (fun id u -> if u < p then bit_set e_coin id) uniforms;
-    let site =
+    let v_alive =
       match (site_p, site_uniforms) with
       | None, _ -> None
       | Some sp, Some su ->
@@ -126,10 +107,10 @@ let of_uniforms ?site_uniforms ?site_p graph ~p ~seed ~uniforms =
             invalid_arg "World.of_uniforms: need one site uniform per vertex";
           let v_alive = bitset n in
           Array.iteri (fun v u -> if u < sp then bit_set v_alive v) su;
-          Some { v_alive }
-      | Some _, None -> site_cache_of graph ~seed ~site_p
+          Some v_alive
+      | Some _, None -> site_bits graph ~seed ~site_p
     in
-    Some (make_cache graph ~e_coin ~site)
+    Some (make_cache graph ~e_coin ~v_alive)
   in
   { graph; p; seed; removed = None; site_p; cache = timed_build build }
 
@@ -156,7 +137,7 @@ let removed_count t =
   match t.removed with None -> 0 | Some removed -> Hashtbl.length removed
 
 let alive_in_cache c v =
-  match c.site with None -> true | Some sc -> bit_get sc.v_alive v
+  match c.v_alive with None -> true | Some bits -> bit_get bits v
 
 let vertex_alive_coin t v =
   match t.site_p with
@@ -180,81 +161,50 @@ let coin_open t u v id =
       vertex_alive t u && vertex_alive t v
       && Prng.Coin.bernoulli ~seed:t.seed ~p:t.p id
 
-let is_open_id t u v ~id =
-  (match t.removed with
-  | Some removed -> not (Hashtbl.mem removed id)
-  | None -> true)
-  && coin_open t u v id
+let id_removed t id =
+  match t.removed with None -> false | Some removed -> Hashtbl.mem removed id
 
+let is_open_id t u v ~id = (not (id_removed t id)) && coin_open t u v id
 let is_open t u v = is_open_id t u v ~id:(t.graph.Topology.Graph.edge_id u v)
 
-(* Materialise the coin-open row of [v] (no removal overlay applied) by
-   scanning the shared CSR with bit tests — no closure calls, no
-   allocation beyond amortised arena growth. Returns the row offset. *)
-let fill_row c v =
-  let csr = c.csr in
-  let lo = csr.Topology.Csr.xadj.(v) and hi = csr.Topology.Csr.xadj.(v + 1) in
-  let needed = hi - lo in
-  if c.arena_used + needed > Array.length c.arena then begin
-    let grown =
-      Array.make (max (2 * Array.length c.arena) (c.arena_used + needed)) 0
-    in
-    Array.blit c.arena 0 grown 0 c.arena_used;
-    c.arena <- grown
-  end;
-  let start = c.arena_used in
-  let k = ref start in
-  if alive_in_cache c v then begin
-    let targets = csr.Topology.Csr.targets
-    and edge_ids = csr.Topology.Csr.edge_ids
-    and arena = c.arena in
-    for i = lo to hi - 1 do
-      let w = Array.unsafe_get targets i in
-      if bit_get c.e_coin (Array.unsafe_get edge_ids i) && alive_in_cache c w
-      then begin
-        Array.unsafe_set arena !k w;
-        incr k
-      end
-    done
-  end;
-  c.arena_used <- !k;
-  c.rows.((2 * v) + 1) <- !k - start;
-  c.rows.(2 * v) <- start;
-  start
+(* Whether a CSR slot holding edge [id] to [w] is coin-open, given that
+   the row's own vertex is alive. *)
+let[@inline] slot_open c id w = bit_get c.e_coin id && alive_in_cache c w
 
-let row_start c v =
-  let start = c.rows.(2 * v) in
-  if start >= 0 then start else fill_row c v
+(* Open neighbours in CSR row order, which is the graph's [neighbors]
+   order. Cached worlds test each slot's coin bit, reading the removal
+   overlay by the slot's edge id; lazy worlds filter a fresh
+   [neighbors] array through the coin. *)
+let iter_open_neighbors t v f =
+  match t.cache with
+  | Some c ->
+      let { Topology.Csr.xadj; targets; edge_ids } = c.csr in
+      let lo = xadj.(v) and hi = xadj.(v + 1) in
+      if alive_in_cache c v then
+        for i = lo to hi - 1 do
+          let id = Array.unsafe_get edge_ids i and w = Array.unsafe_get targets i in
+          if slot_open c id w && not (id_removed t id) then f w
+        done
+  | None ->
+      let nbrs = t.graph.Topology.Graph.neighbors v in
+      for i = 0 to Array.length nbrs - 1 do
+        let w = Array.unsafe_get nbrs i in
+        if is_open t v w then f w
+      done
 
-let edge_removed t v w =
-  match t.removed with
-  | None -> false
-  | Some removed -> Hashtbl.mem removed (t.graph.Topology.Graph.edge_id v w)
-
-(* Filter a fresh, caller-owned array in place — no intermediate list on
-   either path. Cached worlds cut the memoised coin-open row (only the
-   removal overlay left to check); lazy worlds filter the raw neighbor
-   array — which the freshness contract of {!Topology.Graph.t} lets us
-   own — through the coin. *)
+(* Fresh, caller-owned arrays on both paths. Lazy worlds filter the raw
+   neighbor array in place — the freshness contract of
+   {!Topology.Graph.t} lets us own it. *)
 let open_neighbors t v =
   match t.cache with
   | Some c ->
-      let start = row_start c v in
-      let len = c.rows.((2 * v) + 1) in
-      if t.removed = None then Array.sub c.arena start len
-      else begin
-        let arena = c.arena in
-        let out = Array.make len 0 in
-        let k = ref 0 in
-        for i = start to start + len - 1 do
-          let w = Array.unsafe_get arena i in
-          if not (edge_removed t v w) then begin
-            Array.unsafe_set out !k w;
-            incr k
-          end
-        done;
-        if !k = len then out else Array.sub out 0 !k
-      end
+      let xadj = c.csr.Topology.Csr.xadj in
+      let out = Array.make (xadj.(v + 1) - xadj.(v)) 0 in
+      let k = ref 0 in
+      iter_open_neighbors t v (fun w ->
+          Array.unsafe_set out !k w;
+          incr k);
+      if !k = Array.length out then out else Array.sub out 0 !k
   | None ->
       let nbrs = t.graph.Topology.Graph.neighbors v in
       let n = Array.length nbrs in
@@ -268,71 +218,96 @@ let open_neighbors t v =
       done;
       if !k = n then nbrs else Array.sub nbrs 0 !k
 
-let iter_open_neighbors t v f =
-  match t.cache with
-  | Some c ->
-      let start = row_start c v in
-      let len = c.rows.((2 * v) + 1) in
-      (* Capture the arena after the row is in place: [f] may fill more
-         rows and grow (replace) the arena, but the captured array keeps
-         this row intact. *)
-      let arena = c.arena in
-      if t.removed = None then
-        for i = start to start + len - 1 do
-          f (Array.unsafe_get arena i)
-        done
-      else
-        for i = start to start + len - 1 do
-          let w = Array.unsafe_get arena i in
-          if not (edge_removed t v w) then f w
-        done
-  | None ->
-      let nbrs = t.graph.Topology.Graph.neighbors v in
-      for i = 0 to Array.length nbrs - 1 do
-        let w = Array.unsafe_get nbrs i in
-        if is_open t v w then f w
-      done
-
-(* Coins and site bits are eager, so only the open-adjacency rows are
-   left to force. After this no query path writes to the cache (every
-   [row_start] slot is set), so the world can be read concurrently from
-   any number of domains. Worlds above the cache gate have no cache to
-   force — their queries re-evaluate the pure coin function and are
-   already write-free. *)
+(* One sweep over the CSR with bit tests, appending each row to a
+   buffer, then one copy to exact size. The buffer starts at the
+   expected open-slot count (a fraction p, times site_p squared when
+   sites fail) plus four standard deviations, so it almost never
+   doubles and is never much larger than the rows. The rows ignore any
+   removal overlay: they are shared with every world derived from this
+   one, and overlays read CSR slots instead. Lazy worlds and prefilled
+   ones have nothing to cut. Only [Reveal]'s BFS reads the rows: on
+   serve's resident worlds its reveal and cluster queries spend about
+   40% less time there than on coin bits (DESIGN §8). *)
 let prefill t =
   match t.cache with
-  | None -> ()
+  | None | Some { open_rows = Some _; _ } -> ()
   | Some c ->
-      for v = 0 to t.graph.Topology.Graph.vertex_count - 1 do
-        ignore (row_start c v)
-      done
+      let { Topology.Csr.xadj; targets; edge_ids } = c.csr in
+      let n = Array.length xadj - 1 in
+      let offsets = Array.make (n + 1) 0 in
+      let survive = match t.site_p with None -> 1.0 | Some sp -> sp *. sp in
+      let expected = float_of_int (Array.length targets) *. t.p *. survive in
+      let capacity =
+        min (Array.length targets) (int_of_float (expected +. (4.0 *. sqrt expected)) + 64)
+      in
+      let row = ref (Array.make capacity 0) and k = ref 0 in
+      for v = 0 to n - 1 do
+        let lo = xadj.(v) and hi = xadj.(v + 1) in
+        if !k + (hi - lo) > Array.length !row then begin
+          let grown = Array.make (max (2 * Array.length !row) (!k + hi - lo)) 0 in
+          Array.blit !row 0 grown 0 !k;
+          row := grown
+        end;
+        let buffer = !row in
+        if alive_in_cache c v then
+          for i = lo to hi - 1 do
+            let w = Array.unsafe_get targets i in
+            if slot_open c (Array.unsafe_get edge_ids i) w then begin
+              Array.unsafe_set buffer !k w;
+              incr k
+            end
+          done;
+        offsets.(v + 1) <- !k
+      done;
+      c.open_rows <- Some (offsets, Array.sub !row 0 !k)
 
 (* Narrow read-only views of the cache for hot loops in the same
    library ({!Oracle}, {!Reveal}): a cross-module call per edge or per
    neighbor is measurable at kernel scale, and these make the inner
    loops straight-line array/bit code. Both return [None] whenever the
-   single-bit / raw-row reading would be wrong (lazy world, removal
-   overlay, site percolation for the bit view), so callers always have
-   the general path as fallback. *)
+   raw reading would be wrong (lazy world, removal overlay, site
+   percolation for the bit view), so callers always have the general
+   path as fallback. *)
 let raw_open_bits t =
   match t.cache with
-  | Some c when t.removed = None && c.site = None -> Some c.e_coin
+  | Some c when t.removed = None && c.v_alive = None -> Some c.e_coin
   | Some _ | None -> None
 
-let adjacency_view t =
+type rows =
+  | Prefilled of { offsets : int array; targets : int array }
+  | Coins of { csr : Topology.Csr.t; coins : Bytes.t; alive : Bytes.t option }
+
+let rows t =
   match t.cache with
-  | Some c when t.removed = None -> Some (c.rows, c.arena)
+  | Some { open_rows = Some (offsets, targets); _ } when t.removed = None ->
+      Some (Prefilled { offsets; targets })
+  | Some c when t.removed = None ->
+      Some (Coins { csr = c.csr; coins = c.e_coin; alive = c.v_alive })
   | Some _ | None -> None
-
-let ensure_row t v =
-  match t.cache with None -> () | Some c -> ignore (row_start c v)
 
 let open_degree t v =
   let count = ref 0 in
   iter_open_neighbors t v (fun _ -> incr count);
   !count
 
+(* Each open edge once, as [(u, v)] with [u < v], in
+   {!Topology.Graph.iter_edges} order: CSR rows are the graph's
+   [neighbors] rows, so the cached scan visits the same pairs in the
+   same order as the lazy one. *)
+let iter_open_edges t f =
+  match t.cache with
+  | Some c ->
+      let { Topology.Csr.xadj; targets; edge_ids } = c.csr in
+      for u = 0 to Array.length xadj - 2 do
+        if alive_in_cache c u then
+          for i = xadj.(u) to xadj.(u + 1) - 1 do
+            let w = Array.unsafe_get targets i and id = Array.unsafe_get edge_ids i in
+            if u < w && slot_open c id w && not (id_removed t id) then f u w
+          done
+      done
+  | None -> Topology.Graph.iter_edges t.graph (fun u v -> if is_open t u v then f u v)
+
 let count_open_edges t =
   let count = ref 0 in
-  Topology.Graph.iter_edges t.graph (fun u v -> if is_open t u v then incr count);
+  iter_open_edges t (fun _ _ -> incr count);
   !count

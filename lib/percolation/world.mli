@@ -17,14 +17,15 @@
     - {e cached}: construction fills a flat bitset over
       [\[0, edge_id_bound)] with every edge coin (and one over vertices
       with every survival coin, under site percolation) in a single
-      sequential {!Prng.Coin.bernoulli_fill} sweep, and cuts per-vertex
-      open-adjacency rows from the graph's shared {!Topology.Csr}
-      structure into one flat int arena on first [open_neighbors] /
-      [iter_open_neighbors] query (removal overlays are filtered on top
-      at query time). Every query — first or repeat — is bit tests and
-      array scans: no rehashing, no [neighbors] closure calls, no
-      per-query allocation. Both paths evaluate the {e same} pure coin
-      function, so results are bit-identical; only the work differs.
+      sequential {!Prng.Coin.bernoulli_fill} sweep, and looks up the
+      graph's shared {!Topology.Csr} rows. That is all a cached world
+      carries: adjacency queries scan a vertex's CSR row and test each
+      slot's coin bit (removal overlays are read by the slot's edge id),
+      so no query rehashes, calls the graph's [neighbors] closure or
+      writes to the world. Only {!prefill} adds state: exact-size open
+      rows for resident worlds, read by {!Reveal}'s BFS. Both paths
+      evaluate the {e same} pure coin function, so results are
+      bit-identical; only the work differs.
 
     [create] picks the cached path automatically whenever the graph is
     small enough ({!cache_gate}); [~cache:false] forces the lazy path
@@ -40,8 +41,8 @@
     function of the seed; only the overlay differs). *)
 
 type cache
-(** Memoised coin bitsets and open-adjacency lists; never observable
-    except through speed. *)
+(** Coin bitsets over the shared CSR, plus the open rows {!prefill}
+    cuts; never observable except through speed. *)
 
 type t = private {
   graph : Topology.Graph.t;
@@ -127,15 +128,18 @@ val vertex_alive : t -> int -> bool
     @raise Invalid_argument if the vertex is out of range. *)
 
 val prefill : t -> unit
-(** Materialise every vertex's open-adjacency row in one pass (the
-    coin bitsets are already filled at construction). After [prefill]
-    no query writes to the cache, so the world is genuinely immutable
-    and can be shared read-only across domains — the contract
-    [faultroute serve]'s resident worlds ({!Serve.Service.start}) rely
-    on.
-    No-op on lazy (uncached) worlds, whose queries are already
-    write-free. Observable states are unchanged: prefill evaluates the
-    same pure coin function queries would. *)
+(** Cut every vertex's open-adjacency row once, into two exact-size
+    arrays (offsets and targets, one word per open slot), for a world
+    that will answer many queries: {!Reveal}'s BFS (its connectivity
+    and cluster queries) then reads a row instead of testing its coin
+    bits; every other query still scans CSR rows.
+    Queries never write to a world, prefilled or not, so any world can
+    be shared read-only across domains; [prefill] itself writes, so
+    call it before sharing — as [faultroute serve]'s resident worlds
+    ({!Serve.Service.start}) do. Idempotent. No-op on lazy (uncached)
+    worlds, which have no rows to cut. Observable states are
+    unchanged: prefill evaluates the same pure coin function queries
+    would. *)
 
 val is_open : t -> int -> int -> bool
 (** [is_open w u v] is the state of edge [{u,v}].
@@ -150,13 +154,19 @@ val is_open_id : t -> int -> int -> id:int -> bool
 
 val open_neighbors : t -> int -> int array
 (** Adjacent vertices reachable through open edges — adjacency in the
-    percolated graph [G_p]. The result is a fresh array; callers may
-    keep or mutate it. *)
+    percolated graph [G_p], in the graph's [neighbors] order. The result
+    is a fresh array; callers may keep or mutate it. *)
 
 val iter_open_neighbors : t -> int -> (int -> unit) -> unit
 (** [iter_open_neighbors w v f] calls [f] on every open neighbor of [v]
     in the same order as {!open_neighbors}, without building the result
     array — the allocation-free primitive for BFS hot loops. *)
+
+val iter_open_edges : t -> (int -> int -> unit) -> unit
+(** [iter_open_edges w f] calls [f u v] once per open edge, with
+    [u < v], in {!Topology.Graph.iter_edges} order: a scan of CSR rows
+    with coin-bit tests on cached worlds, [iter_edges] with {!is_open}
+    on lazy ones. Cost O(Σ degree); small graphs only. *)
 
 val raw_open_bits : t -> Bytes.t option
 (** [Some bits] when an edge's state is exactly bit [id] of [bits]:
@@ -166,22 +176,23 @@ val raw_open_bits : t -> Bytes.t option
     {!Oracle}'s fresh-probe hot path is a single bit test instead of a
     chain of cross-module calls. *)
 
-val adjacency_view : t -> (int array * int array) option
-(** [Some (rows, arena)] exposes the open-adjacency cache of a cached
-    world with no removal overlay. Row metadata is interleaved so one
-    cache-line fetch serves both fields: once [rows.(2 * v) >= 0],
-    vertex [v]'s open neighbors are [arena.(i)] for
-    [rows.(2 * v) <= i < rows.(2 * v) + rows.(2 * v + 1)]. A negative
-    [rows.(2 * v)] means the row is not yet materialised — call
-    {!ensure_row} and re-fetch the view ([arena] may have been replaced
-    by growth; [rows] has stable identity). Both arrays are the live
-    cache — read-only. [None] on lazy worlds and removal overlays;
-    callers fall back to {!iter_open_neighbors}. Exists so {!Reveal}'s
-    BFS inner loops are straight-line array code. *)
+type rows =
+  | Prefilled of { offsets : int array; targets : int array }
+      (** Vertex [v]'s open neighbors are [targets.(i)] for
+          [offsets.(v) <= i < offsets.(v + 1)]. *)
+  | Coins of { csr : Topology.Csr.t; coins : Bytes.t; alive : Bytes.t option }
+      (** Slot [i] of vertex [u]'s CSR row is open iff bit
+          [csr.edge_ids.(i)] of [coins] is set and, under site
+          percolation, bits [u] and [csr.targets.(i)] of [alive] are. *)
+(** The adjacency of a cached world: both forms list a row's open
+    neighbors in {!iter_open_neighbors}' order. All arrays are the live
+    cache — read-only. *)
 
-val ensure_row : t -> int -> unit
-(** Materialise a vertex's open-adjacency row (no-op on lazy worlds).
-    Companion to {!adjacency_view}. *)
+val rows : t -> rows option
+(** [Some (Prefilled _)] on a prefilled cached world, [Some (Coins _)]
+    on any other cached world, [None] on lazy worlds and removal
+    overlays (callers fall back to {!iter_open_neighbors}). Exists so
+    {!Reveal}'s BFS inner loops are straight-line array and bit code. *)
 
 val open_degree : t -> int -> int
 

@@ -951,6 +951,31 @@ let test_diff_removal_overlay () =
   Alcotest.(check bool) "base intact" (P.World.is_open lazy_ 0 1)
     (P.World.is_open cached 0 1)
 
+let test_diff_shared_across_domains () =
+  (* A fresh cached world is read-only: four domains querying one
+     un-prefilled world get the jobs-1 answers, which are also the lazy
+     world's. Each round starts from a fresh world, so the domains race
+     through its first queries. *)
+  let g = Topology.Mesh.graph ~d:2 ~m:100 in
+  let n = g.G.vertex_count in
+  let ask w v =
+    ( P.Reveal.connected w v (n - 1 - v),
+      P.Reveal.cluster_size w v,
+      P.World.open_neighbors w v,
+      Hashtbl.length (P.Reveal.ball w v ~radius:3) )
+  in
+  let vertices = Array.init 64 (fun i -> i * 151) in
+  let fresh () = fst (world_pair g ~p:0.6 ~seed:137L) in
+  let sequential = Engine_par.Pool.map ~jobs:1 (ask (fresh ())) vertices in
+  for round = 1 to 3 do
+    Alcotest.(check bool)
+      (Printf.sprintf "jobs 4 round %d" round)
+      true
+      (Engine_par.Pool.map ~jobs:4 (ask (fresh ())) vertices = sequential)
+  done;
+  let lazy_ = snd (world_pair g ~p:0.6 ~seed:137L) in
+  Alcotest.(check bool) "lazy answers" true (Array.map (ask lazy_) vertices = sequential)
+
 (* ------------------------------------------------------------------ *)
 (* Fault scenarios                                                     *)
 
@@ -1248,6 +1273,31 @@ let test_engines_limit_counts () =
 (* ------------------------------------------------------------------ *)
 (* QCheck properties                                                   *)
 
+(* One input, three representations: a lazy world, a cached one and a
+   cached one with prefilled rows, each with bond coins [p] at [seed],
+   optionally under site percolation and an overlay removing edges
+   picked by index from the edge list. Without an overlay the cached
+   worlds take [Reveal]'s coin-row and prefilled-row loops. *)
+let representation_input =
+  QCheck.(
+    quad int64 (float_bound_inclusive 1.0)
+      (option ~ratio:0.5 (float_bound_inclusive 1.0))
+      (option ~ratio:0.5 (list_of_size Gen.(1 -- 6) (int_bound 31))))
+
+let representations (seed, p, site_p, removals) =
+  let g = Topology.Hypercube.graph 4 in
+  let edges = Array.of_list (G.edge_list g) in
+  let overlay w =
+    match removals with
+    | None -> w
+    | Some picks ->
+        P.World.remove_edges w (List.map (fun i -> edges.(i mod Array.length edges)) picks)
+  in
+  let cached = P.World.create ?site_p g ~p ~seed in
+  let prefilled = P.World.create ?site_p g ~p ~seed in
+  P.World.prefill prefilled;
+  (g, overlay (P.World.create ?site_p ~cache:false g ~p ~seed), [ overlay cached; overlay prefilled ])
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -1278,34 +1328,38 @@ let qcheck_tests =
             && P.World.is_open w u v
                = Prng.Coin.bernoulli ~seed ~p (g.G.edge_id u v)));
     Test.make ~name:"cached world = lazy world (is_open, neighbors)" ~count:200
-      (pair int64 (float_bound_inclusive 1.0))
-      (fun (seed, p) ->
-        let g = Topology.Hypercube.graph 4 in
-        let cached = P.World.create g ~p ~seed in
-        let lazy_ = P.World.create ~cache:false g ~p ~seed in
-        P.World.cached cached
-        && (not (P.World.cached lazy_))
-        && G.fold_edges g ~init:true ~f:(fun acc u v ->
-               acc && P.World.is_open cached u v = P.World.is_open lazy_ u v)
-        &&
-        let ok = ref true in
-        for v = 0 to g.G.vertex_count - 1 do
-          if P.World.open_neighbors cached v <> P.World.open_neighbors lazy_ v then
-            ok := false
-        done;
-        !ok);
-    Test.make ~name:"cached reveal = lazy reveal" ~count:100
-      (pair int64 (float_bound_inclusive 1.0))
-      (fun (seed, p) ->
-        let g = Topology.Hypercube.graph 4 in
-        let cached = P.World.create g ~p ~seed in
-        let lazy_ = P.World.create ~cache:false g ~p ~seed in
-        let ok = ref true in
-        for v = 1 to 15 do
-          if P.Reveal.connected cached 0 v <> P.Reveal.connected lazy_ 0 v then
-            ok := false
-        done;
-        !ok);
+      representation_input (fun input ->
+        let g, lazy_, cached_worlds = representations input in
+        let n = g.G.vertex_count in
+        let state w =
+          let m = P.Clusters.membership w in
+          ( G.fold_edges g ~init:[] ~f:(fun acc u v -> P.World.is_open w u v :: acc),
+            List.init n (fun v -> (P.World.open_neighbors w v, P.World.open_degree w v)),
+            P.World.count_open_edges w,
+            P.Clusters.census w,
+            (m.P.Clusters.canonical_root, m.P.Clusters.largest_size),
+            List.init n (P.Clusters.member m) )
+        in
+        let expected = state lazy_ in
+        (not (P.World.cached lazy_))
+        && List.for_all (fun w -> P.World.cached w && state w = expected) cached_worlds);
+    Test.make ~name:"cached reveal = lazy reveal" ~count:100 representation_input
+      (fun input ->
+        let g, lazy_, cached_worlds = representations input in
+        let sorted_ball w v =
+          Hashtbl.fold (fun x d acc -> (x, d) :: acc) (P.Reveal.ball w v ~radius:(v mod 4)) []
+          |> List.sort compare
+        in
+        (* Both engines visit in one order, so even [cluster_of]'s list
+           order must agree. *)
+        let answers w =
+          List.init g.G.vertex_count (fun v ->
+              ( (P.Reveal.connected w 0 v, P.Reveal.connected ~limit:5 w 0 v),
+                (P.Reveal.cluster_of w v, P.Reveal.cluster_of ~limit:5 w v),
+                sorted_ball w v ))
+        in
+        let expected = answers lazy_ in
+        List.for_all (fun w -> answers w = expected) cached_worlds);
     Test.make ~name:"oracle distinct <= raw" ~count:100
       (pair int64 (list (pair (int_bound 15) (int_bound 3))))
       (fun (seed, probes) ->
@@ -1451,6 +1505,7 @@ let () =
           case "router outcomes" test_diff_router_outcomes;
           case "site percolation" test_diff_site;
           case "removal overlay" test_diff_removal_overlay;
+          case "shared across domains" test_diff_shared_across_domains;
         ] );
       ( "scenario",
         [
