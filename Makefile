@@ -280,9 +280,10 @@ serve-smoke:
 # examples/obs/{route,simulate}-trace-golden.jsonl, so any change to an
 # observed attempt's events moves a byte. Then the cost side:
 # instrumenting the hot paths must leave the disabled path alone
-# (--obs-guard: every switch off and the same minor words per kernel
-# run after an instrumented run, and kernel/reference time ratios
-# within 5% or 2 ms).
+# (--obs-guard: every switch off after each of three instrumented runs
+# and the same minor words per kernel run after them, and the median
+# of three before/after kernel-time shifts under 8% of the kernel's
+# own median time).
 OBS_EX = examples/obs
 obs-smoke:
 	mkdir -p artifacts
@@ -361,7 +362,8 @@ full-timing:
 	    median = (n % 2) ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2; \
 	    printf "%s: runs%s s, median %.2f s\n", side, t[side], median } }' artifacts/TIMING_times.txt
 
-ci: build test smoke chaos-smoke churn-smoke serve-smoke obs-smoke check-claims
+# Every leg .github/workflows/ci.yml runs, in its order.
+ci: build test smoke chaos-smoke churn-smoke serve-smoke obs-smoke check-claims bench-smoke
 
 clean:
 	dune clean

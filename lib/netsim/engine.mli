@@ -21,7 +21,7 @@
     its [neighbors] array; [probe], [send] and [random_int] are built
     once per engine, and the counters are plain fields ({!Metrics}).
     On a cached world ({!Percolation.World.cached}) [neighbors] is a
-    slice of the node's row in the graph's shared {!Topology.Csr}; a
+    slice of the node's row in the graph's own {!Topology.Csr}; a
     lazy world calls the graph's [neighbors] closure. [send] and
     [probe] call the graph's [edge_id] once and pass the id to
     {!Percolation.World.is_open_id}; a probe also looks the id up in
@@ -41,8 +41,8 @@ val create :
     (default derived from the world seed) drives the per-node
     [random_int] streams only — link states belong to the world.
     It allocates O(|V|) words and no churn state (a link's cursor is
-    made at its first query). On a cached world it takes the graph's
-    memoised {!Topology.Csr.of_graph}, the one the world was cut from.
+    made at its first query). On a cached world it reads the graph's
+    own rows ({!Topology.Csr.of_graph}), the ones the world reads.
 
     [link_capacity] switches the network from unbounded bandwidth (the
     default: every sent message on an open link arrives next round) to

@@ -2,7 +2,7 @@
    [Prng.Coin.bernoulli_fill] sweep at construction writes the whole
    edge-coin bitset (and the vertex-survival bitset under site
    percolation), so every later [is_open] is a bit test. Adjacency
-   queries scan the graph's shared {!Topology.Csr} rows with those bit
+   queries scan the graph's own {!Topology.Csr} rows with those bit
    tests, so a one-shot trial world allocates nothing per vertex and
    never writes after construction. Only [prefill] cuts exact-size
    open rows, once, for resident worlds whose many queries repay the
@@ -52,7 +52,7 @@ let fits_gate graph =
   graph.Topology.Graph.edge_id_bound <= cache_gate
   && graph.Topology.Graph.vertex_count <= cache_gate
 
-(* Assemble a cache around already filled coin bitsets: the shared
+(* Assemble a cache around already filled coin bitsets: the graph's
    CSR is the only adjacency a fresh world carries. *)
 let make_cache graph ~e_coin ~v_alive =
   { e_coin; v_alive; csr = Topology.Csr.of_graph graph; open_rows = None }
@@ -66,8 +66,9 @@ let site_bits graph ~seed ~site_p =
       Prng.Coin.bernoulli_fill ~seed:(site_seed seed) ~p:sp v_alive ~count:n;
       Some v_alive
 
-(* Construction (coin fill and CSR lookup) is the [world.build] span:
-   the time a trial spends before its first probe. *)
+(* Construction (coin fill, and the CSR fill on a graph's first world)
+   is the [world.build] span: the time a trial spends before its first
+   probe. *)
 let timed_build build =
   if Obs.Timing.on () then Obs.Timing.span "world.build" build else build ()
 

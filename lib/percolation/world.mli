@@ -17,15 +17,16 @@
     - {e cached}: construction fills a flat bitset over
       [\[0, edge_id_bound)] with every edge coin (and one over vertices
       with every survival coin, under site percolation) in a single
-      sequential {!Prng.Coin.bernoulli_fill} sweep, and looks up the
-      graph's shared {!Topology.Csr} rows. That is all a cached world
-      carries: adjacency queries scan a vertex's CSR row and test each
-      slot's coin bit (removal overlays are read by the slot's edge id),
-      so no query rehashes, calls the graph's [neighbors] closure or
-      writes to the world. Only {!prefill} adds state: exact-size open
-      rows for resident worlds, read by {!Reveal}'s BFS. Both paths
-      evaluate the {e same} pure coin function, so results are
-      bit-identical; only the work differs.
+      sequential {!Prng.Coin.bernoulli_fill} sweep, and reads the
+      graph's own {!Topology.Csr} rows, which every world over that
+      graph value shares (the first world fills them). That is all a
+      cached world carries: adjacency queries scan a vertex's CSR row
+      and test each slot's coin bit (removal overlays are read by the
+      slot's edge id), so no query rehashes, calls the graph's
+      [neighbors] closure or writes to the world. Only {!prefill} adds
+      state: exact-size open rows for resident worlds, read by
+      {!Reveal}'s BFS. Both paths evaluate the {e same} pure coin
+      function, so results are bit-identical; only the work differs.
 
     [create] picks the cached path automatically whenever the graph is
     small enough ({!cache_gate}); [~cache:false] forces the lazy path
@@ -41,7 +42,7 @@
     function of the seed; only the overlay differs). *)
 
 type cache
-(** Coin bitsets over the shared CSR, plus the open rows {!prefill}
+(** Coin bitsets over the graph's CSR, plus the open rows {!prefill}
     cuts; never observable except through speed. *)
 
 type t = private {

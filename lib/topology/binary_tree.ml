@@ -47,4 +47,5 @@ let graph n =
     edge_id;
     edge_id_bound = size - 1;
     distance = None;
+    csr = Graph.csr_cell ();
   }

@@ -20,4 +20,5 @@ let graph n =
     edge_id;
     edge_id_bound = n * (n - 1) / 2;
     distance = Some (fun u v -> if u = v then 0 else 1);
+    csr = Graph.csr_cell ();
   }

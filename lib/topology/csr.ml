@@ -1,12 +1,12 @@
 (* Flat compressed-sparse-row adjacency: per-vertex offsets into two
    parallel int arrays holding neighbor targets and canonical edge ids.
-   Building one costs a full adjacency enumeration (every [neighbors]
-   array allocated once, every [edge_id] computed once); afterwards any
-   consumer can walk a vertex's row with plain array reads — no closure
-   calls, no per-query allocation. Percolation worlds over the same
-   graph all share one structure via {!of_graph}. *)
+   The generic fill costs a full adjacency enumeration (every
+   [neighbors] array allocated once, every [edge_id] computed once);
+   afterwards any consumer can walk a vertex's row with plain array
+   reads — no closure calls, no per-query allocation. Every reader of
+   one graph value shares the rows held in its cell. *)
 
-type t = {
+type t = Graph.csr = {
   xadj : int array;
   targets : int array;
   edge_ids : int array;
@@ -35,41 +35,15 @@ let build (g : Graph.t) =
   done;
   { xadj; targets; edge_ids }
 
-(* Graphs are closures, so the memo keys on physical identity: every
-   experiment builds its graph once and threads the same value through
-   all its worlds, which is exactly when sharing pays. Two structurally
-   equal but distinct graph values merely build twice — never wrong.
-   The list is tiny (a handful of live topologies per process) and
-   mutex-guarded because worlds are constructed from worker domains. *)
-let memo_capacity = 8
-let memo : (Graph.t * t) list ref = ref []
-let memo_mutex = Mutex.create ()
-
-let lookup g = List.find_opt (fun (g', _) -> g' == g) !memo
-
+(* Fill outside any lock: a racing domain may fill the same cell twice,
+   which wastes work but cannot produce a wrong result (a fill is
+   pure), and the compare-and-set hands every caller the one result
+   that won. *)
 let of_graph g =
-  let hit =
-    Mutex.lock memo_mutex;
-    Fun.protect ~finally:(fun () -> Mutex.unlock memo_mutex) (fun () -> lookup g)
-  in
-  match hit with
-  | Some (_, csr) -> csr
+  let { Graph.fill; rows } = g.Graph.csr in
+  match Atomic.get rows with
+  | Some csr -> csr
   | None ->
-      (* Build outside the lock: a racing domain may build the same CSR
-         twice, which wastes work but cannot produce a wrong result
-         (construction is pure). *)
-      let csr = build g in
-      Mutex.lock memo_mutex;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock memo_mutex)
-        (fun () ->
-          match lookup g with
-          | Some (_, existing) -> existing
-          | None ->
-              let kept =
-                if List.length !memo >= memo_capacity then
-                  List.filteri (fun i _ -> i < memo_capacity - 1) !memo
-                else !memo
-              in
-              memo := (g, csr) :: kept;
-              csr)
+      let csr = match fill with Some fill -> fill () | None -> build g in
+      if Atomic.compare_and_set rows None (Some csr) then csr
+      else Option.get (Atomic.get rows)

@@ -44,6 +44,7 @@ let create stream n =
       edge_id;
       edge_id_bound = 2 * n;
       distance = None;
+      csr = Graph.csr_cell ();
     },
     fun v -> matching.(v) )
 

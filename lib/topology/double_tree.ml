@@ -103,4 +103,5 @@ let graph n =
     edge_id;
     edge_id_bound = ((1 lsl (n + 1)) - 2) * 2;
     distance = None;
+    csr = Graph.csr_cell ();
   }

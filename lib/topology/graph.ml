@@ -1,5 +1,11 @@
 exception Not_an_edge of int * int
 
+type csr = { xadj : int array; targets : int array; edge_ids : int array }
+
+(* Empty until {!Csr.of_graph} first reads it; the atomic lets domains
+   race on that first read without tearing (one result wins). *)
+type csr_cell = { fill : (unit -> csr) option; rows : csr option Atomic.t }
+
 type t = {
   name : string;
   vertex_count : int;
@@ -8,7 +14,10 @@ type t = {
   edge_id : int -> int -> int;
   edge_id_bound : int;
   distance : (int -> int -> int) option;
+  csr : csr_cell;
 }
+
+let csr_cell ?fill () = { fill; rows = Atomic.make None }
 
 let check_vertex g v =
   if v < 0 || v >= g.vertex_count then

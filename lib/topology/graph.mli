@@ -15,6 +15,19 @@
 exception Not_an_edge of int * int
 (** Raised by [edge_id u v] when [u] and [v] are not adjacent (or equal). *)
 
+type csr = { xadj : int array; targets : int array; edge_ids : int array }
+(** A graph's adjacency as flat rows; {!Csr} documents the layout. *)
+
+type csr_cell = private {
+  fill : (unit -> csr) option;
+      (** The topology's native fill, computed from its own arithmetic;
+          [None] means the generic fill from [neighbors] and [edge_id]
+          ({!Csr.build}). *)
+  rows : csr option Atomic.t;  (** Empty until the first {!Csr.of_graph}. *)
+}
+(** A graph's once-cell for its {!csr}, read only through
+    {!Csr.of_graph}. *)
+
 type t = {
   name : string;  (** Human-readable description, e.g. ["hypercube(n=14)"]. *)
   vertex_count : int;
@@ -35,7 +48,18 @@ type t = {
   distance : (int -> int -> int) option;
       (** Graph metric of the {e fault-free} topology when cheaply
           computable (Hamming for the hypercube, L1 for the mesh). *)
+  csr : csr_cell;
+      (** The graph's own flat adjacency, filled on first use by
+          {!Csr.of_graph} and kept for as long as the graph value
+          lives. Every constructor makes a fresh {!csr_cell}, so a
+          record copied with [{ g with ... }] shares the rows of [g]:
+          change no adjacency field that way. *)
 }
+
+val csr_cell : ?fill:(unit -> csr) -> unit -> csr_cell
+(** [csr_cell ()] is an empty cell that {!Csr.of_graph} fills
+    generically; [csr_cell ~fill ()] fills it with [fill ()], which
+    must return exactly the rows of the generic fill, slot for slot. *)
 
 val check_vertex : t -> int -> unit
 (** @raise Invalid_argument if the vertex is out of range. *)

@@ -20,6 +20,20 @@ let fixed_path_in_order bits u v =
 let fixed_path ~n u v = fixed_path_in_order (List.init n (fun i -> i)) u v
 let fixed_path_desc ~n u v = fixed_path_in_order (List.init n (fun i -> n - 1 - i)) u v
 
+(* Row [x] is [neighbors x] (bit 0 first) with the ids [edge_id] gives. *)
+let csr ~n ~size () =
+  let xadj = Array.init (size + 1) (fun x -> x * n) in
+  let targets = Array.make (size * n) 0 and edge_ids = Array.make (size * n) 0 in
+  for x = 0 to size - 1 do
+    let base = x * n in
+    for i = 0 to n - 1 do
+      let bit = 1 lsl i in
+      targets.(base + i) <- x lxor bit;
+      edge_ids.(base + i) <- ((x land lnot bit) * n) + i
+    done
+  done;
+  { Csr.xadj; targets; edge_ids }
+
 let graph n =
   if n < 1 || n > 30 then invalid_arg "Hypercube.graph: need 1 <= n <= 30";
   let size = 1 lsl n in
@@ -44,6 +58,7 @@ let graph n =
     edge_id;
     edge_id_bound = size * n;
     distance = Some hamming;
+    csr = Graph.csr_cell ~fill:(csr ~n ~size) ();
   }
 
 let dimension g =

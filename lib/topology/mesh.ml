@@ -18,6 +18,14 @@ let coords ~d ~m v =
 let index ~m c =
   Array.fold_right (fun coordinate acc -> (acc * m) + coordinate) c 0
 
+let next_coords ~m c =
+  let axis = ref 0 in
+  while !axis < Array.length c && c.(!axis) = m - 1 do
+    c.(!axis) <- 0;
+    incr axis
+  done;
+  if !axis < Array.length c then c.(!axis) <- c.(!axis) + 1
+
 let l1_distance ~d ~m u v =
   let cu = coords ~d ~m u and cv = coords ~d ~m v in
   let total = ref 0 in
@@ -38,6 +46,32 @@ let fixed_path ~d ~m u v =
     done
   done;
   List.rev !acc
+
+(* Row [v] is [neighbors v] — per axis, ascending, the +1 neighbour
+   then the -1 one, where they exist — with the ids [edge_id] gives. *)
+let csr ~d ~m ~size ~strides () =
+  let total = 2 * d * (size / m) * (m - 1) in
+  let xadj = Array.make (size + 1) 0 in
+  let targets = Array.make total 0 and edge_ids = Array.make total 0 in
+  let c = Array.make d 0 and slot = ref 0 in
+  for v = 0 to size - 1 do
+    for axis = 0 to d - 1 do
+      let stride = strides.(axis) in
+      if c.(axis) < m - 1 then begin
+        targets.(!slot) <- v + stride;
+        edge_ids.(!slot) <- (v * d) + axis;
+        incr slot
+      end;
+      if c.(axis) > 0 then begin
+        targets.(!slot) <- v - stride;
+        edge_ids.(!slot) <- ((v - stride) * d) + axis;
+        incr slot
+      end
+    done;
+    xadj.(v + 1) <- !slot;
+    next_coords ~m c
+  done;
+  { Csr.xadj; targets; edge_ids }
 
 let graph ~d ~m =
   if d < 1 then invalid_arg "Mesh.graph: d must be >= 1";
@@ -95,6 +129,7 @@ let graph ~d ~m =
     edge_id;
     edge_id_bound = size * d;
     distance = Some (l1_distance ~d ~m);
+    csr = Graph.csr_cell ~fill:(csr ~d ~m ~size ~strides) ();
   }
 
 let side g ~d =

@@ -20,6 +20,11 @@ val index : m:int -> int array -> int
 (** [index ~m c] is the vertex with coordinate vector [c]. Inverse of
     {!coords}. *)
 
+val next_coords : m:int -> int array -> unit
+(** [next_coords ~m c] turns [c], the coordinates of vertex [v], into
+    those of [v + 1], in place (an odometer, axis 0 fastest); from the
+    last vertex it wraps to all zeros. *)
+
 val l1_distance : d:int -> m:int -> int -> int -> int
 (** L1 distance between two vertex indices. *)
 

@@ -1,5 +1,5 @@
 (* Edmonds–Karp for unit-capacity undirected graphs, over the graph's
-   shared {!Csr} rows. Each undirected edge carries at most one unit of
+   own {!Csr} rows. Each undirected edge carries at most one unit of
    flow, one way: [flow.(id)] is the vertex that unit points at, or -1.
    An arc u->v is usable iff its edge carries no flow, or carries flow
    v->u (which the arc cancels). The BFS state is flat arrays reused by

@@ -43,4 +43,5 @@ let graph n =
     edge_id;
     edge_id_bound = 2 * size;
     distance = None;
+    csr = Graph.csr_cell ();
   }

@@ -95,6 +95,7 @@ let create stream ~m ~r =
       edge_id;
       edge_id_bound = 3 * size;
       distance = Some (l1 ~m);
+      csr = Graph.csr_cell ();
     }
   in
   (graph, fun u -> contact.(u))

@@ -36,4 +36,5 @@ let graph d =
           if a = b then 0
           else if (a < 2 && b < 2) || (a >= 2 && b >= 2) then 2
           else 1);
+    csr = Graph.csr_cell ();
   }

@@ -27,6 +27,27 @@ let fixed_path ~d ~m u v =
   done;
   List.rev !acc
 
+(* Row [v] is [neighbors v] — per axis, ascending, the +1 neighbour
+   then the -1 one, wrapping — with the ids [edge_id] gives. *)
+let csr ~d ~m ~size ~strides () =
+  let degree = 2 * d in
+  let xadj = Array.init (size + 1) (fun v -> v * degree) in
+  let targets = Array.make (size * degree) 0 and edge_ids = Array.make (size * degree) 0 in
+  let c = Array.make d 0 in
+  for v = 0 to size - 1 do
+    for axis = 0 to d - 1 do
+      let stride = strides.(axis) and slot = (v * degree) + (2 * axis) in
+      let up = if c.(axis) = m - 1 then v - ((m - 1) * stride) else v + stride in
+      let down = if c.(axis) = 0 then v + ((m - 1) * stride) else v - stride in
+      targets.(slot) <- up;
+      edge_ids.(slot) <- (v * d) + axis;
+      targets.(slot + 1) <- down;
+      edge_ids.(slot + 1) <- (down * d) + axis
+    done;
+    Mesh.next_coords ~m c
+  done;
+  { Csr.xadj; targets; edge_ids }
+
 let graph ~d ~m =
   if d < 1 then invalid_arg "Torus.graph: d must be >= 1";
   if m < 3 then invalid_arg "Torus.graph: m must be >= 3 (simple graph)";
@@ -46,24 +67,32 @@ let graph ~d ~m =
         v + ((shifted - c.(axis)) * strides.(axis)))
   in
   (* Edge along [axis] from coordinate k to k+1 (mod m): canonical source
-     is the endpoint with coordinate k; id = source*d + axis. *)
+     is the endpoint with coordinate k; id = source*d + axis. Its
+     endpoints lie one stride apart (source below) or, across the
+     wrap, m-1 strides apart (source above); for m >= 3 no gap is both,
+     so the gap names the axis and the side. The lower endpoint's
+     coordinate on that axis then rejects gaps that carry into the next
+     axis. Refs and a loop, not a local recursive function, so a call
+     allocates nothing: [edge_id] runs on every probe. *)
   let edge_id u v =
     if u < 0 || v < 0 || u >= size || v >= size then raise (Graph.Not_an_edge (u, v));
-    if u = v then raise (Graph.Not_an_edge (u, v));
-    let cu = Mesh.coords ~d ~m u and cv = Mesh.coords ~d ~m v in
-    let found = ref None in
-    for axis = 0 to d - 1 do
-      if cu.(axis) <> cv.(axis) then
-        match !found with
-        | Some _ -> found := Some (-1, -1) (* differ on two axes: not an edge *)
-        | None ->
-            if (cu.(axis) + 1) mod m = cv.(axis) then found := Some (axis, u)
-            else if (cv.(axis) + 1) mod m = cu.(axis) then found := Some (axis, v)
-            else found := Some (-1, -1)
+    let lo = if u < v then u else v and hi = if u < v then v else u in
+    let diff = hi - lo in
+    let axis = ref 0 in
+    while !axis < d && diff <> strides.(!axis) && diff <> (m - 1) * strides.(!axis) do
+      incr axis
     done;
-    match !found with
-    | Some (axis, source) when axis >= 0 -> (source * d) + axis
-    | Some _ | None -> raise (Graph.Not_an_edge (u, v))
+    let axis = !axis in
+    if axis = d then raise (Graph.Not_an_edge (u, v));
+    let c = lo / strides.(axis) mod m in
+    if diff = strides.(axis) then begin
+      if c = m - 1 then raise (Graph.Not_an_edge (u, v));
+      (lo * d) + axis
+    end
+    else begin
+      if c <> 0 then raise (Graph.Not_an_edge (u, v));
+      (hi * d) + axis
+    end
   in
   {
     Graph.name = Printf.sprintf "torus(d=%d,m=%d)" d m;
@@ -73,4 +102,5 @@ let graph ~d ~m =
     edge_id;
     edge_id_bound = size * d;
     distance = Some (l1_distance ~d ~m);
+    csr = Graph.csr_cell ~fill:(csr ~d ~m ~size ~strides) ();
   }

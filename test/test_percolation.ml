@@ -976,6 +976,44 @@ let test_diff_shared_across_domains () =
   let lazy_ = snd (world_pair g ~p:0.6 ~seed:137L) in
   Alcotest.(check bool) "lazy answers" true (Array.map (ask lazy_) vertices = sequential)
 
+(* Worlds over one graph read the graph's own rows: two worlds made in
+   turn share them, and so do four made at once on four domains racing
+   to fill an empty cell (each round uses a fresh graph). *)
+let test_diff_shared_csr () =
+  let csr w =
+    match P.World.rows w with
+    | Some (P.World.Coins { csr; _ }) -> csr
+    | Some (P.World.Prefilled _) | None -> Alcotest.fail "not a fresh cached world"
+  in
+  let g = Topology.Mesh.graph ~d:2 ~m:20 in
+  let first = csr (P.World.create g ~p:0.5 ~seed:1L) in
+  Alcotest.(check bool) "two worlds, one csr" true
+    (first == csr (P.World.create g ~p:0.7 ~seed:2L));
+  for round = 1 to 5 do
+    let g = Topology.Torus.graph ~d:2 ~m:60 in
+    let waiting = Atomic.make 4 in
+    let domains =
+      List.init 4 (fun i ->
+          Domain.spawn (fun () ->
+              Atomic.decr waiting;
+              while Atomic.get waiting > 0 do
+                Domain.cpu_relax ()
+              done;
+              csr (P.World.create g ~p:0.5 ~seed:(Int64.of_int i))))
+    in
+    match List.map Domain.join domains with
+    | [] -> assert false
+    | winner :: rest ->
+        List.iter
+          (fun other ->
+            Alcotest.(check bool) (Printf.sprintf "round %d: one csr" round) true (other == winner))
+          rest;
+        Alcotest.(check bool)
+          (Printf.sprintf "round %d: the graph's csr" round)
+          true
+          (winner == Topology.Csr.of_graph g)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Fault scenarios                                                     *)
 
@@ -1506,6 +1544,7 @@ let () =
           case "site percolation" test_diff_site;
           case "removal overlay" test_diff_removal_overlay;
           case "shared across domains" test_diff_shared_across_domains;
+          case "one csr per graph" test_diff_shared_csr;
         ] );
       ( "scenario",
         [

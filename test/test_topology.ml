@@ -200,6 +200,47 @@ let test_torus_fixed_path_wraps () =
   let path = Topology.Torus.fixed_path ~d ~m 0 8 in
   Alcotest.(check (list int)) "short way round" [ 0; 9; 8 ] path
 
+(* Wraparound at the smallest side, m = 3, where a wrap edge spans
+   m - 1 = 2 strides: [None] marks a pair [edge_id] must reject (two
+   axes, a gap that carries into the next axis, out of range). Then
+   every ordered pair, against the definition from coordinates. *)
+let test_torus_edge_ids_m3 () =
+  let known =
+    [
+      ((2, 0, 1), Some 0); ((2, 1, 0), Some 0); ((2, 0, 2), Some 4); ((2, 0, 3), Some 1);
+      ((2, 0, 6), Some 13); ((2, 6, 0), Some 13); ((2, 8, 6), Some 16); ((2, 8, 2), Some 17);
+      ((2, 0, 4), None); ((2, 2, 3), None); ((2, 0, 9), None); ((2, 0, -1), None);
+      ((3, 0, 1), Some 0); ((3, 2, 0), Some 6); ((3, 0, 9), Some 2); ((3, 0, 18), Some 56);
+      ((3, 6, 0), Some 19); ((3, 13, 4), Some 14); ((3, 13, 22), Some 41); ((3, 26, 8), Some 80);
+      ((3, 2, 3), None); ((3, 8, 9), None); ((3, 0, 26), None); ((3, 0, 27), None);
+    ]
+  in
+  let id_opt g u v = match g.G.edge_id u v with id -> Some id | exception G.Not_an_edge _ -> None in
+  List.iter
+    (fun ((d, u, v), expected) ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "torus d=%d m=3 (%d,%d)" d u v)
+        expected
+        (id_opt (Topology.Torus.graph ~d ~m:3) u v))
+    known;
+  List.iter
+    (fun d ->
+      let m = 3 in
+      let g = Topology.Torus.graph ~d ~m in
+      for u = 0 to g.G.vertex_count - 1 do
+        for v = 0 to g.G.vertex_count - 1 do
+          let cu = Topology.Mesh.coords ~d ~m u and cv = Topology.Mesh.coords ~d ~m v in
+          let expected =
+            match List.filter (fun a -> cu.(a) <> cv.(a)) (List.init d Fun.id) with
+            | [ a ] when (cu.(a) + 1) mod m = cv.(a) -> Some ((u * d) + a)
+            | [ a ] when (cv.(a) + 1) mod m = cu.(a) -> Some ((v * d) + a)
+            | _ -> None
+          in
+          Alcotest.(check (option int)) (Printf.sprintf "d=%d (%d,%d)" d u v) expected (id_opt g u v)
+        done
+      done)
+    [ 1; 2; 3 ]
+
 let test_binary_tree_structure () =
   let n = 4 in
   let g = Topology.Binary_tree.graph n in
@@ -650,6 +691,66 @@ let test_registry_neighbors_fresh () =
       check_neighbors_fresh instance.Topology.Registry.graph)
     Topology.Registry.entries
 
+(* ------------------------------------------------------------------ *)
+(* CSR rows                                                            *)
+
+(* Every registry family at its smallest legal size and one mid size
+   (the smallest is checked to be the smallest), plus the 3-torus and
+   the small-world graph, which the registry lacks. Hypercube, mesh
+   and torus fill their rows natively; every other family fills them
+   generically, so for those the comparison pins the cell plumbing. *)
+let csr_sizes =
+  [
+    ("hypercube", [ 1; 10 ]);
+    ("mesh2", [ 2; 32 ]);
+    ("mesh3", [ 2; 6 ]);
+    ("torus2", [ 3; 32 ]);
+    ("tree", [ 1; 6 ]);
+    ("double-tree", [ 1; 6 ]);
+    ("complete", [ 2; 12 ]);
+    ("theta", [ 1; 9 ]);
+    ("de-bruijn", [ 2; 6 ]);
+    ("shuffle-exchange", [ 2; 6 ]);
+    ("butterfly", [ 3; 5 ]);
+    ("cycle-matching", [ 4; 30 ]);
+  ]
+
+let check_csr_matches_generic g =
+  let native = Topology.Csr.of_graph g and generic = Topology.Csr.build g in
+  Alcotest.(check (array int)) (g.G.name ^ ": xadj") generic.xadj native.xadj;
+  Alcotest.(check (array int)) (g.G.name ^ ": targets") generic.targets native.targets;
+  Alcotest.(check (array int)) (g.G.name ^ ": edge_ids") generic.edge_ids native.edge_ids
+
+let test_csr_matches_generic () =
+  let stream = Prng.Stream.create 31L in
+  Alcotest.(check (list string))
+    "every registry family is listed"
+    (Topology.Registry.names ()) (List.map fst csr_sizes);
+  List.iter
+    (fun (name, sizes) ->
+      let entry = Option.get (Topology.Registry.find name) in
+      let build size = (entry.Topology.Registry.build ~size stream).Topology.Registry.graph in
+      (match build (List.hd sizes - 1) with
+      | _ -> Alcotest.failf "%s: size %d is legal" name (List.hd sizes - 1)
+      | exception Invalid_argument _ -> ());
+      List.iter (fun size -> check_csr_matches_generic (build size)) sizes)
+    csr_sizes;
+  check_csr_matches_generic (Topology.Torus.graph ~d:3 ~m:3);
+  check_csr_matches_generic (Topology.Small_world.graph stream ~m:5 ~r:2.0)
+
+(* The rows live exactly as long as their graph: nothing else may hold
+   a dropped graph's rows. Filled in a function of its own so that no
+   stack slot of this frame keeps the graph. *)
+let test_csr_freed_with_graph () =
+  let weak = Weak.create 1 in
+  let fill () =
+    let g = Topology.Mesh.graph ~d:2 ~m:16 in
+    Weak.set weak 0 (Some (Topology.Csr.of_graph g))
+  in
+  (Sys.opaque_identity fill) ();
+  Gc.full_major ();
+  Alcotest.(check bool) "rows collected" false (Weak.check weak 0)
+
 let test_graph_helpers () =
   let g = Topology.Hypercube.graph 4 in
   Alcotest.(check int) "edge_count" 32 (G.edge_count g);
@@ -712,6 +813,7 @@ let () =
           Alcotest.test_case "regular degree" `Quick test_torus_degree_regular;
           Alcotest.test_case "wraparound distance" `Quick test_torus_wraparound_distance;
           Alcotest.test_case "fixed path wraps" `Quick test_torus_fixed_path_wraps;
+          Alcotest.test_case "edge ids at m = 3" `Quick test_torus_edge_ids_m3;
         ] );
       ( "binary tree",
         [
@@ -760,4 +862,9 @@ let () =
           Alcotest.test_case "known contacts" `Quick test_small_world_known_contacts;
         ] );
       ("graph helpers", [ Alcotest.test_case "helpers" `Quick test_graph_helpers ]);
+      ( "csr",
+        [
+          Alcotest.test_case "native fill = generic fill" `Quick test_csr_matches_generic;
+          Alcotest.test_case "freed with graph" `Quick test_csr_freed_with_graph;
+        ] );
     ]
