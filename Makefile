@@ -174,7 +174,10 @@ chaos-smoke:
 # examples/netsim/simulate-golden.txt, and the metrics/v1 of the
 # churned flood and of the 10-cube walk (a probing protocol) with
 # examples/netsim/{flood-churn,walk}-metrics-golden.json, which pins
-# the counter set: a counter never ticked stays absent. Leg 4: an out-of-range
+# the counter set: a counter never ticked stays absent; and full-mode
+# E26 (fail rates 0.02-0.2 at repair 0.3 over 120 gossip rounds on
+# H_9, the churn plans the simulate goldens do not cover) is compared
+# with examples/netsim/e26-full-golden.txt. Leg 4: an out-of-range
 # --source/--target fails cleanly with empty stdout and a single error
 # line naming the vertex (simulate adds its usage block): exit 2 for
 # simulate, 1 for route and mincut; a churn spec repeating a key and
@@ -212,6 +215,8 @@ churn-smoke:
 	cmp examples/netsim/simulate-golden.txt artifacts/NETSIM_sim.txt
 	cmp examples/netsim/flood-churn-metrics-golden.json artifacts/NETSIM_flood_metrics.json
 	cmp examples/netsim/walk-metrics-golden.json artifacts/NETSIM_walk_metrics.json
+	dune exec bin/faultroute.exe -- exp E26 --jobs 2 > artifacts/CHURN_e26_full.txt
+	cmp examples/netsim/e26-full-golden.txt artifacts/CHURN_e26_full.txt
 	dune build bin/faultroute.exe
 	./_build/default/bin/faultroute.exe simulate hypercube:4 --source 99 > artifacts/NETSIM_oor.out 2> artifacts/NETSIM_oor.err; test $$? -eq 2
 	test ! -s artifacts/NETSIM_oor.out

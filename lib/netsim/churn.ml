@@ -152,9 +152,9 @@ let of_spec spec =
    geometric — a link that is up fails each round with probability
    [fail] (so stays up Geometric(fail) rounds), a down link repairs
    with probability [repair]. Each duration is drawn by inverse CDF
-   from the edge's own stream, so extending a trajectory never touches
-   another edge's randomness and the whole schedule is pure in
-   (plan seed, world seed, edge id).
+   ([Prng.Sample.geometric_draw]) from the edge's own stream, so
+   extending a trajectory never touches another edge's randomness and
+   the whole schedule is pure in (plan seed, world seed, edge id).
 
    A cursor keeps only the newest decided segment [prev, last) of that
    sequence: [count] toggles have been drawn, the newest at round
@@ -211,21 +211,6 @@ let cursor t edge =
   if t.cursors.(edge) == unseen then t.cursors.(edge) <- fresh t edge;
   t.cursors.(edge)
 
-(* Geometric(rate) on {1, 2, ...} by inverse CDF, given
-   [log_rate = log1p (-. rate)]. rate = 0 never fires (caller
-   special-cases); rate = 1 fires immediately. The clamp compares ints:
-   the polymorphic [max] costs a C call on each of about a million
-   draws per churned flood. *)
-let geometric gen rate log_rate =
-  if rate >= 1.0 then 1
-  else
-    let u = Prng.Xoshiro256.next_float gen in
-    let k = Float.ceil (Float.log1p (-.u) /. log_rate) in
-    if Float.is_finite k && k < 1073741823.0 then
-      let k = int_of_float k in
-      if k < 1 then 1 else k
-    else max_int / 4
-
 (* Draw toggles until the undrawn part starts after [round]; a zero
    hazard for the current state freezes the cursor there forever. *)
 let rec extend t c ~round =
@@ -234,7 +219,9 @@ let rec extend t c ~round =
     let rate = if up then t.plan.fail else t.plan.repair in
     if rate > 0.0 then begin
       let next =
-        c.last + geometric c.gen rate (if up then t.log_fail else t.log_repair)
+        c.last
+        + Prng.Sample.geometric_draw c.gen
+            ~log_q:(if up then t.log_fail else t.log_repair)
       in
       if next >= c.last (* overflow guard *) then begin
         c.prev <- c.last;

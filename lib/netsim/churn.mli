@@ -69,7 +69,9 @@ val link_up : state -> edge:int -> round:int -> bool
     Pure in [(plan seed, world seed, edge, round)], so queries may
     arrive in any order. Cost: amortized O(1) while an edge's rounds do
     not decrease (the engine's pattern), allocating only the edge's
-    cursor at its first query; a round before the edge's kept segment
+    cursor at its first query; each toggle drawn costs one [log], by
+    {!Prng.Sample.geometric_draw} (one [log1p] more in the rare draw
+    that lands near an integer); a round before the edge's kept segment
     replays the edge from its seed, in time linear in its toggles up to
     that round. The table grows to the largest edge id asked.
     @raise Invalid_argument naming the edge if [edge] is negative. *)

@@ -1,12 +1,37 @@
 (** Samplers for classical distributions, parameterised by a {!Stream}.
 
-    Used by workload generators (random pairs, geometric retry counts) and
-    by statistical tests that need known ground-truth distributions. *)
+    Used by workload generators (random pairs, geometric retry counts), by
+    [Netsim.Churn]'s sojourn draws and by statistical tests that need
+    known ground-truth distributions. *)
+
+val geometric_step : log_q:float -> float -> int
+(** [geometric_step ~log_q u] is the repository's one geometric inverse
+    CDF: Geometric([p]) on [{1, 2, ...}] at the uniform [u], given
+    [log_q = log1p (-. p)]. Its reference is
+    [ceil (log1p (-. u) /. log_q)]. It computes the cheaper
+    [y = log (1 -. u) /. log_q] and returns [ceil y] when [y] lies more
+    than a relative [1e-9] from every integer, the reference otherwise.
+    That is exact for the 53-bit uniforms {!Xoshiro256.next_float}
+    returns: [1 -. u] is then exact and [log] and [log1p] are each
+    within a few ulp, so the two quotients differ by about [1e-15]
+    relative, and wherever [ceil y] is taken no integer lies between
+    them. Clamps: a ceiling below 1 (at [u = 0]) gives 1, and a
+    non-finite ceiling or one at or above [2{^30} - 1] gives
+    [max_int / 4]; [log_q = neg_infinity] ([p = 1]) gives 1. *)
+
+val geometric_draw : Xoshiro256.t -> log_q:float -> int
+(** [geometric_draw gen ~log_q] is [geometric_step ~log_q] at the next
+    uniform of [gen], except that [log_q = neg_infinity] ([p = 1])
+    returns 1 without a draw. It is inlined, so the draw boxes no
+    float. *)
 
 val geometric : Stream.t -> p:float -> int
 (** [geometric t ~p] is the number of Bernoulli([p]) trials up to and
     including the first success; support [{1, 2, ...}], mean [1/p].
-    Sampled by inversion, O(1).
+    It is {!geometric_draw} on [t]'s generator with
+    [log_q = log1p (-. p)], O(1), with its clamps: a draw that would
+    reach [2{^30} - 1], possible only for [p] below about [3.4e-8], is
+    [max_int / 4].
     @raise Invalid_argument if not [0 < p <= 1]. *)
 
 val binomial : Stream.t -> n:int -> p:float -> int

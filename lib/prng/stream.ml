@@ -2,6 +2,7 @@ type t = { seed : int64; gen : Xoshiro256.t }
 
 let create seed = { seed; gen = Xoshiro256.create seed }
 let seed t = t.seed
+let generator t = t.gen
 
 let split t label =
   let child_seed = Coin.derive t.seed label in

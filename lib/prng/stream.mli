@@ -15,6 +15,10 @@ val create : int64 -> t
 val seed : t -> int64
 (** [seed t] is the seed this stream was created or split from. *)
 
+val generator : t -> Xoshiro256.t
+(** [generator t] is the generator behind [t]: a draw from it advances
+    [t]. *)
+
 val split : t -> int -> t
 (** [split t label] is a child stream deterministically derived from
     [t]'s seed and [label]. Splitting is a pure function of

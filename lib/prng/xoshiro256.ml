@@ -13,7 +13,7 @@ external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 let rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let of_words s0 s1 s2 s3 =
+let[@inline] of_words s0 s1 s2 s3 =
   let t = Bytes.create 32 in
   set t 0 s0;
   set t 8 s1;
@@ -26,15 +26,19 @@ let of_state (s0, s1, s2, s3) =
     invalid_arg "Xoshiro256.of_state: all-zero state";
   of_words s0 s1 s2 s3
 
+(* The first four outputs of [Splitmix64.create seed]: its k-th output
+   is [mix (seed + k * golden_gamma)]. Computed directly, the words stay
+   unboxed; a [Splitmix64.t] would box an int64 on each [next]. *)
 let create seed =
-  let sm = Splitmix64.create seed in
-  let s0 = Splitmix64.next sm in
-  let s1 = Splitmix64.next sm in
-  let s2 = Splitmix64.next sm in
-  let s3 = Splitmix64.next sm in
+  let gamma = Splitmix64.golden_gamma in
+  let s0 = Splitmix64.mix (Int64.add seed gamma) in
+  let s1 = Splitmix64.mix (Int64.add seed (Int64.mul 2L gamma)) in
+  let s2 = Splitmix64.mix (Int64.add seed (Int64.mul 3L gamma)) in
+  let s3 = Splitmix64.mix (Int64.add seed (Int64.mul 4L gamma)) in
   (* SplitMix64 output is never all-zero across four consecutive draws for
      any seed in practice, but guard anyway. *)
-  if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then of_words 1L s1 s2 s3
+  if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then
+    of_words 1L s1 s2 s3
   else of_words s0 s1 s2 s3
 
 let copy = Bytes.copy

@@ -829,12 +829,19 @@ let qcheck_tests =
             Netsim.Metrics.churn_blocked m )
         in
         run () = run ());
+    (* Besides the edge cases, the rates E26 sweeps (fail 0.02-0.2 at
+       repair 0.3) over horizons up to 450 rounds: churn-sim's flood
+       runs 415, and each edge then draws dozens of sojourns. *)
     Test.make ~name:"churn cursors = reference trajectories" ~count:150
       (quad
-         (pair (oneofl [ 0.0; 1e-9; 0.05; 0.5; 1.0 ]) (oneofl [ 0.0; 0.3; 1.0 ]))
+         (oneof
+            [
+              pair (oneofl [ 0.0; 1e-9; 0.05; 0.5; 1.0 ]) (oneofl [ 0.0; 0.3; 1.0 ]);
+              pair (oneofl [ 0.02; 0.05; 0.1; 0.2 ]) (always 0.3);
+            ])
          (pair int64 int64)
          (list_of_size Gen.(1 -- 6) (int_bound 100_000))
-         (int_range 1 120))
+         (int_range 1 450))
       (fun ((fail, repair), (seed, world_seed), edges, rounds) ->
         let plan = Netsim.Churn.make ~seed ~fail ~repair () in
         let state = Netsim.Churn.instantiate plan ~world_seed in

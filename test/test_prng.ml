@@ -393,6 +393,60 @@ let test_geometric_p_one () =
   let t = Prng.Stream.create 21L in
   Alcotest.(check int) "always 1" 1 (Prng.Sample.geometric t ~p:1.0)
 
+(* The shared geometric step against its reference at the reference's
+   own boundaries. For each rate and each step k <= 400 of
+   ceil (log1p (-u) / log_q), bisect the 53-bit uniform m at which the
+   ceiling first exceeds k and compare the step with the reference at
+   m - 3 .. m + 3. Random uniforms almost never land there, and there
+   a ceiling of log (1 - u) / log_q alone disagrees with the reference
+   at some points, so the step's fallback is what this pins. *)
+let test_geometric_step_boundaries () =
+  let uniform j = float_of_int j *. (1.0 /. 9007199254740992.0) in
+  let top = (1 lsl 53) - 1 in
+  let checked = ref 0 in
+  List.iter
+    (fun p ->
+      let log_q = Float.log1p (-.p) in
+      let reference j =
+        let k = Float.ceil (Float.log1p (-.uniform j) /. log_q) in
+        if k < 1.0 then 1 else int_of_float k
+      in
+      let k = ref 1 in
+      while !k <= 400 && reference top > !k do
+        (* Smallest m with reference m > k: reference 0 <= k < reference top. *)
+        let lo = ref 0 and hi = ref top in
+        while !hi - !lo > 1 do
+          let mid = !lo + ((!hi - !lo) / 2) in
+          if reference mid > !k then hi := mid else lo := mid
+        done;
+        for j = max 0 (!hi - 3) to min top (!hi + 3) do
+          let got = Prng.Sample.geometric_step ~log_q (uniform j) in
+          if got <> reference j then
+            Alcotest.failf "p=%g step %d: u=%h gives %d, reference %d" p !k (uniform j)
+              got (reference j);
+          incr checked
+        done;
+        incr k
+      done)
+    [ 0.001; 0.02; 0.05; 0.1; 0.2; 0.3 ];
+  Alcotest.(check bool) (Printf.sprintf "%d points checked" !checked) true
+    (!checked > 12_000)
+
+let test_geometric_step_clamps () =
+  let log_q = Float.log1p (-0.5) in
+  Alcotest.(check int) "u = 0" 1 (Prng.Sample.geometric_step ~log_q 0.0);
+  Alcotest.(check int) "p = 1" 1
+    (Prng.Sample.geometric_step ~log_q:Float.neg_infinity 0.75);
+  Alcotest.(check int) "past 2^30 - 1" (max_int / 4)
+    (Prng.Sample.geometric_step ~log_q:(Float.log1p (-1e-12)) 0.5);
+  Alcotest.(check int) "non-finite" (max_int / 4)
+    (Prng.Sample.geometric_step ~log_q:(-0.0) 0.5);
+  (* p = 1 draws nothing: the generator is where it was. *)
+  let g = Prng.Xoshiro256.create 3L and h = Prng.Xoshiro256.create 3L in
+  Alcotest.(check int) "draw at p = 1" 1
+    (Prng.Sample.geometric_draw g ~log_q:Float.neg_infinity);
+  Alcotest.(check int64) "no draw" (Prng.Xoshiro256.next h) (Prng.Xoshiro256.next g)
+
 let test_binomial_mean () =
   let t = Prng.Stream.create 22L in
   let samples = Array.init 5000 (fun _ -> float_of_int (Prng.Sample.binomial t ~n:100 ~p:0.3)) in
@@ -572,6 +626,8 @@ let () =
           case "geometric mean" test_geometric_mean;
           case "geometric support" test_geometric_support;
           case "geometric p=1" test_geometric_p_one;
+          case "geometric step boundaries" test_geometric_step_boundaries;
+          case "geometric step clamps" test_geometric_step_clamps;
           case "binomial mean" test_binomial_mean;
           case "binomial extremes" test_binomial_extremes;
           case "binomial high p" test_binomial_high_p;
