@@ -35,14 +35,19 @@ bench-smoke:
 
 # The quick catalog on two domains — exercises the parallel engine end
 # to end; output must match a --jobs 1 run byte for byte, and any
-# under-sampled report fails the run (exit 3). Then malformed options:
+# under-sampled report fails the run (exit 3). `check` takes the same
+# common flags: its --trace must cmp equal to that run's and replay,
+# and its --metrics-out must be a metrics/v1 document. Full-mode E11,
+# E19 and E20 (the p sweeps that share one seed per world, and the
+# good-vertex balls) must cmp equal to
+# examples/percolation/sweeps-full-golden.txt. Then malformed options:
 # a -p outside [0, 1] (NaN and inf included), --trials 0, --budget 0,
 # a mincut whose --source equals its --target, a non-finite top
 # --interval, a census or threshold on mesh2:200000 (its 4e10-vertex
 # union-find needs 320 GB), and an unwritable output path (README.md/x
 # lies under a regular file) given to --trace, --telemetry-out,
 # --metrics-out, --profile-out, --ledger, serve --evidence-out, check
-# --out or check --update --baseline exit 1 with empty stdout and one
+# --trace, check --out or check --update --baseline exit 1 with empty stdout and one
 # stderr line, before any work. Each case runs with its address space
 # capped at 8 GB (ulimit -v), so the 320 GB allocation fails at once
 # whatever the host's overcommit policy and never touches a page.
@@ -59,8 +64,14 @@ DOC_REFS = DESIGN.md README.md EXPERIMENTS.md $(wildcard lib/*/*.mli)
 BAD_PATH = README.md/x
 smoke:
 	mkdir -p artifacts
-	dune exec bin/faultroute.exe -- all --quick --jobs 2 --strict-shortfall > /dev/null
+	dune exec bin/faultroute.exe -- all --quick --jobs 2 --strict-shortfall --trace artifacts/SMOKE_all_trace.jsonl > /dev/null
 	dune build bin/faultroute.exe
+	./_build/default/bin/faultroute.exe check --quick --jobs 2 --trace artifacts/SMOKE_check_trace.jsonl --metrics-out artifacts/SMOKE_check_metrics.json > /dev/null
+	cmp artifacts/SMOKE_all_trace.jsonl artifacts/SMOKE_check_trace.jsonl
+	./_build/default/bin/faultroute.exe trace artifacts/SMOKE_check_trace.jsonl > /dev/null
+	grep -q '"schema": "metrics/v1"' artifacts/SMOKE_check_metrics.json
+	for e in E11 E19 E20; do ./_build/default/bin/faultroute.exe exp $$e --jobs 2 || exit 1; done > artifacts/SMOKE_sweeps_full.txt
+	cmp examples/percolation/sweeps-full-golden.txt artifacts/SMOKE_sweeps_full.txt
 	for args in 'route hypercube:8 -p 1.5' 'route hypercube:8 -p nan' 'census hypercube:8 -p 1.5' 'census hypercube:8 -p inf' 'threshold mesh2:8 --trials 0' 'route hypercube:8 --budget 0' 'mincut hypercube:4 --source 3 --target 3' \
 	  'census mesh2:200000' 'threshold mesh2:200000 --trials 1' \
 	  'top --replay --interval nan examples/obs/serve-telemetry.jsonl' 'top --replay --interval inf examples/obs/serve-telemetry.jsonl' \
@@ -68,7 +79,7 @@ smoke:
 	  'exp E1 --quick --telemetry-out $(BAD_PATH)' 'route hypercube:4 --telemetry-out $(BAD_PATH)' 'simulate hypercube:4 --telemetry-out $(BAD_PATH)' \
 	  'exp E1 --quick --metrics-out $(BAD_PATH)' 'exp E1 --quick --profile-out $(BAD_PATH)' 'exp E1 --quick --ledger $(BAD_PATH)' \
 	  'serve --manifest examples/serve/session.json --queries examples/serve/queries.jsonl --evidence-out $(BAD_PATH)' \
-	  'check --quick --out $(BAD_PATH)' 'check --quick --update --baseline $(BAD_PATH)'; do \
+	  'check --quick --trace $(BAD_PATH)' 'check --quick --out $(BAD_PATH)' 'check --quick --update --baseline $(BAD_PATH)'; do \
 	  (ulimit -v 8000000; exec ./_build/default/bin/faultroute.exe $$args) > artifacts/SMOKE_opt.out 2> artifacts/SMOKE_opt.err; \
 	  test $$? -eq 1 || { echo "$$args: want exit 1"; exit 1; }; \
 	  test ! -s artifacts/SMOKE_opt.out || { echo "$$args: stdout not empty"; exit 1; }; \

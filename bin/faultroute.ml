@@ -219,13 +219,14 @@ let arm_ledger ~cmd common =
     common.ledger
 
 (* Arm everything the [common] record asks for around a subcommand
-   body: first check every output path — the common flags' and the
-   subcommand's own [outputs], which the ledger records too — then set
-   the ambient job count, arm the run ledger, then
-   tracing/metrics/telemetry. *)
-let with_common ~cmd ?(outputs = []) common k =
+   body: first check every output path — the common flags', the
+   subcommand's own [outputs], which the ledger records too, and the
+   files in [created] whose writer makes missing parent directories, as
+   the ledger's does (check's --update baseline) — then set the ambient
+   job count, arm the run ledger, then tracing/metrics/telemetry. *)
+let with_common ~cmd ?(outputs = []) ?(created = []) common k =
   with_valid_options
-    (output_errors ~mkdir:[ common.ledger ]
+    (output_errors ~mkdir:(common.ledger :: created)
        ([
           common.trace; common.metrics_out; common.telemetry_out;
           common.profile_out;
@@ -437,16 +438,10 @@ let evidence_claims paths =
 
 let cmd_check quick baseline_path out update evidence_files common supervision =
   let path = Option.value baseline_path ~default:(default_baseline_path ~quick) in
-  with_valid_options
-    (output_errors
-       ~mkdir:[ common.ledger; (if update then Some path else None) ]
-       [ out ])
+  with_common ~cmd:"check" ~outputs:[ out ]
+    ~created:[ (if update then Some path else None) ]
+    common
   @@ fun () ->
-  Engine_par.Pool.set_default_jobs common.jobs;
-  (* check bypasses with_common (no observability sinks), but still
-     ledgers its invocation and the verdict file it writes. *)
-  arm_ledger ~cmd:"check" common;
-  Option.iter Obs.Ledger.note_artifact out;
   let seed = common.seed and jobs = common.jobs in
   let mode = if quick then "quick" else "full" in
   match evidence_claims evidence_files with

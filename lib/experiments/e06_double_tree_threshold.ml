@@ -3,9 +3,10 @@
    of a binary branching process with per-edge probability p^2, so the
    exact probability obeys the recursion
        q_0 = 1,   q_k = 1 - (1 - p^2 q_{k-1})^2,
-   and Pr[x ~ y] = q_n. We measure it by Monte-Carlo reveal and print
-   the exact value alongside — the measurement must track the recursion,
-   and both must collapse for p below 1/sqrt(2) as n grows. *)
+   and Pr[x ~ y] = q_n ([Percolation.Branching.double_tree_connection]).
+   We measure it by Monte-Carlo reveal and print the exact value
+   alongside — the measurement must track the recursion, and both must
+   collapse for p below 1/sqrt(2) as n grows. *)
 
 let id = "E6"
 let title = "Double-tree connectivity threshold (Lemma 6)"
@@ -13,16 +14,6 @@ let title = "Double-tree connectivity threshold (Lemma 6)"
 let claim =
   "Pr[x ~ y] in TT_{n,p} is bounded away from 0 iff p > 1/sqrt(2) ~= 0.7071; below \
    the threshold it vanishes with n."
-
-let exact_connection ~n ~p =
-  let rec iterate k q =
-    if k = 0 then q
-    else begin
-      let open_child = p *. p *. q in
-      iterate (k - 1) (1.0 -. ((1.0 -. open_child) ** 2.0))
-    end
-  in
-  iterate n 1.0
 
 let run ?(quick = false) stream =
   let ps =
@@ -71,7 +62,7 @@ let run ?(quick = false) stream =
       List.iteri
         (fun p_index p ->
           let rate = Runner.mean rows.(n_index) p_index in
-          let exact = exact_connection ~n ~p in
+          let exact = Percolation.Branching.double_tree_connection ~p ~n in
           max_deviation := Float.max !max_deviation (Float.abs (rate -. exact));
           (* The first p of the sweep sits below 1/sqrt(2) in both modes. *)
           if p_index = 0 then sub_threshold_rates := rate :: !sub_threshold_rates;

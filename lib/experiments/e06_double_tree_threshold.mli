@@ -4,10 +4,5 @@ val id : string
 val title : string
 val claim : string
 
-val exact_connection : n:int -> p:float -> float
-(** [exact_connection ~n ~p] is the exact value of [Pr[x ~ y]] in
-    [TT_{n,p}], via the Galton–Watson recursion
-    [q_0 = 1, q_k = 1 - (1 - p² q_{k-1})²]. *)
-
 val run : ?quick:bool -> Prng.Stream.t -> Report.t
 (** [run stream] executes the experiment; [~quick:true] shrinks it. *)

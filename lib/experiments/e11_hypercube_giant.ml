@@ -21,16 +21,13 @@ let run ?(quick = false) stream =
            [ "p*n"; "p"; "mean giant frac"; "mean 2nd frac"; "giant present" ])
   in
   let row_stats = ref [] in
-  (* One coupled family per world, sampled once and cut at every ratio:
-     world w's component structure at increasing p*n is a refinement of
-     the same draws, so its giant fraction is non-decreasing across the
-     sweep deterministically — and the whole experiment pays [worlds]
-     sampling sweeps instead of [worlds * ratios]. *)
+  (* World w is built at every ratio from its one seed. Its coins are
+     threshold tests of one uniform per edge, so its open edges at
+     increasing p*n nest and its giant fraction is non-decreasing across
+     the sweep deterministically. *)
   let substream = Prng.Stream.split stream 0 in
-  let families =
-    Array.init worlds (fun i ->
-        Percolation.Coupled.create graph
-          ~seed:(Prng.Coin.derive (Prng.Stream.seed substream) (i + 1)))
+  let seeds =
+    Array.init worlds (fun i -> Prng.Coin.derive (Prng.Stream.seed substream) (i + 1))
   in
   List.iter
     (fun ratio ->
@@ -38,17 +35,17 @@ let run ?(quick = false) stream =
       let giant_fracs = ref Stats.Summary.empty in
       let second_fracs = ref Stats.Summary.empty in
       let giants = ref 0 in
-      for w = 1 to worlds do
-        let world = Percolation.Coupled.world_at families.(w - 1) ~p in
-        let census = Percolation.Clusters.census world in
-        giant_fracs :=
-          Stats.Summary.add !giant_fracs (Percolation.Clusters.giant_fraction census);
-        second_fracs :=
-          Stats.Summary.add !second_fracs
-            (float_of_int census.Percolation.Clusters.second_largest
-            /. float_of_int census.Percolation.Clusters.vertex_count);
-        if Percolation.Clusters.has_giant ~threshold:0.05 census then incr giants
-      done;
+      Array.iter
+        (fun seed ->
+          let census = Percolation.Clusters.census (Percolation.World.create graph ~p ~seed) in
+          giant_fracs :=
+            Stats.Summary.add !giant_fracs (Percolation.Clusters.giant_fraction census);
+          second_fracs :=
+            Stats.Summary.add !second_fracs
+              (float_of_int census.Percolation.Clusters.second_largest
+              /. float_of_int census.Percolation.Clusters.vertex_count);
+          if Percolation.Clusters.has_giant ~threshold:0.05 census then incr giants)
+        seeds;
       row_stats :=
         ( Stats.Summary.mean !giant_fracs,
           Stats.Summary.mean !second_fracs,

@@ -16,9 +16,9 @@ let claim =
 
 (* One Runner grid over size x trial, each size's graph built once.
    Trial t of size m draws one world seed from [split stream m] and is
-   measured at every p, so each trial's giant fraction is non-decreasing
-   in p (monotone coupling), which removes sampling noise from the
-   crossings. *)
+   measured at every p with that seed, so each trial's giant fraction is
+   non-decreasing in p (monotone coupling), which removes sampling noise
+   from the crossings. *)
 let giant_curves ~name stream ~world_at ~graphs ~ps ~trials =
   let cells = Array.of_list graphs in
   let rows =
@@ -38,19 +38,6 @@ let giant_curves ~name stream ~world_at ~graphs ~ps ~trials =
       let points = List.mapi (fun i p -> (p, Runner.mean rows.(cell) i)) ps in
       { Percolation.Scaling.size; points })
     graphs
-
-(* Each seed's draws are sampled once into a Coupled family and cut at
-   every p when the graph fits the cache gate; larger graphs fall back
-   to per-p worlds with the same seeds and identical states. *)
-let coupled_world graph ~seed =
-  if
-    graph.Topology.Graph.edge_id_bound <= Percolation.World.cache_gate
-    && graph.Topology.Graph.vertex_count <= Percolation.World.cache_gate
-  then begin
-    let family = Percolation.Coupled.create graph ~seed in
-    fun p -> Percolation.Coupled.world_at family ~p
-  end
-  else fun p -> Percolation.World.create graph ~p ~seed
 
 let run ?(quick = false) stream =
   let trials = if quick then 8 else 30 in
@@ -86,7 +73,7 @@ let run ?(quick = false) stream =
         giant_curves
           ~name:(Printf.sprintf "%s;quick=%b" id quick)
           (Prng.Stream.split stream case_index)
-          ~world_at:coupled_world
+          ~world_at:(fun graph ~seed p -> Percolation.World.create graph ~p ~seed)
           ~graphs:(List.map (fun m -> (m, Topology.Mesh.graph ~d ~m)) sizes)
           ~ps ~trials
       in

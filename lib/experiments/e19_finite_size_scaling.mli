@@ -22,7 +22,9 @@ val giant_curves :
     {!Runner.grid} under [name]. Trial [t] (from 0) of size [m] calls
     [world_at graph ~seed] once, seed [Coin.derive (seed (split stream
     m)) t], and takes a census of its world at each [p]. E19 passes
-    {!Percolation.Coupled} cuts, E23 site-percolation worlds. *)
+    bond worlds [Percolation.World.create graph ~p ~seed], E23
+    site-percolation worlds at that seed: worlds at one seed nest along
+    [p], so each trial's curve is non-decreasing. *)
 
 val run : ?quick:bool -> Prng.Stream.t -> Report.t
 (** [run stream] executes the experiment at paper scale; [~quick:true]

@@ -236,54 +236,18 @@ let cluster_size_via engine ?limit world v =
 
 let cluster_size ?limit world v = cluster_size_via (repr_engine world) ?limit world v
 
-let ball_table world v ~radius =
-  let dist = Hashtbl.create 256 in
-  Hashtbl.replace dist v 0;
-  let queue = Queue.create () in
-  Queue.push v queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    let du = Hashtbl.find dist u in
-    if du < radius then
-      Array.iter
-        (fun w ->
-          if not (Hashtbl.mem dist w) then begin
-            Hashtbl.replace dist w (du + 1);
-            Queue.push w queue
-          end)
-        (World.open_neighbors world u)
-  done;
-  dist
-
-let ball_arena world v ~radius =
-  let n = (World.graph world).Topology.Graph.vertex_count in
-  let dist = Array.make n (-1) in
-  let queue = Array.make n 0 in
-  dist.(v) <- 0;
-  queue.(0) <- v;
-  let head = ref 0 and tail = ref 1 in
-  while !head < !tail do
-    let u = Array.unsafe_get queue !head in
-    incr head;
-    let du = Array.unsafe_get dist u in
-    if du < radius then
-      World.iter_open_neighbors world u (fun w ->
-          if Array.unsafe_get dist w < 0 then begin
-            Array.unsafe_set dist w (du + 1);
-            Array.unsafe_set queue !tail w;
-            incr tail
-          end)
-  done;
-  (* The queue prefix holds exactly the discovered vertices. *)
-  let table = Hashtbl.create (2 * !tail) in
-  for i = 0 to !tail - 1 do
-    let u = Array.unsafe_get queue i in
-    Hashtbl.replace table u dist.(u)
-  done;
-  table
-
+(* The world's engine with no limit: [visit] records every vertex at
+   depth <= [radius], and [stop] ends the search at the first vertex
+   past it. Levels are visited in order, so by then every vertex within
+   the radius has been recorded. It bypasses [observed_bfs]: a ball
+   emits no reveal events, counters or span, so traces and metrics
+   count connectivity and cluster reveals only. *)
 let ball world v ~radius =
   Topology.Graph.check_vertex (World.graph world) v;
   if radius < 0 then invalid_arg "Reveal.ball: negative radius";
-  if World.cached world then ball_arena world v ~radius
-  else ball_table world v ~radius
+  let within = Hashtbl.create 256 and past = ref false in
+  ignore
+    (bfs_via (repr_engine world) world v
+       ~stop:(fun _ -> !past)
+       ~visit:(fun x d -> if d <= radius then Hashtbl.add within x d else past := true));
+  within

@@ -61,4 +61,8 @@ val cluster_size_via : engine -> ?limit:int -> World.t -> int -> int * bool
 
 val ball : World.t -> int -> radius:int -> (int, int) Hashtbl.t
 (** [ball w v ~radius] maps every vertex within percolation distance
-    [radius] of [v] to its distance. *)
+    [radius] of [v] to its distance. It runs the world's engine and
+    stops at the first vertex past [radius]; it is not observed (no
+    trace events, counters or [reveal.bfs] span).
+    @raise Invalid_argument if [v] is out of range or [radius] is
+    negative. *)

@@ -32,88 +32,41 @@ type t = {
 let bit_get b i =
   Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-let bitset bits = Bytes.make ((bits + 7) / 8) '\000'
-
 (* Distinct seed namespace for vertex coins, so site and bond states are
    independent even though vertex and edge ids overlap. *)
 let site_seed seed = Prng.Coin.derive seed 0x5173
 
 let cache_gate = 1 lsl 21
 
-let check_probabilities ~who ~p ~site_p =
-  if not (p >= 0.0 && p <= 1.0) then
-    invalid_arg (Printf.sprintf "World.%s: p outside [0,1]" who);
-  match site_p with
-  | Some sp when not (sp >= 0.0 && sp <= 1.0) ->
-      invalid_arg (Printf.sprintf "World.%s: site_p outside [0,1]" who)
-  | Some _ | None -> ()
-
-let fits_gate graph =
-  graph.Topology.Graph.edge_id_bound <= cache_gate
-  && graph.Topology.Graph.vertex_count <= cache_gate
-
-(* Assemble a cache around already filled coin bitsets: the graph's
-   CSR is the only adjacency a fresh world carries. *)
-let make_cache graph ~e_coin ~v_alive =
-  { e_coin; v_alive; csr = Topology.Csr.of_graph graph; open_rows = None }
-
-let site_bits graph ~seed ~site_p =
-  match site_p with
-  | None -> None
-  | Some sp ->
-      let n = graph.Topology.Graph.vertex_count in
-      let v_alive = bitset n in
-      Prng.Coin.bernoulli_fill ~seed:(site_seed seed) ~p:sp v_alive ~count:n;
-      Some v_alive
+(* A bitset over [count] ids with bit [id] set iff
+   [Prng.Coin.bernoulli ~seed ~p id]. *)
+let coin_bits ~seed ~p count =
+  let bits = Bytes.make ((count + 7) / 8) '\000' in
+  Prng.Coin.bernoulli_fill ~seed ~p bits ~count;
+  bits
 
 (* Construction (coin fill, and the CSR fill on a graph's first world)
    is the [world.build] span: the time a trial spends before its first
-   probe. *)
-let timed_build build =
-  if Obs.Timing.on () then Obs.Timing.span "world.build" build else build ()
-
+   probe. The graph's CSR is the only adjacency a fresh world carries. *)
 let create ?site_p ?(cache = true) graph ~p ~seed =
-  check_probabilities ~who:"create" ~p ~site_p;
+  if not (p >= 0.0 && p <= 1.0) then invalid_arg "World.create: p outside [0,1]";
+  (match site_p with
+  | Some sp when not (sp >= 0.0 && sp <= 1.0) ->
+      invalid_arg "World.create: site_p outside [0,1]"
+  | Some _ | None -> ());
+  let { Topology.Graph.edge_id_bound; vertex_count; _ } = graph in
   let build () =
-    if cache && fits_gate graph then begin
-      let e_coin = bitset graph.Topology.Graph.edge_id_bound in
-      Prng.Coin.bernoulli_fill ~seed ~p e_coin
-        ~count:graph.Topology.Graph.edge_id_bound;
-      Some (make_cache graph ~e_coin ~v_alive:(site_bits graph ~seed ~site_p))
+    if cache && edge_id_bound <= cache_gate && vertex_count <= cache_gate then begin
+      let e_coin = coin_bits ~seed ~p edge_id_bound in
+      let v_alive =
+        Option.map (fun sp -> coin_bits ~seed:(site_seed seed) ~p:sp vertex_count) site_p
+      in
+      Some { e_coin; v_alive; csr = Topology.Csr.of_graph graph; open_rows = None }
     end
     else None
   in
-  { graph; p; seed; removed = None; site_p; cache = timed_build build }
-
-let of_uniforms ?site_uniforms ?site_p graph ~p ~seed ~uniforms =
-  check_probabilities ~who:"of_uniforms" ~p ~site_p;
-  if not (fits_gate graph) then
-    invalid_arg "World.of_uniforms: graph exceeds the cache gate";
-  if Array.length uniforms <> graph.Topology.Graph.edge_id_bound then
-    invalid_arg "World.of_uniforms: need one uniform per edge id";
-  let n = graph.Topology.Graph.vertex_count in
-  let bit_set b i =
-    let j = i lsr 3 in
-    Bytes.unsafe_set b j
-      (Char.unsafe_chr (Char.code (Bytes.unsafe_get b j) lor (1 lsl (i land 7))))
-  in
-  let build () =
-    let e_coin = bitset graph.Topology.Graph.edge_id_bound in
-    Array.iteri (fun id u -> if u < p then bit_set e_coin id) uniforms;
-    let v_alive =
-      match (site_p, site_uniforms) with
-      | None, _ -> None
-      | Some sp, Some su ->
-          if Array.length su <> n then
-            invalid_arg "World.of_uniforms: need one site uniform per vertex";
-          let v_alive = bitset n in
-          Array.iteri (fun v u -> if u < sp then bit_set v_alive v) su;
-          Some v_alive
-      | Some _, None -> site_bits graph ~seed ~site_p
-    in
-    Some (make_cache graph ~e_coin ~v_alive)
-  in
-  { graph; p; seed; removed = None; site_p; cache = timed_build build }
+  let cache = if Obs.Timing.on () then Obs.Timing.span "world.build" build else build () in
+  { graph; p; seed; removed = None; site_p; cache }
 
 let cached t = t.cache <> None
 let graph t = t.graph

@@ -5,7 +5,11 @@
     ({!Prng.Coin}), so a world needs O(1) memory regardless of graph
     size, every observer of the same world sees the same states, and
     worlds built with the same seed but larger [p] contain each other
-    monotonically (a standard coupling, handy for threshold scans).
+    monotonically. That is the standard monotone coupling (edge [e] is
+    open at [p] iff one uniform [U_e < p]), and it is how every
+    threshold scan shares draws across [p]: build [create graph ~p
+    ~seed] at each [p] with one seed. Two such worlds nest bit for bit,
+    and so do their vertex-survival coins under [?site_p].
 
     {2 Cached vs lazy representation}
 
@@ -75,35 +79,6 @@ val create :
     edge states are identical.
     @raise Invalid_argument if [p] or [site_p] is outside [\[0, 1\]]. *)
 
-val of_uniforms :
-  ?site_uniforms:float array ->
-  ?site_p:float ->
-  Topology.Graph.t ->
-  p:float ->
-  seed:int64 ->
-  uniforms:float array ->
-  t
-(** [of_uniforms graph ~p ~seed ~uniforms] is a cached world whose edge
-    coins are threshold cuts of pre-sampled uniforms:
-    edge [id]'s coin succeeds iff [uniforms.(id) < p]. When
-    [uniforms.(id) = Prng.Coin.uniform ~seed id] for every id — which
-    is {!Coupled}'s invariant — the result is observationally identical
-    to [create graph ~p ~seed], and worlds cut from the same array at
-    increasing [p] are monotone-coupled {e deterministically}. Under
-    [?site_p], vertex survival is likewise cut from [?site_uniforms]
-    when given ([site_uniforms.(v) < site_p]), or hashed from the seed's
-    site namespace as [create] would when omitted.
-    @raise Invalid_argument if the graph exceeds {!cache_gate}, an
-    array length disagrees with the graph, or a probability is outside
-    [\[0, 1\]]. *)
-
-val site_seed : int64 -> int64
-(** The vertex-coin seed namespace derived from a world seed: site
-    percolation draws vertex [v]'s survival from
-    [Prng.Coin.uniform ~seed:(site_seed seed) v], independent of the
-    edge coins even though vertex and edge ids overlap. Exposed so
-    {!Coupled} can pre-sample the same uniforms [create] would hash. *)
-
 val cached : t -> bool
 (** Whether this world runs the cached fast path. *)
 
@@ -131,9 +106,9 @@ val vertex_alive : t -> int -> bool
 val prefill : t -> unit
 (** Cut every vertex's open-adjacency row once, into two exact-size
     arrays (offsets and targets, one word per open slot), for a world
-    that will answer many queries: {!Reveal}'s BFS (its connectivity
-    and cluster queries) then reads a row instead of testing its coin
-    bits; every other query still scans CSR rows.
+    that will answer many queries: {!Reveal}'s BFS (its connectivity,
+    cluster and ball queries) then reads a row instead of testing its
+    coin bits; every other query still scans CSR rows.
     Queries never write to a world, prefilled or not, so any world can
     be shared read-only across domains; [prefill] itself writes, so
     call it before sharing — as [faultroute serve]'s resident worlds

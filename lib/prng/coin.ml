@@ -8,25 +8,13 @@ let uniform ~seed id =
 
 let bernoulli ~seed ~p id = uniform ~seed id < p
 
-(* Batched variants: one sequential SplitMix64 sweep over consecutive
-   ids. [hash64] evaluates the finalizer at [z_id = seed + gamma * id];
-   walking ids in order replaces the per-call 64-bit multiply with one
-   add per id, and keeps the whole sweep branch-light — the generator
-   for eagerly-filled world caches and coupled sweep families. The
-   outputs are bit-identical to calling [uniform]/[bernoulli] per id
-   (property-tested). *)
+(* [bernoulli_fill] is one sequential SplitMix64 sweep over consecutive
+   ids, the generator for eagerly-filled world caches. [hash64]
+   evaluates the finalizer at [z_id = seed + gamma * id]; walking ids in
+   order replaces the per-call 64-bit multiply with one add per id. The
+   bits are identical to calling [bernoulli] per id (property-tested).
 
-let to_unit h =
-  Int64.to_float (Int64.shift_right_logical h 11) *. (1.0 /. 9007199254740992.0)
-
-let uniform_fill ~seed out =
-  let z = ref seed in
-  for id = 0 to Array.length out - 1 do
-    Array.unsafe_set out id (to_unit (Splitmix64.mix (Splitmix64.mix !z)));
-    z := Int64.add !z Splitmix64.golden_gamma
-  done
-
-(* The fill compares integers: with [bits] the top 53 bits of the hash,
+   The fill compares integers: with [bits] the top 53 bits of the hash,
    [uniform] is bits / 2^53 and the coin is open iff bits < p·2^53. Both
    scalings by 2^53 are exact, and for an integer [bits] that is
    bits < ⌈p·2^53⌉. The threshold is clamped to [0, 2^53] first, so p >= 1

@@ -18,19 +18,16 @@ val uniform : seed:int64 -> int -> float
 val bernoulli : seed:int64 -> p:float -> int -> bool
 (** [bernoulli ~seed ~p id] is [true] with probability [p], deterministic
     in [(seed, id)]. Monotone in [p]: if it is true at [p] it is true at
-    every [p' >= p] for the same seed and id. *)
-
-val uniform_fill : seed:int64 -> float array -> unit
-(** [uniform_fill ~seed out] sets [out.(id) <- uniform ~seed id] for
-    every index of [out], as one sequential sweep (one SplitMix64 state
-    advance per id instead of a multiply per call). Bit-identical to the
-    per-id function — the backing store of coupled sweep families. *)
+    every [p' >= p] for the same seed and id. That is the monotone
+    coupling threshold scans rely on: worlds built at one seed nest
+    along [p] without storing a uniform per edge. *)
 
 val bernoulli_fill : seed:int64 -> p:float -> Bytes.t -> count:int -> unit
 (** [bernoulli_fill ~seed ~p bits ~count] ORs bit [id] of [bits] for
     every [id] in [\[0, count)] with [bernoulli ~seed ~p id], in one
     sequential sweep — the eager generator for cached world coin
-    bitsets. Bits beyond [count] are untouched; bits already set stay
+    bitsets, so fills at one seed nest along [p] as {!bernoulli} does.
+    Bits beyond [count] are untouched; bits already set stay
     set (pass a zeroed buffer for a pure fill).
     @raise Invalid_argument if [bits] holds fewer than [count] bits. *)
 

@@ -187,7 +187,7 @@ let test_e6_matches_recursion () =
     | P.Reveal.Disconnected | P.Reveal.Unknown -> ()
   done;
   let measured = Stats.Proportion.make ~successes:!successes ~trials in
-  let exact = Experiments.E06_double_tree_threshold.exact_connection ~n ~p in
+  let exact = P.Branching.double_tree_connection ~p ~n in
   Alcotest.(check bool)
     (Printf.sprintf "measured %.3f covers exact %.3f"
        (Stats.Proportion.estimate measured)
@@ -195,16 +195,16 @@ let test_e6_matches_recursion () =
     true
     (Stats.Proportion.within measured ~lo:exact ~hi:exact)
 
-let test_exact_connection_recursion_properties () =
-  let module E6 = Experiments.E06_double_tree_threshold in
-  (* Monotone in p, decreasing in n below threshold, q_0 = 1. *)
-  Alcotest.(check (float 1e-12)) "depth 0" 1.0 (E6.exact_connection ~n:0 ~p:0.3);
-  Alcotest.(check bool) "monotone in p" true
-    (E6.exact_connection ~n:8 ~p:0.6 < E6.exact_connection ~n:8 ~p:0.9);
+let test_double_tree_recursion_properties () =
+  (* E6's exact column: monotone in p, decreasing in n below threshold,
+     q_0 = 1. *)
+  let exact ~n ~p = P.Branching.double_tree_connection ~p ~n in
+  Alcotest.(check (float 1e-12)) "depth 0" 1.0 (exact ~n:0 ~p:0.3);
+  Alcotest.(check bool) "monotone in p" true (exact ~n:8 ~p:0.6 < exact ~n:8 ~p:0.9);
   Alcotest.(check bool) "decreasing in n below threshold" true
-    (E6.exact_connection ~n:12 ~p:0.65 < E6.exact_connection ~n:6 ~p:0.65);
+    (exact ~n:12 ~p:0.65 < exact ~n:6 ~p:0.65);
   (* At p = 1 connectivity is certain at any depth. *)
-  Alcotest.(check (float 1e-12)) "p=1" 1.0 (E6.exact_connection ~n:10 ~p:1.0)
+  Alcotest.(check (float 1e-12)) "p=1" 1.0 (exact ~n:10 ~p:1.0)
 
 let run_quick id =
   match Experiments.Catalog.find id with
@@ -321,9 +321,7 @@ let test_scaling_measured_curve_monotone () =
   let stream = Prng.Stream.create 71L in
   let curves =
     Experiments.E19_finite_size_scaling.giant_curves ~name:"curve" stream
-      ~world_at:(fun graph ~seed ->
-        let family = P.Coupled.create graph ~seed in
-        fun p -> P.Coupled.world_at family ~p)
+      ~world_at:(fun graph ~seed p -> P.World.create graph ~p ~seed)
       ~graphs:[ (12, Topology.Mesh.graph ~d:2 ~m:12) ]
       ~ps:[ 0.3; 0.5; 0.7 ] ~trials:5
   in
@@ -361,7 +359,7 @@ let () =
       ( "science",
         [
           case "E6 matches GW recursion" test_e6_matches_recursion;
-          case "recursion properties" test_exact_connection_recursion_properties;
+          case "recursion properties" test_double_tree_recursion_properties;
           case "quick experiments render" test_quick_experiments_produce_tables;
           case "converted sweeps: jobs-independent" test_converted_sweeps_jobs_identical;
           case "E10 table shape" test_e10_connectivity_close_to_exact;

@@ -59,11 +59,20 @@ let test_world_extremes () =
       Alcotest.(check bool) "closed at 0" false (P.World.is_open all_closed u v))
 
 let test_world_monotone_coupling () =
-  let lo = P.World.create hypercube6 ~p:0.3 ~seed:7L in
-  let hi = P.World.create hypercube6 ~p:0.7 ~seed:7L in
-  G.iter_edges hypercube6 (fun u v ->
-      if P.World.is_open lo u v then
-        Alcotest.(check bool) "coupled" true (P.World.is_open hi u v))
+  (* Worlds at one seed nest along p on every draw: a subset relation,
+     not a statistical trend. *)
+  let worlds =
+    List.map (fun p -> P.World.create hypercube6 ~p ~seed:7L) [ 0.1; 0.3; 0.5; 0.7; 0.9 ]
+  in
+  let rec nested = function
+    | lo :: (hi :: _ as rest) ->
+        G.iter_edges hypercube6 (fun u v ->
+            if P.World.is_open lo u v then
+              Alcotest.(check bool) "coupled" true (P.World.is_open hi u v));
+        nested rest
+    | [ _ ] | [] -> ()
+  in
+  nested worlds
 
 let test_world_open_rate () =
   let w = P.World.create hypercube6 ~p:0.4 ~seed:9L in
@@ -289,6 +298,53 @@ let test_reveal_ball () =
       Alcotest.(check bool) "radius" true (d <= 2);
       Alcotest.(check int) "distance correct" (Topology.Hypercube.hamming 0 v) d)
     ball
+
+let test_reveal_ball_reference () =
+  (* Independent of the ball's stop rule: x is in B(v, r), at entry d,
+     iff the point-to-point reveal finds it at distance d <= r. Both
+     representations, a removal overlay and a site world. *)
+  let g = Topology.Mesh.graph ~d:2 ~m:8 in
+  let n = g.G.vertex_count in
+  let worlds cache =
+    let bond = P.World.create ~cache g ~p:0.65 ~seed:151L in
+    [
+      ("bond", bond);
+      ("overlay", P.World.remove_edges bond [ (0, 1); (9, 10); (18, 26); (27, 35) ]);
+      ("site", P.World.create ~cache ~site_p:0.85 g ~p:0.8 ~seed:157L);
+    ]
+  in
+  List.iter
+    (fun cache ->
+      List.iter
+        (fun (name, w) ->
+          Alcotest.(check bool) "representation" cache (P.World.cached w);
+          for v = 0 to n - 1 do
+            let distance =
+              Array.init n (fun x ->
+                  match P.Reveal.connected w v x with
+                  | P.Reveal.Connected d -> Some d
+                  | P.Reveal.Disconnected | P.Reveal.Unknown -> None)
+            in
+            for r = 0 to 4 do
+              let expected =
+                List.filter_map
+                  (fun x ->
+                    match distance.(x) with
+                    | Some d when d <= r -> Some (x, d)
+                    | Some _ | None -> None)
+                  (List.init n Fun.id)
+              in
+              let ball =
+                Hashtbl.fold (fun x d acc -> (x, d) :: acc) (P.Reveal.ball w v ~radius:r) []
+                |> List.sort compare
+              in
+              Alcotest.(check (list (pair int int)))
+                (Printf.sprintf "%s cache=%b ball(%d,%d)" name cache v r)
+                expected ball
+            done
+          done)
+        (worlds cache))
+    [ true; false ]
 
 (* ------------------------------------------------------------------ *)
 (* Clusters                                                            *)
@@ -636,10 +692,19 @@ let test_branching_total_progeny () =
     (P.Branching.expected_total_progeny ~p:0.6 = infinity)
 
 let test_branching_double_tree_matches_e6 () =
+  (* E6's exact column is [double_tree_connection]; the reference is
+     Lemma 6's recursion q_0 = 1, q_k = 1 - (1 - p^2 q_{k-1})^2, written
+     out here. *)
+  let reference ~n ~p =
+    let q = ref 1.0 in
+    for _ = 1 to n do
+      q := 1.0 -. ((1.0 -. (p *. p *. !q)) ** 2.0)
+    done;
+    !q
+  in
   List.iter
     (fun (n, p) ->
-      Alcotest.(check (float 1e-12)) "same recursion"
-        (Experiments.E06_double_tree_threshold.exact_connection ~n ~p)
+      Alcotest.(check (float 1e-12)) "same recursion" (reference ~n ~p)
         (P.Branching.double_tree_connection ~p ~n))
     [ (5, 0.75); (10, 0.8); (3, 0.6) ]
 
@@ -1177,59 +1242,39 @@ let test_scenario_pad_to_budget () =
   Alcotest.(check int) "all distinct" 12 (List.length (List.sort_uniq compare ids))
 
 (* ------------------------------------------------------------------ *)
-(* Coupled sweep families                                              *)
+(* Coupling along p and site_p                                         *)
 
-let test_coupled_identity_bond () =
-  let family = P.Coupled.create hypercube6 ~seed:33L in
-  Alcotest.(check int64) "seed" 33L (P.Coupled.seed family);
-  Alcotest.(check string) "graph" hypercube6.G.name (P.Coupled.graph family).G.name;
-  List.iter
-    (fun p ->
-      let cut = P.Coupled.world_at family ~p in
-      let reference = P.World.create hypercube6 ~p ~seed:33L in
-      Alcotest.(check bool) "cut is cached" true (P.World.cached cut);
-      G.iter_edges hypercube6 (fun u v ->
-          Alcotest.(check bool)
-            (Printf.sprintf "p=%.2f edge (%d,%d)" p u v)
-            (P.World.is_open reference u v)
-            (P.World.is_open cut u v)))
-    [ 0.0; 0.25; 0.5; 0.75; 1.0 ]
-
-let test_coupled_identity_site () =
-  let family = P.Coupled.create ~site:true hypercube6 ~seed:35L in
-  let cut = P.Coupled.world_at ~site_p:0.7 family ~p:0.6 in
-  let reference = P.World.create ~site_p:0.7 hypercube6 ~p:0.6 ~seed:35L in
-  for v = 0 to 63 do
-    Alcotest.(check bool)
-      (Printf.sprintf "alive %d" v)
-      (P.World.vertex_alive reference v)
-      (P.World.vertex_alive cut v)
-  done;
-  G.iter_edges hypercube6 (fun u v ->
-      Alcotest.(check bool)
-        (Printf.sprintf "edge (%d,%d)" u v)
-        (P.World.is_open reference u v)
-        (P.World.is_open cut u v))
-
-let test_coupled_monotone_bond () =
-  (* Deterministic nesting per sample — the point of the coupling: not
-     a statistical trend but a subset relation on every draw. *)
-  let family = P.Coupled.create hypercube6 ~seed:37L in
-  let cuts = List.map (fun p -> P.Coupled.world_at family ~p) [ 0.1; 0.3; 0.5; 0.7; 0.9 ] in
+let test_world_bond_p_nests () =
+  (* With vertex coins drawn as well, edge coins still nest along p at
+     one seed, and the alive set does not move with p. *)
+  let worlds =
+    List.map
+      (fun p -> P.World.create ~site_p:0.7 hypercube6 ~p ~seed:37L)
+      [ 0.1; 0.3; 0.5; 0.7; 0.9 ]
+  in
   let rec nested = function
     | lo :: (hi :: _ as rest) ->
+        for v = 0 to 63 do
+          Alcotest.(check bool)
+            (Printf.sprintf "alive %d fixed" v)
+            (P.World.vertex_alive lo v) (P.World.vertex_alive hi v)
+        done;
         G.iter_edges hypercube6 (fun u v ->
             if P.World.is_open lo u v then
-              Alcotest.(check bool) "nested" true (P.World.is_open hi u v));
+              Alcotest.(check bool)
+                (Printf.sprintf "edge (%d,%d) nested" u v)
+                true (P.World.is_open hi u v));
         nested rest
     | [ _ ] | [] -> ()
   in
-  nested cuts
+  nested worlds
 
-let test_coupled_monotone_site () =
-  let family = P.Coupled.create ~site:true hypercube6 ~seed:39L in
-  let lo = P.Coupled.world_at ~site_p:0.4 family ~p:0.7 in
-  let hi = P.Coupled.world_at ~site_p:0.8 family ~p:0.7 in
+let test_world_site_p_nests () =
+  (* Vertex-survival coins are threshold tests too: at one seed the
+     alive set under a smaller site_p is a subset, and so are the open
+     edges. *)
+  let lo = P.World.create ~site_p:0.4 hypercube6 ~p:0.7 ~seed:39L in
+  let hi = P.World.create ~site_p:0.8 hypercube6 ~p:0.7 ~seed:39L in
   for v = 0 to 63 do
     if P.World.vertex_alive lo v then
       Alcotest.(check bool)
@@ -1241,17 +1286,6 @@ let test_coupled_monotone_site () =
         Alcotest.(check bool)
           (Printf.sprintf "edge (%d,%d) nested" u v)
           true (P.World.is_open hi u v))
-
-let test_coupled_site_requires_sampling () =
-  let family = P.Coupled.create hypercube6 ~seed:41L in
-  Alcotest.check_raises "site_p without ~site"
-    (Invalid_argument "Coupled.world_at: family sampled without ~site:true")
-    (fun () -> ignore (P.Coupled.world_at ~site_p:0.5 family ~p:0.5))
-
-let test_coupled_gate () =
-  Alcotest.check_raises "over gate"
-    (Invalid_argument "Coupled.create: graph exceeds the cache gate")
-    (fun () -> ignore (P.Coupled.create (Topology.Hypercube.graph 19) ~seed:1L))
 
 (* ------------------------------------------------------------------ *)
 (* Reveal engines                                                      *)
@@ -1408,23 +1442,13 @@ let qcheck_tests =
           (fun (v, bit) -> ignore (P.Oracle.probe o v (Topology.Hypercube.flip v bit)))
           probes;
         P.Oracle.distinct_probes o <= P.Oracle.raw_probes o);
-    Test.make ~name:"coupled cut = independent world" ~count:200
-      (pair int64 (float_bound_inclusive 1.0))
-      (fun (seed, p) ->
-        let g = Topology.Hypercube.graph 4 in
-        let family = P.Coupled.create g ~seed in
-        let cut = P.Coupled.world_at family ~p in
-        let reference = P.World.create g ~p ~seed in
-        G.fold_edges g ~init:true ~f:(fun acc u v ->
-            acc && P.World.is_open cut u v = P.World.is_open reference u v));
     Test.make ~name:"coupled cuts nest deterministically" ~count:200
       (triple int64 (float_bound_inclusive 1.0) (float_bound_inclusive 1.0))
       (fun (seed, p1, p2) ->
         let lo_p = Float.min p1 p2 and hi_p = Float.max p1 p2 in
         let g = Topology.Hypercube.graph 4 in
-        let family = P.Coupled.create g ~seed in
-        let lo = P.Coupled.world_at family ~p:lo_p in
-        let hi = P.Coupled.world_at family ~p:hi_p in
+        let lo = P.World.create g ~p:lo_p ~seed in
+        let hi = P.World.create g ~p:hi_p ~seed in
         G.fold_edges g ~init:true ~f:(fun acc u v ->
             acc && ((not (P.World.is_open lo u v)) || P.World.is_open hi u v)));
     Test.make ~name:"reveal engines agree" ~count:100
@@ -1482,6 +1506,7 @@ let () =
           case "matches clusters" test_reveal_matches_clusters;
           case "cluster_of" test_reveal_cluster_of;
           case "ball" test_reveal_ball;
+          case "ball = connected within radius" test_reveal_ball_reference;
         ] );
       ( "clusters",
         [
@@ -1493,12 +1518,8 @@ let () =
         ] );
       ( "coupled",
         [
-          case "bond cut = independent world" test_coupled_identity_bond;
-          case "site cut = independent world" test_coupled_identity_site;
-          case "bond cuts nest" test_coupled_monotone_bond;
-          case "site cuts nest" test_coupled_monotone_site;
-          case "site_p needs ~site" test_coupled_site_requires_sampling;
-          case "cache gate enforced" test_coupled_gate;
+          case "bond cuts nest" test_world_bond_p_nests;
+          case "site cuts nest" test_world_site_p_nests;
         ] );
       ( "reveal engines",
         [

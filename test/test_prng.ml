@@ -545,16 +545,6 @@ let qcheck_tests =
         let a = Array.of_list xs in
         Prng.Stream.shuffle_in_place t a;
         List.sort compare (Array.to_list a) = List.sort compare xs);
-    Test.make ~name:"uniform_fill = pointwise uniform" ~count:200
-      (pair int64 (int_bound 300))
-      (fun (seed, n) ->
-        let out = Array.make n 0.0 in
-        Prng.Coin.uniform_fill ~seed out;
-        let ok = ref true in
-        for i = 0 to n - 1 do
-          if out.(i) <> Prng.Coin.uniform ~seed i then ok := false
-        done;
-        !ok);
     Test.make ~name:"bernoulli_fill = pointwise bernoulli" ~count:200
       (triple int64 (float_bound_inclusive 1.0) (int_bound 300))
       (fun (seed, p, n) ->
