@@ -40,7 +40,10 @@ bench-smoke:
 # and its --metrics-out must be a metrics/v1 document. Full-mode E11,
 # E19 and E20 (the p sweeps that share one seed per world, and the
 # good-vertex balls) must cmp equal to
-# examples/percolation/sweeps-full-golden.txt. Then malformed options:
+# examples/percolation/sweeps-full-golden.txt, and full-mode E22 and
+# E25 (the degradation sweep: every fault model's prepared sampler,
+# faulted worlds, their censuses and greedy routes) must cmp equal to
+# examples/percolation/degradation-full-golden.txt. Then malformed options:
 # a -p outside [0, 1] (NaN and inf included), --trials 0, --budget 0,
 # a mincut whose --source equals its --target, a non-finite top
 # --interval, a census or threshold on mesh2:200000 (its 4e10-vertex
@@ -72,6 +75,8 @@ smoke:
 	grep -q '"schema": "metrics/v1"' artifacts/SMOKE_check_metrics.json
 	for e in E11 E19 E20; do ./_build/default/bin/faultroute.exe exp $$e --jobs 2 || exit 1; done > artifacts/SMOKE_sweeps_full.txt
 	cmp examples/percolation/sweeps-full-golden.txt artifacts/SMOKE_sweeps_full.txt
+	for e in E22 E25; do ./_build/default/bin/faultroute.exe exp $$e --jobs 2 || exit 1; done > artifacts/SMOKE_degradation_full.txt
+	cmp examples/percolation/degradation-full-golden.txt artifacts/SMOKE_degradation_full.txt
 	for args in 'route hypercube:8 -p 1.5' 'route hypercube:8 -p nan' 'census hypercube:8 -p 1.5' 'census hypercube:8 -p inf' 'threshold mesh2:8 --trials 0' 'route hypercube:8 --budget 0' 'mincut hypercube:4 --source 3 --target 3' \
 	  'census mesh2:200000' 'threshold mesh2:200000 --trials 1' \
 	  'top --replay --interval nan examples/obs/serve-telemetry.jsonl' 'top --replay --interval inf examples/obs/serve-telemetry.jsonl' \

@@ -1,3 +1,14 @@
+(* The order a vertex's neighbours are probed in: indices [0, deg) of
+   its neighbour array sorted by their distance to the target.
+   [Array.sort] is a heapsort whose moves depend only on comparison
+   outcomes, so sorting the indices by precomputed distances permutes
+   them exactly as sorting the neighbours by [metric] would, while
+   evaluating each distance once instead of twice per comparison. *)
+let by_distance dist =
+  let perm = Array.init (Array.length dist) Fun.id in
+  Array.sort (fun a b -> Int.compare dist.(a) dist.(b)) perm;
+  perm
+
 let route oracle ~target =
   match Router.trivial_outcome oracle ~target with
   | Some outcome -> outcome
@@ -19,11 +30,11 @@ let route oracle ~target =
          while not (Stack.is_empty stack) do
            let u = Stack.pop stack in
            let around = g.Topology.Graph.neighbors u in
-           Array.sort (fun a b -> compare (metric a target) (metric b target)) around;
+           let order = by_distance (Array.map (fun v -> metric v target) around) in
            (* Push in reverse preference order so the closest neighbour is
               explored first. *)
            for i = Array.length around - 1 downto 0 do
-             let v = around.(i) in
+             let v = around.(order.(i)) in
              if (not (Hashtbl.mem visited v)) && Percolation.Oracle.probe oracle u v
              then begin
                if v = target then begin

@@ -20,20 +20,23 @@ let trivial_outcome oracle ~target =
   else None
 
 let run ?budget router world ~source ~target =
-  let oracle =
-    Percolation.Oracle.create ~policy:router.policy ?budget world ~source
-  in
-  if Obs.Metrics.on () then Obs.Metrics.tick ("router.runs." ^ router.name);
-  let route () =
-    match router.route oracle ~target with
-    | outcome -> outcome
-    | exception Percolation.Oracle.Budget_exhausted ->
-        Outcome.Budget_exceeded { probes = Percolation.Oracle.distinct_probes oracle }
-  in
-  (* "router.run" includes the oracle work the router triggers; the
-     profiling report reads router logic as run minus oracle.world_query. *)
+  (* The oracle lives in this domain's scratch for exactly one attempt;
+     the outcome holds no reference to it. *)
   let outcome =
-    if Obs.Timing.on () then Obs.Timing.span "router.run" route else route ()
+    Percolation.Oracle.with_scratch ~policy:router.policy ?budget world ~source
+      (fun oracle ->
+        if Obs.Metrics.on () then Obs.Metrics.tick ("router.runs." ^ router.name);
+        let route () =
+          match router.route oracle ~target with
+          | outcome -> outcome
+          | exception Percolation.Oracle.Budget_exhausted ->
+              Outcome.Budget_exceeded
+                { probes = Percolation.Oracle.distinct_probes oracle }
+        in
+        (* "router.run" includes the oracle work the router triggers; the
+           profiling report reads router logic as run minus
+           oracle.world_query. *)
+        if Obs.Timing.on () then Obs.Timing.span "router.run" route else route ())
   in
   (match outcome with
   | Outcome.Found { path; _ } -> (

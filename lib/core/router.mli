@@ -3,8 +3,10 @@
     A router is a named strategy plus the oracle policy it requires
     (local routers per Definition 1, or unrestricted "oracle routers" of
     Section 5). {!run} wires a router to a fresh counting oracle over a
-    world, translates budget exhaustion into an outcome, and re-validates
-    any returned path against the world — a router cannot claim a path
+    world (its flat store leased from this domain's
+    {!Percolation.Scratch}, see {!Percolation.Oracle.with_scratch}),
+    translates budget exhaustion into an outcome, and re-validates any
+    returned path against the world — a router cannot claim a path
     that is not genuinely open. *)
 
 type t = {

@@ -48,6 +48,9 @@ let sweep ~census stream graph ~source ~target ~budgets ~models ~trials =
          (Array.to_list (Array.map Percolation.Scenario.model_name models)))
       census
   in
+  (* One prepared sampler per model, shared by every trial and domain:
+     a min-cut model's cut and the edge array are built once per sweep. *)
+  let samplers = Array.map (fun model -> Percolation.Scenario.sampler graph model) models in
   (* One cell per (budget, model), one row per trial: giant fraction
      (nan without the census), pair survival as 0/1, greedy probes (nan
      unless a route was found) — all pure in (cell, trial). *)
@@ -64,9 +67,9 @@ let sweep ~census stream graph ~source ~target ~budgets ~models ~trials =
     in
     let faulted =
       Percolation.World.remove_edges base
-        (Percolation.Scenario.sample
+        (samplers.(model_index)
            (Prng.Stream.split substream trial)
-           graph models.(model_index) ~budget:budgets.(budget_index))
+           ~budget:budgets.(budget_index))
     in
     let giant =
       if census then

@@ -41,9 +41,10 @@ val sweep :
     [census], so it runs on [--jobs] domains, takes injected faults and
     resumes from a checkpoint; a quarantined chunk's trials are left
     out of [measured]. With [census] each faulted world also gets a
-    cluster census for [giant].
+    cluster census for [giant]. Each model's
+    {!Percolation.Scenario.sampler} is built once, before the grid.
     @raise Invalid_argument with more than 10 models (their streams
-    would collide) or a model {!Percolation.Scenario.sample} rejects. *)
+    would collide) or a model {!Percolation.Scenario.sampler} rejects. *)
 
 val run : ?quick:bool -> Prng.Stream.t -> Report.t
 (** [run stream] executes the experiment; [~quick:true] shrinks it. *)

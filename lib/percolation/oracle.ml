@@ -15,7 +15,11 @@ exception Budget_exhausted
      a router's probes — touches exactly one cache line per probe.
      [pred.(v) = -1] means unreached; the source is its own predecessor,
      as in the Table path. [reached_rev] keeps the reached set
-     enumerable without scanning the whole array.
+     enumerable without scanning the whole array. A store built by
+     [with_scratch] lives in this domain's {!Scratch} slab instead of
+     fresh arrays, and logs every fresh-probed id, so releasing it
+     resets exactly the [pred] entries of [reached_rev] and the memo
+     bytes of the logged ids.
 
    Both flavours implement the same counting and locality semantics;
    equivalence is property-tested.
@@ -43,6 +47,9 @@ type flat_store = {
          [create] is sound. *)
   mutable reached_rev : int list;
   mutable reached_n : int;
+  slab : Scratch.slab option;
+      (* The leased slab holding [memo] and [pred]; its log keeps the
+         id of fresh probe [i] at slot [i]. [None] for a fresh store. *)
 }
 
 type store = Table of table_store | Flat of flat_store
@@ -63,31 +70,13 @@ type t = {
 let bit_get b i =
   Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-let create ?(policy = Local) ?budget world ~source =
+let check_args ?budget world ~source =
   (match budget with
   | Some b when b <= 0 -> invalid_arg "Oracle.create: budget must be positive"
   | Some _ | None -> ());
-  Topology.Graph.check_vertex (World.graph world) source;
-  let store =
-    if World.cached world then begin
-      let g = World.graph world in
-      let pred = Array.make g.Topology.Graph.vertex_count (-1) in
-      pred.(source) <- source;
-      Flat
-        {
-          memo = Bytes.make ((g.Topology.Graph.edge_id_bound + 3) / 4) '\000';
-          pred;
-          coin_bits = World.raw_open_bits world;
-          reached_rev = [ source ];
-          reached_n = 1;
-        }
-    end
-    else begin
-      let predecessor = Hashtbl.create 64 in
-      Hashtbl.replace predecessor source source;
-      Table { probed_tbl = Hashtbl.create 256; predecessor }
-    end
-  in
+  Topology.Graph.check_vertex (World.graph world) source
+
+let make ~policy ?budget world ~source store =
   {
     world;
     eid = (World.graph world).Topology.Graph.edge_id;
@@ -98,6 +87,64 @@ let create ?(policy = Local) ?budget world ~source =
     distinct = 0;
     raw = 0;
   }
+
+let flat_store world ~source ~memo ~pred slab =
+  pred.(source) <- source;
+  {
+    memo;
+    pred;
+    coin_bits = World.raw_open_bits world;
+    reached_rev = [ source ];
+    reached_n = 1;
+    slab;
+  }
+
+let create ?(policy = Local) ?budget world ~source =
+  check_args ?budget world ~source;
+  let store =
+    if World.cached world then begin
+      let g = World.graph world in
+      Flat
+        (flat_store world ~source
+           ~memo:(Bytes.make ((g.Topology.Graph.edge_id_bound + 3) / 4) '\000')
+           ~pred:(Array.make g.Topology.Graph.vertex_count (-1))
+           None)
+    end
+    else begin
+      let predecessor = Hashtbl.create 64 in
+      Hashtbl.replace predecessor source source;
+      Table { probed_tbl = Hashtbl.create 256; predecessor }
+    end
+  in
+  make ~policy ?budget world ~source store
+
+(* At rest a slab's [pred] is all -1 and its memo all zero. *)
+let scratch = Scratch.key ()
+
+let with_scratch ?(policy = Local) ?budget world ~source f =
+  if not (World.cached world) then f (create ~policy ?budget world ~source)
+  else begin
+    check_args ?budget world ~source;
+    let g = World.graph world in
+    let slab =
+      Scratch.lease scratch
+        ~bits:((g.Topology.Graph.edge_id_bound + 3) / 4)
+        ~ints:g.Topology.Graph.vertex_count ~log:0
+    in
+    let f_store =
+      flat_store world ~source ~memo:slab.Scratch.bits ~pred:slab.Scratch.ints (Some slab)
+    in
+    let t = make ~policy ?budget world ~source (Flat f_store) in
+    Fun.protect
+      ~finally:(fun () ->
+        List.iter (fun v -> Array.unsafe_set f_store.pred v (-1)) f_store.reached_rev;
+        let log = slab.Scratch.log in
+        for i = 0 to t.distinct - 1 do
+          Bytes.unsafe_set f_store.memo (log.(i) lsr 2) '\000'
+        done;
+        Scratch.release slab)
+      (fun () -> f t)
+  end
 
 let world t = t.world
 let policy t = t.policy
@@ -224,6 +271,8 @@ let probe_flat t f u v =
       | Some bits when not (Atomic.get Obs.Timing.enabled) -> bit_get bits id
       | Some _ | None -> query_world t u v id
     in
+    (* Logged before the memo write, so a reset never misses a set bit. *)
+    (match f.slab with Some slab -> Scratch.log_set slab t.distinct id | None -> ());
     Bytes.unsafe_set f.memo byte
       (Char.unsafe_chr (b lor ((if state then 3 else 1) lsl shift)));
     t.distinct <- t.distinct + 1;

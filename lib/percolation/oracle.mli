@@ -13,14 +13,17 @@
     - [Unrestricted]: any edge may be probed ("oracle routing",
       Section 5).
 
-    Under [Local] the oracle also maintains predecessor links, so the
-    open path to any reached vertex can be reconstructed and is correct
-    by construction.
+    Under either policy the oracle also maintains predecessor links: a
+    vertex is {e reached} once an open probed edge joins it to a reached
+    vertex (the source is reached from the start), so the open path to
+    any reached vertex can be reconstructed and is correct by
+    construction.
 
     Probe memory and predecessor links are stored in flat bitsets/int
     arrays over cached worlds ({!World.cached}) and in Hashtbls over
     lazy worlds; the two stores have identical counting, locality and
-    path semantics (property-tested). *)
+    path semantics (property-tested). {!with_scratch} keeps the flat
+    store in this domain's {!Scratch} slab instead of fresh arrays. *)
 
 type policy = Local | Unrestricted
 
@@ -38,6 +41,19 @@ val create : ?policy:policy -> ?budget:int -> World.t -> source:int -> t
     [Local]; [budget] (if given) caps distinct probes.
     @raise Invalid_argument if [budget <= 0] or the source is out of
     range. *)
+
+val with_scratch :
+  ?policy:policy -> ?budget:int -> World.t -> source:int -> (t -> 'a) -> 'a
+(** [with_scratch world ~source f] is [f (create world ~source)], except
+    that over a cached world the oracle's flat store lives in this
+    domain's {!Scratch} slab: a query that touches [k] vertices and
+    edges costs O(k), not O(|V| + |E|), in set-up and reset. When [f]
+    returns or raises, the store is reset (the [pred] entries of the
+    reached vertices and the memo bytes of the fresh-probed ids) and
+    the slab released; a nested call on the same domain gets fresh
+    arrays. The oracle must not escape [f]. Observably identical to
+    {!create}.
+    @raise Invalid_argument as {!create} does, before [f] runs. *)
 
 val world : t -> World.t
 val policy : t -> policy
@@ -83,9 +99,12 @@ val budget_remaining : t -> int option
 (** [None] if unlimited. *)
 
 val reached : t -> int -> bool
-(** Under [Local]: whether an open path from the source to this vertex
-    has been established. Under [Unrestricted] only the source is ever
-    reached. *)
+(** Whether an open path from the source to this vertex has been
+    established, under either policy: a [probe] that finds an edge open
+    with exactly one reached endpoint reaches the other. Under
+    [Unrestricted] an open edge probed before either endpoint is
+    reached extends nothing then; a later [probe] of it (a memo hit,
+    not a distinct probe) extends it once one endpoint is reached. *)
 
 val reached_count : t -> int
 (** Number of reached vertices (including the source). *)
@@ -94,5 +113,6 @@ val reached_vertices : t -> int list
 (** All reached vertices, unordered. *)
 
 val path_to : t -> int -> int list option
-(** Under [Local], the established open path from the source to a
-    reached vertex (source first). [None] if the vertex is not reached. *)
+(** The established open path from the source to a reached vertex
+    (source first), under either policy. [None] if the vertex is not
+    reached. *)

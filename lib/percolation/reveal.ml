@@ -10,7 +10,10 @@ type verdict = Connected of int | Disconnected | Unknown
      vertex id, used for cached worlds (the size gate guarantees the
      arrays fit), reading prefilled open rows or CSR rows with coin-bit
      tests ({!World.rows}). No hashing, no boxing. Same visit order as
-     [bfs_table].
+     [bfs_table]. Both arrays are leased from this domain's {!Scratch}
+     and handed back with only the queued vertices' bits cleared, so a
+     search costs O(visited) rather than O(|V|); a nested search on the
+     same domain gets fresh arrays.
 
    Shared limit convention — both engines MUST implement it identically
    so differential tests can compare truncated runs: a fresh vertex is
@@ -66,11 +69,20 @@ let bit_set b i =
   Bytes.unsafe_set b j
     (Char.unsafe_chr (Char.code (Bytes.unsafe_get b j) lor (1 lsl (i land 7))))
 
+let bit_clear b i =
+  let j = i lsr 3 in
+  Bytes.unsafe_set b j
+    (Char.unsafe_chr (Char.code (Bytes.unsafe_get b j) land lnot (1 lsl (i land 7))))
+
 let bit_get b i =
   Char.code (Bytes.unsafe_get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
 (* Survival bit of a vertex; [None] is bond percolation. *)
 let[@inline] alive_bit alive v = match alive with None -> true | Some a -> bit_get a v
+
+(* The arena's visited bits and queue: zero bits at rest, the queue has
+   no invariant. *)
+let scratch = Scratch.key ()
 
 let bfs_arena ?limit world start ~stop ~visit =
   let n = (World.graph world).Topology.Graph.vertex_count in
@@ -80,17 +92,29 @@ let bfs_arena ?limit world start ~stop ~visit =
      large-graph BFS runs from L1 or from memory. Depths come from
      level-boundary bookkeeping on the FIFO queue instead — the queue is
      level-ordered, so [depth] bumps exactly when [head] crosses the end
-     of the previous level, and visit order is unchanged. *)
-  let visited = Bytes.make ((n + 7) / 8) '\000' in
+     of the previous level, and visit order is unchanged. Both arrays
+     are this domain's scratch. A vertex is queued the moment its bit
+     is set, before [visit] and [stop] see it, so clearing the bits of
+     [queue.(0 .. tail - 1)] restores the bitset however the search
+     ends: found, exhausted, truncated, or raised from [visit]. *)
+  let slab = Scratch.lease scratch ~bits:((n + 7) / 8) ~ints:n ~log:0 in
+  let visited = slab.Scratch.bits and queue = slab.Scratch.ints in
+  let tail = ref 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      for i = 0 to !tail - 1 do
+        bit_clear visited (Array.unsafe_get queue i)
+      done;
+      Scratch.release slab)
+  @@ fun () ->
+  queue.(0) <- start;
+  tail := 1;
   bit_set visited start;
   visit start 0;
   if stop start then `Stopped 0
   else begin
-    let queue = Array.make n 0 in
-    queue.(0) <- start;
-    let head = ref 0 and tail = ref 1 in
+    let head = ref 0 in
     let level_end = ref 1 and depth = ref 0 in
-    let discovered = ref 1 in
     let truncated = ref false in
     let result = ref `Exhausted in
     (* [discover] is the one limit/stop/visit body the row readings
@@ -98,19 +122,18 @@ let bfs_arena ?limit world start ~stop ~visit =
     let discover v du1 =
       (* Limit convention: check before recording the fresh vertex. *)
       match limit with
-      | Some l when !discovered >= l ->
+      | Some l when !tail >= l ->
           truncated := true;
           raise Exit
       | Some _ | None ->
           bit_set visited v;
-          incr discovered;
+          Array.unsafe_set queue !tail v;
+          incr tail;
           visit v du1;
           if stop v then begin
             result := `Stopped du1;
             raise Exit
-          end;
-          Array.unsafe_set queue !tail v;
-          incr tail
+          end
     in
     (* Straight-line loops over the world's rows — no cross-module call,
        no closure invocation per neighbor: a prefilled world's open rows,
@@ -154,6 +177,8 @@ let bfs_arena ?limit world start ~stop ~visit =
 type engine = Table | Arena
 
 let bfs_via engine ?limit world start ~stop ~visit =
+  (* The arena indexes its bitset without bounds checks. *)
+  Topology.Graph.check_vertex (World.graph world) start;
   match engine with
   | Table -> bfs_table ?limit world start ~stop ~visit
   | Arena -> bfs_arena ?limit world start ~stop ~visit

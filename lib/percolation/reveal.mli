@@ -15,7 +15,9 @@
     prefilled world's open rows ({!World.prefill}), any other cached
     world's CSR rows with coin-bit tests, and a removal overlay's
     neighbors through {!World.iter_open_neighbors} ({!World.rows}); it
-    writes only its own bitset and queue, never the world. Both engines
+    writes only its own bitset and queue, never the world. Those two
+    arrays are this domain's {!Scratch} slab, reset through the queue
+    after each search, so a search costs O(visited), not O(|V|). Both engines
     visit vertices in the same order and implement one limit convention
     (a truncated run visits exactly [limit] vertices), so every answer
     is engine-independent (property-tested). *)
@@ -30,6 +32,23 @@ type engine = Table | Arena
     (prefilled or not; the name predates the CSR reading).
     The [_via] entry points exist so differential tests can run the
     [Table] reference on a cached world and compare it with [Arena]. *)
+
+val bfs_via :
+  engine ->
+  ?limit:int ->
+  World.t ->
+  int ->
+  stop:(int -> bool) ->
+  visit:(int -> int -> unit) ->
+  [ `Stopped of int | `Truncated | `Exhausted_full ]
+(** The bare engine under every query: breadth-first from the start
+    vertex, calling [visit v d] on each vertex as it is discovered (the
+    start first, at depth 0), until [stop] holds for a discovered vertex
+    ([`Stopped d]), [limit] vertices are visited and another is found
+    ([`Truncated]) or the cluster is exhausted. Not observed. Exists so
+    differential tests can drive [stop] and [limit] directly, the start
+    vertex included.
+    @raise Invalid_argument if the start is not a vertex of the graph. *)
 
 val connected : ?limit:int -> World.t -> int -> int -> verdict
 (** [connected w u v] explores the open cluster of [u] breadth-first

@@ -132,8 +132,7 @@ let sample_balls stream graph ~centers ~budget =
 (* Eden growth on edges: infect a random seed edge, then repeatedly
    kill a uniform edge from the frontier (edges touching an infected
    vertex), infecting its endpoints — one connected blob of faults. *)
-let sample_infection stream graph ~budget =
-  let edges = Array.of_list (Topology.Graph.edge_list graph) in
+let sample_infection stream graph edges ~budget =
   if Array.length edges = 0 || budget = 0 then []
   else begin
     let tracked = Hashtbl.create 64 in
@@ -186,8 +185,7 @@ let sample_infection stream graph ~budget =
    [decay^distance] of its nearer endpoint; weighted sampling without
    replacement. Unreachable edges get weight 0 (padding covers them
    when the graph is disconnected). *)
-let sample_blast stream graph ~decay ~budget =
-  let edges = Array.of_list (Topology.Graph.edge_list graph) in
+let sample_blast stream graph edges ~decay ~budget =
   let m = Array.length edges in
   if m = 0 || budget = 0 then []
   else begin
@@ -251,10 +249,12 @@ let dedupe graph edges =
       end)
     edges
 
-let pad_to_budget stream graph ~budget edges =
-  if budget < 0 then invalid_arg "Scenario.pad_to_budget: negative budget";
-  let target = min budget (Topology.Graph.edge_count graph) in
-  let edges = dedupe graph edges in
+(* Padding over the prepared edge array: [edges] is [edge_list graph]
+   in order, so [rest] lists the unchosen edges in [edge_list] order
+   before the shuffle permutes them. *)
+let pad stream graph edges ~budget raw =
+  let target = min budget (Array.length edges) in
+  let raw = dedupe graph raw in
   let chosen = Hashtbl.create 64 in
   let kept = ref [] in
   let count = ref 0 in
@@ -265,13 +265,13 @@ let pad_to_budget stream graph ~budget edges =
         kept := (u, v) :: !kept;
         incr count
       end)
-    edges;
+    raw;
   if !count < target then begin
     let rest =
-      Topology.Graph.edge_list graph
-      |> List.filter (fun (u, v) ->
-             not (Hashtbl.mem chosen (graph.Topology.Graph.edge_id u v)))
-      |> Array.of_list
+      Array.of_seq
+        (Seq.filter
+           (fun (u, v) -> not (Hashtbl.mem chosen (graph.Topology.Graph.edge_id u v)))
+           (Array.to_seq edges))
     in
     Prng.Stream.shuffle_in_place stream rest;
     Array.iter
@@ -284,24 +284,37 @@ let pad_to_budget stream graph ~budget edges =
   end;
   List.rev !kept
 
-let sample stream graph model ~budget =
-  if budget < 0 then invalid_arg "Scenario.sample: negative budget";
+let pad_to_budget stream graph ~budget edges =
+  if budget < 0 then invalid_arg "Scenario.pad_to_budget: negative budget";
+  pad stream graph (Array.of_list (Topology.Graph.edge_list graph)) ~budget edges
+
+(* Everything a draw reads that depends only on the graph and the
+   model is built here, once: the edge array (padding, infection and
+   blast enumerate it) and a min-cut model's cut. *)
+let sampler graph model =
   validate_model graph model;
-  let draw () =
-    let raw =
-      match model with
-      | Random -> []
-      | Ball { centers } -> sample_balls stream graph ~centers ~budget
-      | Infection -> sample_infection stream graph ~budget
-      | Blast { decay } -> sample_blast stream graph ~decay ~budget
-      | Around { vertex } -> ball_edges graph vertex ~limit:budget
-      | Min_cut { source; target } ->
-          Topology.Mincut.min_cut graph ~source ~sink:target
-    in
-    (* Random is pure padding; the clustered models fall back to random
-       padding only in degenerate graphs, and a min cut smaller than the
-       budget is topped up once the pair is already cut, keeping the
-       budget exact. *)
-    pad_to_budget stream graph ~budget raw
+  let edges = Array.of_list (Topology.Graph.edge_list graph) in
+  let cut =
+    match model with
+    | Min_cut { source; target } -> Topology.Mincut.min_cut graph ~source ~sink:target
+    | Random | Ball _ | Infection | Blast _ | Around _ -> []
   in
-  if Obs.Timing.on () then Obs.Timing.span "scenario.sample" draw else draw ()
+  fun stream ~budget ->
+    if budget < 0 then invalid_arg "Scenario.sampler: negative budget";
+    let draw () =
+      let raw =
+        match model with
+        | Random -> []
+        | Ball { centers } -> sample_balls stream graph ~centers ~budget
+        | Infection -> sample_infection stream graph edges ~budget
+        | Blast { decay } -> sample_blast stream graph edges ~decay ~budget
+        | Around { vertex } -> ball_edges graph vertex ~limit:budget
+        | Min_cut _ -> cut
+      in
+      (* Random is pure padding; the clustered models fall back to
+         random padding only in degenerate graphs, and a min cut
+         smaller than the budget is topped up once the pair is already
+         cut, keeping the budget exact. *)
+      pad stream graph edges ~budget raw
+    in
+    if Obs.Timing.on () then Obs.Timing.span "scenario.sample" draw else draw ()

@@ -14,7 +14,10 @@
 
     Sampling is a pure function of the stream, the graph and the
     model, so scenario worlds inherit the engine's byte-reproducible
-    determinism at any [--jobs]. *)
+    determinism at any [--jobs]. A {!sampler} is built once per graph
+    and model: it validates the model and prepares what every draw
+    would otherwise rebuild (the edge array and a min-cut model's
+    cut), so a sweep drawing many fault sets pays for them once. *)
 
 type model =
   | Random  (** i.i.d. faults: a uniform [k]-subset of the edges. *)
@@ -42,17 +45,25 @@ val model_name : model -> string
     ["blast:0.5"], ["min-cut:0-63"]; decays print round-trip exact, so
     distinct models get distinct names. *)
 
-val sample :
-  Prng.Stream.t -> Topology.Graph.t -> model -> budget:int -> (int * int) list
-(** [sample stream graph model ~budget] draws the fault set: exactly
-    [min budget (edge_count graph)] distinct edges. Models that
-    exhaust their geometry early (a ball covering a small component,
-    a blast in a disconnected graph, a min cut smaller than the budget)
-    are padded with uniform random edges so budgets always match.
-    @raise Invalid_argument on a negative budget or malformed model
-    (ball needs [centers >= 1], blast needs [decay] in [(0, 1]],
-    around and min-cut need vertices of [graph], min-cut needs
-    [source <> target]). *)
+val sampler :
+  Topology.Graph.t -> model -> Prng.Stream.t -> budget:int -> (int * int) list
+(** [sampler graph model] validates [model] and prepares, once, what
+    every draw reads that depends only on [graph] and [model]: the edge
+    array (in {!Topology.Graph.edge_list} order, enumerated by the
+    padding and by the infection and blast draws) and, for [Min_cut],
+    the cut. The prepared sampler is immutable and may be shared across
+    domains.
+
+    [sampler graph model stream ~budget] draws one fault set, one
+    [scenario.sample] span: exactly [min budget (edge_count graph)]
+    distinct edges. Models that exhaust their geometry early (a ball
+    covering a small component, a blast in a disconnected graph, a min
+    cut smaller than the budget) are padded with uniform random edges
+    so budgets always match.
+    @raise Invalid_argument at [sampler graph model] when [model] is
+    malformed (ball needs [centers >= 1], blast needs [decay] in
+    [(0, 1]], around and min-cut need vertices of [graph], min-cut
+    needs [source <> target]), and at a draw on a negative budget. *)
 
 val pad_to_budget :
   Prng.Stream.t ->
@@ -63,4 +74,4 @@ val pad_to_budget :
 (** Normalize an externally chosen edge set to the exact budget:
     dedupe (by edge id, first occurrence wins), truncate past the
     budget, and top up with uniform random unchosen edges — the last
-    step of {!sample} for every model. *)
+    step of every {!sampler} draw. *)

@@ -236,6 +236,36 @@ let test_oracle_deferred_extension () =
       Alcotest.(check (list int)) "path via 3" [ 0; 1; 3; 2 ] path
   | None -> Alcotest.fail "expected path"
 
+let test_oracle_unrestricted_reach () =
+  (* Reachability extends along any open probed edge whatever the
+     policy, on both stores: an edge probed before either endpoint is
+     reached extends nothing then, and extends once probed again (a
+     memo hit) after one endpoint is reached. *)
+  let g = Topology.Hypercube.graph 4 in
+  List.iter
+    (fun (name, w) ->
+      let o = P.Oracle.create ~policy:P.Oracle.Unrestricted w ~source:0 in
+      ignore (P.Oracle.probe o 0 1);
+      ignore (P.Oracle.probe o 1 3);
+      Alcotest.(check bool) (name ^ ": 1 reached") true (P.Oracle.reached o 1);
+      Alcotest.(check bool) (name ^ ": 3 reached") true (P.Oracle.reached o 3);
+      Alcotest.(check (option (list int))) (name ^ ": path to 3") (Some [ 0; 1; 3 ])
+        (P.Oracle.path_to o 3);
+      ignore (P.Oracle.probe o 6 7);
+      Alcotest.(check bool) (name ^ ": 6 not yet") false (P.Oracle.reached o 6);
+      ignore (P.Oracle.probe o 3 7);
+      Alcotest.(check bool) (name ^ ": 7 reached") true (P.Oracle.reached o 7);
+      Alcotest.(check bool) (name ^ ": 6 still not") false (P.Oracle.reached o 6);
+      ignore (P.Oracle.probe o 6 7);
+      Alcotest.(check (option (list int))) (name ^ ": path to 6") (Some [ 0; 1; 3; 7; 6 ])
+        (P.Oracle.path_to o 6);
+      Alcotest.(check int) (name ^ ": distinct") 4 (P.Oracle.distinct_probes o);
+      Alcotest.(check int) (name ^ ": reached count") 5 (P.Oracle.reached_count o))
+    [
+      ("cached", P.World.create g ~p:1.0 ~seed:1L);
+      ("lazy", P.World.create ~cache:false g ~p:1.0 ~seed:1L);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Reveal                                                              *)
 
@@ -526,9 +556,9 @@ let test_worst_case_min_cut_disconnects () =
   let w = P.World.create hypercube6 ~p:1.0 ~seed:1L in
   let attacked =
     P.World.remove_edges w
-      (P.Scenario.sample (Prng.Stream.create 51L) hypercube6
+      (P.Scenario.sampler hypercube6
          (P.Scenario.Min_cut { source = 0; target = 63 })
-         ~budget:6)
+         (Prng.Stream.create 51L) ~budget:6)
   in
   Alcotest.(check int) "six removals suffice" 6 (P.World.removed_count attacked);
   match P.Reveal.connected attacked 0 63 with
@@ -540,9 +570,9 @@ let test_worst_case_min_cut_insufficient_budget () =
   let w = P.World.create hypercube6 ~p:1.0 ~seed:1L in
   let attacked =
     P.World.remove_edges w
-      (P.Scenario.sample (Prng.Stream.create 52L) hypercube6
+      (P.Scenario.sampler hypercube6
          (P.Scenario.Min_cut { source = 0; target = 63 })
-         ~budget:5)
+         (Prng.Stream.create 52L) ~budget:5)
   in
   match P.Reveal.connected attacked 0 63 with
   | P.Reveal.Connected _ -> ()
@@ -551,9 +581,9 @@ let test_worst_case_min_cut_insufficient_budget () =
 
 let test_worst_case_around_source () =
   let edges =
-    P.Scenario.sample (Prng.Stream.create 53L) hypercube6
+    P.Scenario.sampler hypercube6
       (P.Scenario.Around { vertex = 0 })
-      ~budget:6
+      (Prng.Stream.create 53L) ~budget:6
   in
   Alcotest.(check int) "budget filled" 6 (List.length edges);
   (* The first six harvested edges are exactly the source's incident ones. *)
@@ -565,7 +595,7 @@ let test_worst_case_around_source () =
 let test_worst_case_random_distinct () =
   let g = Topology.Hypercube.graph 5 in
   let edges =
-    P.Scenario.sample (Prng.Stream.create 54L) g P.Scenario.Random ~budget:40
+    P.Scenario.sampler g P.Scenario.Random (Prng.Stream.create 54L) ~budget:40
   in
   Alcotest.(check int) "forty edges" 40 (List.length edges);
   let ids = Hashtbl.create 64 in
@@ -575,7 +605,7 @@ let test_worst_case_random_distinct () =
 let test_worst_case_over_budget_capped () =
   let g = Topology.Theta.graph 3 in
   let edges =
-    P.Scenario.sample (Prng.Stream.create 55L) g P.Scenario.Random ~budget:100
+    P.Scenario.sampler g P.Scenario.Random (Prng.Stream.create 55L) ~budget:100
   in
   Alcotest.(check int) "capped at |E|" 6 (List.length edges)
 
@@ -966,6 +996,12 @@ let test_diff_router_outcomes () =
                       let expected, expected_distinct, expected_raw = run lazy_ in
                       let got, distinct, raw = run cached in
                       Alcotest.check outcome label expected got;
+                      (* Again on this domain: the run reuses the scratch
+                         the first one handed back. *)
+                      Alcotest.check outcome (label ^ " rerun") got
+                        (Routing.Router.run ?budget
+                           (Result.get_ok (build ()))
+                           cached ~source ~target);
                       Alcotest.(check (option (list int)))
                         (label ^ " path") (Routing.Outcome.path expected)
                         (Routing.Outcome.path got);
@@ -1080,6 +1116,227 @@ let test_diff_shared_csr () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Scratch reuse                                                       *)
+
+(* Per-domain scratch must be invisible: every route and reveal that
+   reuses a slab answers as a scratch-free reference does — the same
+   router on a fresh oracle over the lazy twin world, or the Table BFS
+   engine — in any order of graphs, budgets and failures, and every
+   lease is handed back. *)
+
+let outcome_t = Alcotest.testable Routing.Outcome.pp ( = )
+
+let reference_route ?budget (router : Routing.Router.t) world ~source ~target =
+  let oracle = P.Oracle.create ~policy:router.Routing.Router.policy ?budget world ~source in
+  match router.Routing.Router.route oracle ~target with
+  | outcome -> outcome
+  | exception P.Oracle.Budget_exhausted ->
+      Routing.Outcome.Budget_exceeded { probes = P.Oracle.distinct_probes oracle }
+
+let check_leases label =
+  Alcotest.(check int) (label ^ ": leases handed back") 0 (P.Scratch.leases_held ())
+
+let check_route label ?budget router (cached, lazy_) ~source ~target =
+  let got = Routing.Router.run ?budget router cached ~source ~target in
+  Alcotest.check outcome_t label (reference_route ?budget router lazy_ ~source ~target) got;
+  check_leases label;
+  got
+
+let scratch_routers =
+  [ Routing.Greedy.router; Routing.Local_bfs.router; Routing.Bidirectional.router ]
+
+let test_scratch_graph_sizes () =
+  (* Larger graph, smaller graph, larger again: a grown slab serves the
+     smaller graph and must not leak the larger one's entries. *)
+  let large = world_pair (Topology.Mesh.graph ~d:2 ~m:30) ~p:0.7 ~seed:201L
+  and small = world_pair hypercube6 ~p:0.6 ~seed:202L in
+  List.iter
+    (fun (name, pair, last) ->
+      List.iter
+        (fun (router : Routing.Router.t) ->
+          ignore
+            (check_route
+               (Printf.sprintf "%s %s" router.Routing.Router.name name)
+               router pair ~source:0 ~target:last))
+        scratch_routers)
+    [ ("large", large, 899); ("small", small, 63); ("large again", large, 899);
+      ("small again", small, 63) ]
+
+let test_scratch_budget_then_full () =
+  let pair = world_pair (Topology.Mesh.graph ~d:2 ~m:20) ~p:0.8 ~seed:203L in
+  List.iter
+    (fun (router : Routing.Router.t) ->
+      let name = router.Routing.Router.name in
+      (match check_route (name ^ " budget 5") ~budget:5 router pair ~source:0 ~target:399 with
+      | Routing.Outcome.Budget_exceeded _ -> ()
+      | Routing.Outcome.Found _ | Routing.Outcome.No_path _ ->
+          Alcotest.failf "%s: want Budget_exceeded at budget 5" name);
+      ignore (check_route (name ^ " full") router pair ~source:0 ~target:399))
+    scratch_routers
+
+let test_scratch_router_raises () =
+  (* A router that raises mid-route, and a greedy route whose metric
+     raises after its oracle is leased: the slabs come back clean. *)
+  let ((cached, _) as pair) = world_pair hypercube6 ~p:1.0 ~seed:204L in
+  let raising =
+    {
+      Routing.Router.name = "raises";
+      policy = P.Oracle.Local;
+      route =
+        (fun oracle ~target:_ ->
+          ignore (P.Oracle.probe oracle 0 1);
+          ignore (P.Oracle.probe oracle 1 3);
+          failwith "router bug");
+    }
+  in
+  Alcotest.check_raises "router raises" (Failure "router bug") (fun () ->
+      ignore (Routing.Router.run raising cached ~source:0 ~target:63));
+  check_leases "after a raising router";
+  let bad_metric =
+    { hypercube6 with G.distance = Some (fun _ _ -> failwith "metric bug") }
+  in
+  Alcotest.check_raises "metric raises" (Failure "metric bug") (fun () ->
+      ignore
+        (Routing.Router.run Routing.Greedy.router
+           (P.World.create bad_metric ~p:1.0 ~seed:204L)
+           ~source:0 ~target:63));
+  check_leases "after a raising metric";
+  List.iter
+    (fun (router : Routing.Router.t) ->
+      ignore (check_route (router.Routing.Router.name ^ " after") router pair ~source:0 ~target:63))
+    scratch_routers
+
+let test_scratch_nested () =
+  (* A route started inside another route on the same domain finds the
+     oracle slab held and runs on fresh arrays; so does a reveal started
+     from a reveal's visit hook. Both answer as the references do. *)
+  let outer = world_pair (Topology.Mesh.graph ~d:2 ~m:12) ~p:0.8 ~seed:205L
+  and inner_cached, inner_lazy = world_pair hypercube6 ~p:0.7 ~seed:206L in
+  let held_inside = ref [] and inner = ref None in
+  let nesting =
+    {
+      Routing.Router.name = "nesting";
+      policy = P.Oracle.Local;
+      route =
+        (fun oracle ~target ->
+          held_inside := P.Scratch.leases_held () :: !held_inside;
+          if !inner = None then inner := Some (Routing.Router.run Routing.Greedy.router inner_cached ~source:0 ~target:63);
+          Routing.Local_bfs.router.Routing.Router.route oracle ~target);
+    }
+  in
+  ignore (check_route "nested outer" nesting outer ~source:0 ~target:143);
+  (* The cached run holds the oracle slab; the lazy reference holds none. *)
+  Alcotest.(check (list int)) "outer lease held during the inner route" [ 1; 0 ]
+    (List.rev !held_inside);
+  Alcotest.(check (option outcome_t))
+    "nested inner"
+    (Some (reference_route Routing.Greedy.router inner_lazy ~source:0 ~target:63))
+    !inner;
+  let cluster w v = List.sort compare (fst (P.Reveal.cluster_of w v)) in
+  let nested_clusters = ref [] in
+  let visit v _ =
+    if v mod 7 = 0 then nested_clusters := (v, cluster inner_cached (v mod 64)) :: !nested_clusters
+  in
+  let run engine w =
+    nested_clusters := [];
+    let result = P.Reveal.bfs_via engine w 0 ~stop:(fun _ -> false) ~visit in
+    (result, List.rev !nested_clusters)
+  in
+  let expected = run P.Reveal.Table inner_lazy in
+  Alcotest.(check bool) "nested reveals" true (run P.Reveal.Arena inner_cached = expected);
+  check_leases "after nested reveals"
+
+let test_scratch_reveals_repeat () =
+  (* The same sequence of BFS searches, twice over, on one cached world:
+     each must equal the Table engine's run. It covers a stop at the
+     start vertex, a limit truncation, a stop vertex found mid-search, a
+     stop vertex never reached (the cluster is exhausted), a full
+     cluster, a [visit] that raises and out-of-range starts. *)
+  let g = Topology.Mesh.graph ~d:2 ~m:16 in
+  let cached, _ = world_pair g ~p:0.6 ~seed:207L in
+  let in_cluster = P.Reveal.cluster_of cached 0 |> fst |> List.sort compare in
+  let far = List.nth in_cluster (List.length in_cluster - 1) in
+  let outside =
+    List.find (fun v -> not (List.mem v in_cluster)) (List.init g.G.vertex_count Fun.id)
+  in
+  let searches =
+    [
+      ("stop at start", None, 0, (fun v -> v = 0));
+      ("limit 5", Some 5, 0, (fun _ -> false));
+      ("stop mid-search", None, 0, (fun v -> v = far));
+      ("stop never reached", None, 0, (fun v -> v = outside));
+      ("full cluster", None, far, (fun _ -> false));
+      ("limit 1", Some 1, far, (fun _ -> false));
+    ]
+  in
+  let run engine (_, limit, start, stop) =
+    let visits = ref [] in
+    let result =
+      P.Reveal.bfs_via engine ?limit cached start ~stop ~visit:(fun v d -> visits := (v, d) :: !visits)
+    in
+    (result, List.rev !visits)
+  in
+  for pass = 1 to 2 do
+    List.iter
+      (fun ((name, _, _, _) as search) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "pass %d %s" pass name)
+          true
+          (run P.Reveal.Arena search = run P.Reveal.Table search);
+        check_leases name)
+      searches;
+    let boom v _ = if v = far then failwith "visit bug" in
+    Alcotest.check_raises "visit raises" (Failure "visit bug") (fun () ->
+        ignore (P.Reveal.bfs_via P.Reveal.Arena cached 0 ~stop:(fun _ -> false) ~visit:boom));
+    check_leases "after a raising visit"
+  done;
+  (* An out-of-range start is rejected before the arena touches its
+     bitset, also once a larger graph has grown the slab past [n]. *)
+  let big, _ = world_pair (Topology.Mesh.graph ~d:2 ~m:24) ~p:0.6 ~seed:207L in
+  ignore (P.Reveal.bfs_via P.Reveal.Arena big 0 ~stop:(fun _ -> false) ~visit:(fun _ _ -> ()));
+  List.iter
+    (fun (engine, start) ->
+      let expected =
+        match G.check_vertex g start with
+        | () -> Alcotest.failf "start %d is in range" start
+        | exception Invalid_argument message -> message
+      in
+      Alcotest.check_raises (Printf.sprintf "start %d" start) (Invalid_argument expected)
+        (fun () ->
+          ignore
+            (P.Reveal.bfs_via engine cached start ~stop:(fun _ -> false) ~visit:(fun _ _ -> ())));
+      check_leases (Printf.sprintf "after start %d" start))
+    [
+      (P.Reveal.Arena, -1);
+      (P.Reveal.Arena, g.G.vertex_count);
+      (P.Reveal.Arena, g.G.vertex_count + 7);
+      (P.Reveal.Table, g.G.vertex_count);
+    ];
+  List.iter
+    (fun ((name, _, _, _) as search) ->
+      Alcotest.(check bool) ("after rejections " ^ name) true
+        (run P.Reveal.Arena search = run P.Reveal.Table search))
+    searches
+
+let test_scratch_domains () =
+  (* 64 routes and reveals over one cached world: a jobs-4 map, each
+     domain reusing its own slabs, equals the jobs-1 list. *)
+  let g = Topology.Mesh.graph ~d:2 ~m:24 in
+  let cached, _ = world_pair g ~p:0.75 ~seed:208L in
+  let n = g.G.vertex_count in
+  let ask v =
+    let target = n - 1 - v in
+    ( List.map
+        (fun router -> Routing.Router.run ~budget:300 router cached ~source:v ~target)
+        scratch_routers,
+      P.Reveal.connected cached v target,
+      P.Reveal.cluster_size ~limit:100 cached v )
+  in
+  let vertices = Array.init 64 (fun i -> i * 9) in
+  let sequential = Engine_par.Pool.map ~jobs:1 ask vertices in
+  Alcotest.(check bool) "jobs 4 = jobs 1" true (Engine_par.Pool.map ~jobs:4 ask vertices = sequential)
+
+(* ------------------------------------------------------------------ *)
 (* Fault scenarios                                                     *)
 
 let mesh10 = Topology.Mesh.graph ~d:2 ~m:10
@@ -1102,7 +1359,7 @@ let test_scenario_exact_budget () =
       List.iter
         (fun budget ->
           let edges =
-            P.Scenario.sample (Prng.Stream.create 5L) mesh10 model ~budget
+            P.Scenario.sampler mesh10 model (Prng.Stream.create 5L) ~budget
           in
           let ids = List.map (fun (u, v) -> mesh10.G.edge_id u v) edges in
           let distinct = List.sort_uniq compare ids in
@@ -1121,7 +1378,7 @@ let test_scenario_sampling_pure () =
   List.iter
     (fun model ->
       let draw () =
-        P.Scenario.sample (Prng.Stream.create 77L) mesh10 model ~budget:40
+        P.Scenario.sampler mesh10 model (Prng.Stream.create 77L) ~budget:40
       in
       Alcotest.(check (list (pair int int)))
         (P.Scenario.model_name model) (draw ()) (draw ()))
@@ -1133,7 +1390,7 @@ let test_scenario_overlay_differential () =
   List.iter
     (fun model ->
       let edges =
-        P.Scenario.sample (Prng.Stream.create 13L) hypercube6 model ~budget:40
+        P.Scenario.sampler hypercube6 model (Prng.Stream.create 13L) ~budget:40
       in
       let cached, lazy_ = world_pair hypercube6 ~p:0.9 ~seed:67L in
       let cached' = P.World.remove_edges cached edges in
@@ -1156,7 +1413,7 @@ let test_scenario_infection_blob_connected () =
   (* Eden growth spreads only along frontier edges, so (below the
      padding regime) the blob is one connected edge set. *)
   let edges =
-    P.Scenario.sample (Prng.Stream.create 3L) mesh10 P.Scenario.Infection
+    P.Scenario.sampler mesh10 P.Scenario.Infection (Prng.Stream.create 3L)
       ~budget:50
   in
   let adj = Hashtbl.create 64 in
@@ -1182,7 +1439,7 @@ let test_scenario_infection_blob_connected () =
 let test_scenario_validation () =
   List.iter
     (fun model ->
-      match P.Scenario.sample (Prng.Stream.create 1L) mesh10 model ~budget:5 with
+      match P.Scenario.sampler mesh10 model (Prng.Stream.create 1L) ~budget:5 with
       | _ -> Alcotest.fail "malformed model should be rejected"
       | exception Invalid_argument _ -> ())
     [
@@ -1195,7 +1452,7 @@ let test_scenario_validation () =
       P.Scenario.Around { vertex = 100 };
     ];
   match
-    P.Scenario.sample (Prng.Stream.create 1L) mesh10 P.Scenario.Random ~budget:(-1)
+    P.Scenario.sampler mesh10 P.Scenario.Random (Prng.Stream.create 1L) ~budget:(-1)
   with
   | _ -> Alcotest.fail "negative budget should be rejected"
   | exception Invalid_argument _ -> ()
@@ -1207,7 +1464,7 @@ let test_scenario_known_answers () =
   let check label model stream budget expected =
     Alcotest.(check (list (pair int int)))
       label expected
-      (P.Scenario.sample (Prng.Stream.create stream) hypercube6 model ~budget)
+      (P.Scenario.sampler hypercube6 model (Prng.Stream.create stream) ~budget)
   in
   check "random" P.Scenario.Random 101L 7
     [ (14, 15); (21, 53); (29, 31); (46, 62); (12, 44); (58, 59); (23, 31) ];
@@ -1240,6 +1497,67 @@ let test_scenario_pad_to_budget () =
   Alcotest.(check (pair int int)) "prefix kept" (0, 1) (List.hd topped);
   let ids = List.map (fun (u, v) -> mesh10.G.edge_id u v) topped in
   Alcotest.(check int) "all distinct" 12 (List.length (List.sort_uniq compare ids))
+
+let test_scenario_sampler_reuse () =
+  (* One prepared sampler per (graph, model), drawn from three times in
+     a row on one stream: each draw equals a draw of a sampler built
+     for it alone on a twin stream, at budgets around the min cut and
+     past the edge count, so a sampler carries no state between draws.
+     That draws match the sampling before prepared samplers is pinned
+     by [scenario known answers] and the degradation golden. *)
+  List.iter
+    (fun (gname, graph) ->
+      let last = graph.G.vertex_count - 1 in
+      let cut = List.length (Topology.Mincut.min_cut graph ~source:0 ~sink:last) in
+      let total = G.edge_count graph in
+      List.iter
+        (fun model ->
+          let sampler = P.Scenario.sampler graph model in
+          List.iter
+            (fun budget ->
+              let mine = Prng.Stream.create 31L and twin = Prng.Stream.create 31L in
+              for draw = 1 to 3 do
+                Alcotest.(check (list (pair int int)))
+                  (Printf.sprintf "%s %s budget %d draw %d" gname
+                     (P.Scenario.model_name model) budget draw)
+                  (P.Scenario.sampler graph model twin ~budget)
+                  (sampler mine ~budget)
+              done)
+            [ 0; 1; cut - 1; cut + 1; total; total + 5 ])
+        [
+          P.Scenario.Random;
+          P.Scenario.Ball { centers = 3 };
+          P.Scenario.Infection;
+          P.Scenario.Blast { decay = 0.5 };
+          P.Scenario.Around { vertex = 0 };
+          P.Scenario.Min_cut { source = 0; target = last };
+        ])
+    [ ("hypercube6", hypercube6); ("mesh10", mesh10) ]
+
+let test_scenario_sampler_validation () =
+  (* A malformed model is rejected when the sampler is built, before
+     any draw; a draw rejects a negative budget. *)
+  List.iter
+    (fun (model, message) ->
+      Alcotest.check_raises (P.Scenario.model_name model) (Invalid_argument message)
+        (fun () ->
+          let (_ : Prng.Stream.t -> budget:int -> (int * int) list) =
+            P.Scenario.sampler mesh10 model
+          in
+          ()))
+    [
+      (P.Scenario.Ball { centers = 0 }, "Scenario: ball needs >= 1 center");
+      (P.Scenario.Blast { decay = 0.0 }, "Scenario: blast decay must be in (0, 1]");
+      (P.Scenario.Blast { decay = 1.5 }, "Scenario: blast decay must be in (0, 1]");
+      (P.Scenario.Min_cut { source = 7; target = 7 },
+       "Scenario: min-cut needs two distinct endpoints");
+      (P.Scenario.Min_cut { source = 0; target = 100 },
+       "Scenario: min-cut endpoint out of range");
+      (P.Scenario.Around { vertex = 100 }, "Scenario: around vertex out of range");
+    ];
+  Alcotest.check_raises "negative budget" (Invalid_argument "Scenario.sampler: negative budget")
+    (fun () ->
+      ignore (P.Scenario.sampler mesh10 P.Scenario.Random (Prng.Stream.create 1L) ~budget:(-1)))
 
 (* ------------------------------------------------------------------ *)
 (* Coupling along p and site_p                                         *)
@@ -1497,6 +1815,7 @@ let () =
           case "path_to" test_oracle_path_to;
           case "reached bookkeeping" test_oracle_reached_bookkeeping;
           case "deferred extension" test_oracle_deferred_extension;
+          case "unrestricted reach" test_oracle_unrestricted_reach;
         ] );
       ( "reveal",
         [
@@ -1576,6 +1895,17 @@ let () =
           case "validation" test_scenario_validation;
           case "known answers" test_scenario_known_answers;
           case "pad to budget" test_scenario_pad_to_budget;
+          case "reused sampler = fresh sampler" test_scenario_sampler_reuse;
+          case "sampler validation" test_scenario_sampler_validation;
+        ] );
+      ( "scratch",
+        [
+          case "larger then smaller graph" test_scratch_graph_sizes;
+          case "budget exceeded then full" test_scratch_budget_then_full;
+          case "router raises" test_scratch_router_raises;
+          case "nested leases" test_scratch_nested;
+          case "reveals repeat" test_scratch_reveals_repeat;
+          case "jobs 4 = jobs 1" test_scratch_domains;
         ] );
       ( "scaling",
         [
