@@ -35,9 +35,15 @@ bench-smoke:
 
 # The quick catalog on two domains — exercises the parallel engine end
 # to end; output must match a --jobs 1 run byte for byte, and any
-# under-sampled report fails the run (exit 3). `check` takes the same
-# common flags: its --trace must cmp equal to that run's and replay,
-# and its --metrics-out must be a metrics/v1 document. Full-mode E11,
+# under-sampled report fails the run (exit 3). Its trace must cmp equal
+# to a --jobs 1 run's, where every experiment writes straight to the
+# sink (at two jobs some spool to a temporary file first). `check`
+# takes the same common flags: its --trace must cmp equal to that
+# run's and replay, and its --metrics-out must be a metrics/v1
+# document. Full-mode E3, E4, E5, E7, E10, E12, E14 and E16 (the trial
+# experiments, each a set of conditioned Trial runs stopped at their
+# quota of acceptances) must cmp equal to
+# examples/trials/full-golden.txt. Full-mode E11,
 # E19 and E20 (the p sweeps that share one seed per world, and the
 # good-vertex balls) must cmp equal to
 # examples/percolation/sweeps-full-golden.txt, and full-mode E22 and
@@ -69,10 +75,14 @@ smoke:
 	mkdir -p artifacts
 	dune exec bin/faultroute.exe -- all --quick --jobs 2 --strict-shortfall --trace artifacts/SMOKE_all_trace.jsonl > /dev/null
 	dune build bin/faultroute.exe
+	./_build/default/bin/faultroute.exe all --quick --jobs 1 --trace artifacts/SMOKE_all_trace_j1.jsonl > /dev/null
+	cmp artifacts/SMOKE_all_trace.jsonl artifacts/SMOKE_all_trace_j1.jsonl
 	./_build/default/bin/faultroute.exe check --quick --jobs 2 --trace artifacts/SMOKE_check_trace.jsonl --metrics-out artifacts/SMOKE_check_metrics.json > /dev/null
 	cmp artifacts/SMOKE_all_trace.jsonl artifacts/SMOKE_check_trace.jsonl
 	./_build/default/bin/faultroute.exe trace artifacts/SMOKE_check_trace.jsonl > /dev/null
 	grep -q '"schema": "metrics/v1"' artifacts/SMOKE_check_metrics.json
+	for e in E3 E4 E5 E7 E10 E12 E14 E16; do ./_build/default/bin/faultroute.exe exp $$e --jobs 2 || exit 1; done > artifacts/SMOKE_trials_full.txt
+	cmp examples/trials/full-golden.txt artifacts/SMOKE_trials_full.txt
 	for e in E11 E19 E20; do ./_build/default/bin/faultroute.exe exp $$e --jobs 2 || exit 1; done > artifacts/SMOKE_sweeps_full.txt
 	cmp examples/percolation/sweeps-full-golden.txt artifacts/SMOKE_sweeps_full.txt
 	for e in E22 E25; do ./_build/default/bin/faultroute.exe exp $$e --jobs 2 || exit 1; done > artifacts/SMOKE_degradation_full.txt

@@ -58,6 +58,23 @@ let run_resilient e quick experiment_stream =
         ~notes:[ Printf.sprintf "experiment failed unrecoverably: %s" message ]
         []
 
+(* Forward a finished experiment's spooled trace to the sink in blocks
+   cut at line ends, so the sink still receives whole lines. *)
+let forward_spool path =
+  In_channel.with_open_bin path (fun ic ->
+      let block = Bytes.create 65536 in
+      let rec copy carry =
+        let n = In_channel.input ic block 0 (Bytes.length block) in
+        if n = 0 then (if carry <> "" then Obs.Trace.write_line carry)
+        else
+          match Bytes.rindex_from_opt block (n - 1) '\n' with
+          | None -> copy (carry ^ Bytes.sub_string block 0 n)
+          | Some i ->
+              Obs.Trace.write_line (carry ^ Bytes.sub_string block 0 (i + 1));
+              copy (Bytes.sub_string block (i + 1) (n - i - 1))
+      in
+      copy "")
+
 let run_all ?quick ?jobs ~seed () =
   let stream = Prng.Stream.create seed in
   (* One task per experiment on the shared pool; each experiment's
@@ -67,10 +84,14 @@ let run_all ?quick ?jobs ~seed () =
 
      Tracing: experiments running concurrently would race for the trace
      sink, and pool scheduling would dictate the order of their runs in
-     the file. So each task redirects its domain's trace output into a
-     private buffer (Obs.Trace.with_sink) and the buffers are flushed
-     to the real sink afterwards, in catalog order — the trace file is
-     byte-identical for every job count. *)
+     the file. So the trace is written in catalog order as a prefix
+     advances: an experiment that starts once every earlier one has been
+     written writes straight to the sink; any other spools its domain's
+     trace output (Obs.Trace.with_sink) into a temporary file, which is
+     forwarded to the sink and deleted once every earlier experiment has
+     been written. The trace file is byte-identical for every job count,
+     and at one job nothing is spooled. Spools left by a raising
+     experiment are deleted too. *)
   let tracing = Obs.Trace.on () in
   let supervised =
     Engine_par.Supervisor.armed () || Faultsim.Plan.ambient () <> None
@@ -79,24 +100,51 @@ let run_all ?quick ?jobs ~seed () =
     if supervised then run_resilient e quick experiment_stream
     else e.run ?quick experiment_stream
   in
-  let indexed = Array.of_list (List.mapi (fun index e -> (index, e)) all) in
-  let outcomes =
-    Engine_par.Pool.map ?jobs
-      (fun (index, e) ->
-        let experiment_stream = Prng.Stream.split stream index in
-        if tracing then begin
-          let buffer = Buffer.create 4096 in
-          let report =
-            Obs.Trace.with_sink (Buffer.add_string buffer) (fun () ->
-                run_one e experiment_stream)
-          in
-          (report, Buffer.contents buffer)
-        end
-        else (run_one e experiment_stream, ""))
-      indexed
+  let lock = Mutex.create () in
+  let written = ref 0 in
+  let finished = Hashtbl.create 8 in
+  let spools = ref [] in
+  (* Under [lock]: forward every finished spool the prefix now reaches. *)
+  let rec advance () =
+    match Hashtbl.find_opt finished !written with
+    | Some path ->
+        Hashtbl.remove finished !written;
+        forward_spool path;
+        Sys.remove path;
+        incr written;
+        advance ()
+    | None -> ()
   in
-  if tracing then
-    Array.iter
-      (fun (_, trace) -> if trace <> "" then Obs.Trace.write_line trace)
-      outcomes;
-  Array.to_list (Array.map fst outcomes)
+  let traced index run =
+    if Mutex.protect lock (fun () -> !written = index) then begin
+      let report = run () in
+      Mutex.protect lock (fun () ->
+          incr written;
+          advance ());
+      report
+    end
+    else begin
+      let path = Filename.temp_file "faultroute-trace-" ".jsonl" in
+      Mutex.protect lock (fun () -> spools := path :: !spools);
+      let report =
+        Out_channel.with_open_bin path (fun oc ->
+            Obs.Trace.with_sink (Out_channel.output_string oc) run)
+      in
+      Mutex.protect lock (fun () ->
+          Hashtbl.replace finished index path;
+          advance ());
+      report
+    end
+  in
+  let indexed = Array.of_list (List.mapi (fun index e -> (index, e)) all) in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun path -> if Sys.file_exists path then Sys.remove path) !spools)
+    (fun () ->
+      Engine_par.Pool.map ?jobs
+        (fun (index, e) ->
+          let experiment_stream = Prng.Stream.split stream index in
+          if tracing then traced index (fun () -> run_one e experiment_stream)
+          else run_one e experiment_stream)
+        indexed)
+  |> Array.to_list

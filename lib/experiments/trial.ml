@@ -239,14 +239,17 @@ let codec =
 (* The engine.
 
    Attempt [i] is index [i - 1] of a {!Runner} over 1..max_attempts, so
-   the attempt space is cut into Runner's fixed chunks. The runner stops
-   dispensing once the completed chunks hold [trials] acceptances; a
-   final ordered scan folds each chunk into its own accumulator, merges
-   whole chunks in chunk order, and replays the boundary chunk attempt
-   by attempt up to the exact attempt of the [trials]-th acceptance. A
-   quarantined chunk is dropped from the merge: its attempts never
-   happened as far as the statistics are concerned, and the CLI
-   surfaces the loss via the faults summary and exit code.
+   the attempt space is cut into Runner's fixed chunks, with a quota of
+   [trials] acceptances: on the sequential path the runner computes no
+   attempt past the [trials]-th acceptance, and on the parallel path it
+   stops dispensing once the completed chunks hold [trials]. A final
+   ordered scan folds each chunk into its own accumulator, merges whole
+   chunks in chunk order, and replays the boundary chunk attempt by
+   attempt up to the exact attempt of the [trials]-th acceptance, so
+   parallel overshoot is cut there. A quarantined chunk is dropped from
+   the merge: its attempts never happened as far as the statistics are
+   concerned, and the CLI surfaces the loss via the faults summary and
+   exit code.
 
    Tracing rides the same machinery: each attempt's events are captured
    into its cell on whatever domain computed it, and the final ordered
@@ -304,20 +307,13 @@ let checkpoint_key spec stream ~trials ~max_attempts =
 let run ?jobs stream ~trials ?max_attempts spec =
   if trials <= 0 then invalid_arg "Trial.run: trials must be positive";
   let max_attempts = Option.value max_attempts ~default:(100 * trials) in
-  let accepted_so_far = Atomic.make 0 in
-  let until cells =
-    let accepted =
-      Array.fold_left
-        (fun n (cell : cell) ->
-          match cell.value with Accepted _ -> n + 1 | Rejected -> n)
-        0 cells
-    in
-    Atomic.fetch_and_add accepted_so_far accepted + accepted >= trials
+  let accepted (cell : cell) =
+    match cell.value with Accepted _ -> true | Rejected -> false
   in
   let chunks, faults =
     Runner.run ?jobs
       ~key:(lazy (checkpoint_key spec stream ~trials ~max_attempts))
-      ~codec ~count:max_attempts ~until
+      ~codec ~count:max_attempts ~quota:(trials, accepted)
       (fun i ->
         Obs.Trace.observe ~index:(i + 1) (fun () -> run_attempt spec stream (i + 1)))
   in

@@ -101,7 +101,10 @@ val run :
     measurements, drawing at most [max_attempts] (default
     [100 × trials]) worlds in total. Runs on [jobs] domains (default
     {!Engine_par.Pool.default_jobs}: 1 unless raised, e.g. by the CLI's
-    [--jobs]); the result is bit-identical for every job count.
+    [--jobs]); the result is bit-identical for every job count. On one
+    domain (and nested inside a pool task) no world past the one that
+    brings the [trials]-th acceptance is drawn: the attempts run through
+    {!Runner.run} with a quota of [trials] acceptances.
     @raise Invalid_argument if [trials <= 0]. *)
 
 val median_observation : result -> Stats.Censored.observation option

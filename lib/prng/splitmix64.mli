@@ -1,30 +1,11 @@
-(** SplitMix64 pseudo-random generator (Steele, Lea & Flood 2014).
+(** The SplitMix64 finalizer and stream increment (Steele, Lea & Flood
+    2014).
 
-    A tiny, fast, well-distributed 64-bit generator. It serves two roles in
-    this project: seeding larger-state generators ({!Xoshiro256}) and, via
-    its finalizer {!mix}, hashing structured identifiers (edge ids) into
-    independent-looking 64-bit values for lazy percolation coins. *)
-
-type t
-(** Mutable generator state. *)
-
-val create : int64 -> t
-(** [create seed] initialises a generator from an arbitrary 64-bit seed.
-    Distinct seeds yield independent-looking streams. *)
-
-val copy : t -> t
-(** [copy t] is a generator with the same state that evolves separately. *)
-
-val next : t -> int64
-(** [next t] advances the state and returns the next 64-bit output. *)
-
-val next_int_in : t -> int -> int
-(** [next_int_in t bound] is a uniform integer in [\[0, bound)].
-    @raise Invalid_argument if [bound <= 0]. *)
-
-val next_float : t -> float
-(** [next_float t] is a uniform float in [\[0, 1)] with 53 bits of
-    precision. *)
+    SplitMix64's k-th output from seed [s] is [mix (s + k * golden_gamma)].
+    This project needs no generator record: {!Xoshiro256.create}
+    computes its four seed words that way, and {!Coin} hashes structured
+    identifiers (edge ids) through {!mix} into independent-looking
+    64-bit values for lazy percolation coins. *)
 
 val mix : int64 -> int64
 (** [mix z] is the stateless SplitMix64 finalizer: a bijective avalanche

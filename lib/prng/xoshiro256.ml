@@ -26,9 +26,9 @@ let of_state (s0, s1, s2, s3) =
     invalid_arg "Xoshiro256.of_state: all-zero state";
   of_words s0 s1 s2 s3
 
-(* The first four outputs of [Splitmix64.create seed]: its k-th output
-   is [mix (seed + k * golden_gamma)]. Computed directly, the words stay
-   unboxed; a [Splitmix64.t] would box an int64 on each [next]. *)
+(* The first four SplitMix64 outputs from [seed]: the k-th is
+   [mix (seed + k * golden_gamma)]. Computed directly, the words stay
+   unboxed. *)
 let create seed =
   let gamma = Splitmix64.golden_gamma in
   let s0 = Splitmix64.mix (Int64.add seed gamma) in

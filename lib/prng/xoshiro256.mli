@@ -1,8 +1,9 @@
 (** xoshiro256** pseudo-random generator (Blackman & Vigna 2018).
 
     The general-purpose generator used by the Monte-Carlo harness. 256 bits
-    of state, period 2{^256} - 1, excellent statistical quality. Seeded via
-    {!Splitmix64} as the authors recommend. *)
+    of state, period 2{^256} - 1, excellent statistical quality. Seeded
+    with SplitMix64 outputs ({!Splitmix64.mix}) as the authors
+    recommend. *)
 
 type t
 (** Mutable generator state. *)

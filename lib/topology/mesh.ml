@@ -26,11 +26,14 @@ let next_coords ~m c =
   done;
   if !axis < Array.length c then c.(!axis) <- c.(!axis) + 1
 
+(* Coordinates read digit by digit ([v mod m], [v / m]), so a call
+   allocates nothing: Greedy calls the metric once per neighbour. *)
 let l1_distance ~d ~m u v =
-  let cu = coords ~d ~m u and cv = coords ~d ~m v in
-  let total = ref 0 in
-  for axis = 0 to d - 1 do
-    total := !total + abs (cu.(axis) - cv.(axis))
+  let total = ref 0 and u = ref u and v = ref v in
+  for _ = 1 to d do
+    total := !total + abs ((!u mod m) - (!v mod m));
+    u := !u / m;
+    v := !v / m
   done;
   !total
 

@@ -5,12 +5,16 @@ let axis_delta ~m a b =
   let backward = m - forward in
   if forward <= backward then (1, forward) else (-1, backward)
 
+(* Per axis, the shorter way around: [axis_delta]'s length, with the
+   coordinates read digit by digit as in [Mesh.l1_distance], so a call
+   allocates nothing. *)
 let l1_distance ~d ~m u v =
-  let cu = Mesh.coords ~d ~m u and cv = Mesh.coords ~d ~m v in
-  let total = ref 0 in
-  for axis = 0 to d - 1 do
-    let _, len = axis_delta ~m cu.(axis) cv.(axis) in
-    total := !total + len
+  let total = ref 0 and u = ref u and v = ref v in
+  for _ = 1 to d do
+    let forward = ((!v mod m) - (!u mod m) + m) mod m in
+    total := !total + if forward <= m - forward then forward else m - forward;
+    u := !u / m;
+    v := !v / m
   done;
   !total
 

@@ -712,6 +712,264 @@ let test_runner_vchunk_resume () =
     (Experiments.Checkpoint.restored ())
 
 (* ------------------------------------------------------------------ *)
+(* Runner's quota: the caller uses cells up to the n-th counted one    *)
+
+(* Cell [i] is [[| i |]], counted when [i] is in [counted]; the second
+   result lists every index [compute] ran on, ascending. *)
+let run_quota ?jobs ?(count = 18) ?quota_of ~counted () =
+  let lock = Mutex.create () and computed = ref [] in
+  let chunks, _faults =
+    Experiments.Runner.run ?jobs ~key:(lazy "test-quota;seed=0")
+      ~codec:Experiments.Checkpoint.floats ~count
+      ?quota:(Option.map (fun n -> (n, fun cell -> List.mem (int_of_float cell.(0)) counted)) quota_of)
+      (fun i ->
+        Mutex.protect lock (fun () -> computed := i :: !computed);
+        [| float_of_int i |])
+  in
+  (chunks, List.sort compare !computed)
+
+let chunk_indices = function
+  | Some cells -> Array.to_list (Array.map (fun cell -> int_of_float cell.(0)) cells)
+  | None -> []
+
+let upto k = List.init (k + 1) Fun.id
+
+let take k xs = List.filteri (fun i _ -> i < k) xs
+
+(* The cells a quota's caller uses: those of the chunks it got, in
+   index order, cut after the n-th counted one. *)
+let quota_scan ~counted ~n chunks =
+  let rec cut seen = function
+    | [] -> []
+    | i :: rest ->
+        let seen = if List.mem i counted then seen + 1 else seen in
+        if seen >= n then [ i ] else i :: cut seen rest
+  in
+  cut 0 (List.concat_map chunk_indices (Array.to_list chunks))
+
+let test_runner_quota_stops_at_nth () =
+  (* Chunks hold indices 0..3, 4..7, 8..11, 12..15 and 16..17. *)
+  List.iter
+    (fun (name, counted, n, nth) ->
+      with_clean_supervision @@ fun () ->
+      let label what = Printf.sprintf "%s: %s" name what in
+      let chunks, computed = run_quota ~jobs:1 ~quota_of:n ~counted () in
+      let used = match nth with Some k -> upto k | None -> upto 17 in
+      Alcotest.(check (list int)) (label "jobs 1 computes up to the n-th, no further")
+        used computed;
+      Alcotest.(check (list int)) (label "jobs 1 chunks end there") used
+        (List.concat_map chunk_indices (Array.to_list chunks));
+      Alcotest.(check (list int)) (label "chunk lengths")
+        (List.init (Array.length chunks) (fun c ->
+             Stdlib.min (List.length used) ((c + 1) * 4) - (c * 4)))
+        (Array.to_list (Array.map (fun c -> List.length (chunk_indices c)) chunks));
+      List.iter
+        (fun jobs ->
+          let chunks, _ = run_quota ~jobs ~quota_of:n ~counted () in
+          let got = List.concat_map chunk_indices (Array.to_list chunks) in
+          Alcotest.(check (list int))
+            (label (Printf.sprintf "jobs %d cells up to the n-th as at jobs 1" jobs))
+            used (take (List.length used) got);
+          Array.iteri
+            (fun c chunk ->
+              let cells = chunk_indices chunk in
+              Alcotest.(check (list int))
+                (label (Printf.sprintf "jobs %d chunk %d is a prefix of its span" jobs c))
+                (List.init (List.length cells) (fun k -> (c * 4) + k))
+                cells)
+            chunks)
+        [ 2; 4 ])
+    [
+      ("first in its chunk", [ 1; 4; 9 ], 2, Some 4);
+      ("inside its chunk", [ 1; 4; 9 ], 3, Some 9);
+      ("last in its chunk", [ 1; 4; 11 ], 3, Some 11);
+      ("never reached", [ 1; 4 ], 3, None);
+    ];
+  Alcotest.check_raises "quota below 1" (Invalid_argument "Runner.run: quota below 1")
+    (fun () -> ignore (run_quota ~quota_of:0 ~counted:[] ()))
+
+let test_runner_quota_quarantine () =
+  (* One attempt per chunk and crash@1 lose chunk 1 (indices 4..7) for
+     good. The frontier stalls there, so later chunks run whole, and the
+     quota's caller reads the same cells as from whole chunks: counted
+     1, 9 and 10 outside the lost chunk, so the scan ends at 10. *)
+  let counted = [ 1; 5; 9; 10; 13 ] and n = 3 in
+  List.iter
+    (fun jobs ->
+      with_clean_supervision @@ fun () ->
+      let label what = Printf.sprintf "jobs %d: %s" jobs what in
+      Supervisor.arm { Supervisor.default_policy with Supervisor.max_attempts = 1 };
+      Plan.set_ambient (Some (Plan.make [ Plan.Crash_on_chunk 1 ]));
+      let quota, _ = run_quota ~jobs ~quota_of:n ~counted () in
+      let whole, _ = run_quota ~jobs ~counted () in
+      Alcotest.(check bool) (label "chunk 1 quarantined") true (quota.(1) = None);
+      Alcotest.(check (list int)) (label "scan equals the scan of whole chunks")
+        (quota_scan ~counted ~n whole) (quota_scan ~counted ~n quota);
+      Alcotest.(check (list int)) (label "the scan")
+        [ 0; 1; 2; 3; 8; 9; 10 ] (quota_scan ~counted ~n quota);
+      Array.iteri
+        (fun c chunk ->
+          if c > 1 then
+            Alcotest.(check int) (label (Printf.sprintf "chunk %d whole" c))
+              (Stdlib.min 4 (18 - (c * 4)))
+              (List.length (chunk_indices chunk)))
+        quota)
+    [ 1; 4 ]
+
+(* Trial's quota, through its journal. [counting_trial builds] is
+   [run_trial] with a router builder that counts its calls. *)
+let counting_trial builds ?jobs ?(trials = 6) () =
+  Experiments.Trial.run ?jobs (Prng.Stream.create 17L) ~trials
+    (Experiments.Trial.spec ~graph:cube ~p:0.7 ~source:0 ~target:31
+       (fun _rand ~source:_ ~target:_ ->
+         Atomic.incr builds;
+         Routing.Local_bfs.router))
+
+let chunk_lines text =
+  String.split_on_char '\n' text
+  |> List.filter_map (fun line ->
+         match Obs.Json.of_string line with
+         | Ok json when Option.bind (Obs.Json.member "ev" json) Obs.Json.to_str = Some "chunk" ->
+             Some json
+         | Ok _ | Error _ -> None)
+
+let line_field name to_value json = Option.get (Option.bind (Obs.Json.member name json) to_value)
+
+let rec replace_all ~sub ~by s =
+  if contains s sub then replace_all ~sub ~by (replace_first ~sub ~by s) else s
+
+(* The journal of [counting_trial] with [trials + extra] at one job,
+   under the key of a run with [trials]: cells depend on the attempt
+   index only, so its chunks before its own boundary are the whole
+   chunks of a [trials] run. *)
+let whole_chunk_journal ~trials ~extra =
+  let journal trials =
+    with_dir @@ fun dir ->
+    configure_exn ~dir ~resume:false;
+    ignore (counting_trial (Atomic.make 0) ~jobs:1 ~trials ());
+    Experiments.Checkpoint.deconfigure ();
+    read_file (Experiments.Checkpoint.file ~dir)
+  in
+  let key text = line_field "key" Obs.Json.to_str (List.hd (chunk_lines text)) in
+  let short = journal trials and long = journal (trials + extra) in
+  replace_all ~sub:(key long) ~by:(key short) long
+
+let write_journal ~dir text =
+  Out_channel.with_open_bin (Experiments.Checkpoint.file ~dir) (fun oc ->
+      Out_channel.output_string oc text)
+
+let without_chunk c text =
+  String.split_on_char '\n' text
+  |> List.filter (fun line -> not (contains line (Printf.sprintf "\"chunk\": %d," c)))
+  |> String.concat "\n"
+
+let test_trial_quota_builds_once_per_acceptance () =
+  (* At one job, with tracing and checkpoints off, the router is built
+     for the used acceptances only; a whole-chunk journal, whose
+     boundary chunk holds further acceptances, restores the same
+     result and builds no router but the checkpoint key's probe. *)
+  with_clean_supervision @@ fun () ->
+  let builds = Atomic.make 0 in
+  let fresh = counting_trial builds ~jobs:1 () in
+  Alcotest.(check int) "one build per used acceptance" 6 (Atomic.get builds);
+  let whole = whole_chunk_journal ~trials:6 ~extra:8 in
+  let used = fresh.Experiments.Trial.connection.Stats.Proportion.trials in
+  let accepted_in_span =
+    chunk_lines whole
+    |> List.filter (fun json -> line_field "chunk" Obs.Json.to_int json <= (used - 1) / 4)
+    |> List.concat_map (fun json -> line_field "cells" Obs.Json.to_list json)
+    |> List.filter (fun cell -> line_field "t" Obs.Json.to_str cell <> "r")
+    |> List.length
+  in
+  Alcotest.(check bool) "the whole boundary chunk accepts past the 6th" true
+    (accepted_in_span > 6);
+  List.iter
+    (fun jobs ->
+      with_dir @@ fun dir ->
+      configure_exn ~dir ~resume:false;
+      Experiments.Checkpoint.deconfigure ();
+      write_journal ~dir whole;
+      configure_exn ~dir ~resume:true;
+      Atomic.set builds 0;
+      let restored = counting_trial builds ~jobs () in
+      Alcotest.(check bool) (Printf.sprintf "jobs %d: whole chunks give the same result" jobs)
+        true (Stdlib.compare fresh restored = 0);
+      Alcotest.(check int) "nothing computed" 0 (Experiments.Checkpoint.appended ());
+      Alcotest.(check int) "the key's probe router only" 1 (Atomic.get builds);
+      Experiments.Checkpoint.deconfigure ())
+    [ 1; 4 ]
+
+let test_trial_short_boundary_resume () =
+  (* A one-job run journals its boundary chunk cut after the 6th
+     acceptance, its last append: what a run killed after that append
+     leaves. It resumes at four jobs byte-identically, computing
+     nothing. Without chunk 0's line the cut chunk comes after a gap:
+     a clean resume recomputes only chunk 0, and a resume that loses
+     chunk 0 (one attempt per chunk, crash@0) completes the cut chunk,
+     as a fresh run that loses chunk 0 computes it whole. *)
+  with_dir @@ fun dir ->
+  with_clean_supervision @@ fun () ->
+  configure_exn ~dir ~resume:false;
+  let first = run_trial ~jobs:1 () in
+  let written = Experiments.Checkpoint.appended () in
+  Experiments.Checkpoint.deconfigure ();
+  let journal = read_file (Experiments.Checkpoint.file ~dir) in
+  let last = List.nth (chunk_lines journal) (written - 1) in
+  Alcotest.(check bool) "the boundary chunk is cut" true
+    (List.length (line_field "cells" Obs.Json.to_list last) < 4);
+  configure_exn ~dir ~resume:true;
+  Alcotest.(check bool) "resumed at jobs 4" true
+    (Stdlib.compare first (run_trial ~jobs:4 ()) = 0);
+  Alcotest.(check int) "nothing recomputed" 0 (Experiments.Checkpoint.appended ());
+  Alcotest.(check int) "every chunk restored" written (Experiments.Checkpoint.restored ());
+  Experiments.Checkpoint.deconfigure ();
+  write_journal ~dir (without_chunk 0 journal);
+  configure_exn ~dir ~resume:true;
+  Alcotest.(check bool) "after a gap" true (Stdlib.compare first (run_trial ~jobs:1 ()) = 0);
+  Alcotest.(check int) "only chunk 0 recomputed" 1 (Experiments.Checkpoint.appended ());
+  Experiments.Checkpoint.deconfigure ();
+  let lose_chunk_0 () =
+    Supervisor.arm { Supervisor.default_policy with Supervisor.max_attempts = 1 };
+    Plan.set_ambient (Some (Plan.make [ Plan.Crash_on_chunk 0 ]))
+  in
+  lose_chunk_0 ();
+  let lossy = run_trial ~jobs:1 () in
+  List.iter
+    (fun jobs ->
+      write_journal ~dir (without_chunk 0 journal);
+      configure_exn ~dir ~resume:true;
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs %d: losing chunk 0 completes the cut chunk" jobs)
+        true
+        (Stdlib.compare lossy (run_trial ~jobs ()) = 0);
+      Experiments.Checkpoint.deconfigure ())
+    [ 1; 4 ]
+
+let test_trial_quota_quarantine () =
+  (* One attempt per chunk and crash@1: the trial equals the scan of a
+     whole-chunk journal that lacks chunk 1, resumed under the same
+     plan, at one job and at four. *)
+  with_clean_supervision @@ fun () ->
+  let whole = without_chunk 1 (whole_chunk_journal ~trials:6 ~extra:8) in
+  Supervisor.arm { Supervisor.default_policy with Supervisor.max_attempts = 1 };
+  Plan.set_ambient (Some (Plan.make [ Plan.Crash_on_chunk 1 ]));
+  let lossy = counting_trial (Atomic.make 0) ~jobs:1 () in
+  Alcotest.(check bool) "chunk 1 lost" true
+    ((Supervisor.global_summary ()).Supervisor.quarantined = [ 1 ]);
+  List.iter
+    (fun jobs ->
+      with_dir @@ fun dir ->
+      configure_exn ~dir ~resume:false;
+      Experiments.Checkpoint.deconfigure ();
+      write_journal ~dir whole;
+      configure_exn ~dir ~resume:true;
+      Alcotest.(check bool) (Printf.sprintf "jobs %d: same as the whole-chunk scan" jobs) true
+        (Stdlib.compare lossy (counting_trial (Atomic.make 0) ~jobs ()) = 0);
+      Alcotest.(check int) "chunk 1 computed, not journaled" 0 (Experiments.Checkpoint.appended ());
+      Experiments.Checkpoint.deconfigure ())
+    [ 1; 4 ]
+
+(* ------------------------------------------------------------------ *)
 (* Atomic_file                                                         *)
 
 let test_atomic_file () =
@@ -777,6 +1035,15 @@ let () =
           case "vchunk lines resume" test_runner_vchunk_resume;
           case "resume under a crash plan" test_runner_resume_under_crash_plan;
           case "grid drops quarantined trials" test_runner_grid_quarantine;
+        ] );
+      ( "quota",
+        [
+          case "stops at the n-th counted cell" test_runner_quota_stops_at_nth;
+          case "quarantine reads as whole chunks" test_runner_quota_quarantine;
+          case "trial builds routers for used acceptances"
+            test_trial_quota_builds_once_per_acceptance;
+          case "cut boundary chunk resumes" test_trial_short_boundary_resume;
+          case "trial quarantine reads as whole chunks" test_trial_quota_quarantine;
         ] );
       ("atomic_file", [ case "write and append" test_atomic_file ]);
     ]

@@ -408,9 +408,19 @@ let test_catalog_trace_jobs_invariant () =
     in
     Buffer.contents buffer
   in
+  (* Out-of-turn experiments spool to temporary files, forwarded and
+     deleted in catalog order. *)
+  let spools () =
+    Sys.readdir (Filename.get_temp_dir_name ())
+    |> Array.to_list
+    |> List.filter (String.starts_with ~prefix:"faultroute-trace-")
+    |> List.sort compare
+  in
+  let before = spools () in
   let reference = run 1 in
   Alcotest.(check bool) "catalog trace non-empty" true (reference <> "");
   Alcotest.(check string) "catalog trace jobs=4 = jobs=1" reference (run 4);
+  Alcotest.(check (list string)) "no spool left behind" before (spools ());
   match Obs.Trace.Replay.parse (lines_of reference) with
   | Error e -> Alcotest.failf "catalog trace parse failed: %s" e
   | Ok runs ->

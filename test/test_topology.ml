@@ -183,6 +183,40 @@ let test_mesh_fixed_path () =
   in
   ok path
 
+(* Both metrics against the coordinate-array formula, on every ordered
+   vertex pair of each shape with d <= 3 and m <= 5 the constructors
+   accept (the torus needs m >= 3). *)
+let test_l1_distance_matches_coords () =
+  let per_axis ~torus ~m a b =
+    if torus then
+      let forward = (b - a + m) mod m in
+      Stdlib.min forward (m - forward)
+    else abs (a - b)
+  in
+  List.iter
+    (fun (torus, name, metric, m_min) ->
+      for d = 1 to 3 do
+        for m = m_min to 5 do
+          let size = int_of_float (float_of_int m ** float_of_int d) in
+          for u = 0 to size - 1 do
+            for v = 0 to size - 1 do
+              let cu = Topology.Mesh.coords ~d ~m u and cv = Topology.Mesh.coords ~d ~m v in
+              let expected = ref 0 in
+              for axis = 0 to d - 1 do
+                expected := !expected + per_axis ~torus ~m cu.(axis) cv.(axis)
+              done;
+              if metric ~d ~m u v <> !expected then
+                Alcotest.failf "%s d=%d m=%d (%d,%d): %d, want %d" name d m u v
+                  (metric ~d ~m u v) !expected
+            done
+          done
+        done
+      done)
+    [
+      (false, "mesh", Topology.Mesh.l1_distance, 2);
+      (true, "torus", Topology.Torus.l1_distance, 3);
+    ]
+
 let test_torus_degree_regular () =
   let g = Topology.Torus.graph ~d:2 ~m:5 in
   for v = 0 to g.G.vertex_count - 1 do
@@ -807,6 +841,8 @@ let () =
           Alcotest.test_case "coords roundtrip" `Quick test_mesh_coords_roundtrip;
           Alcotest.test_case "corner degree" `Quick test_mesh_corner_degree;
           Alcotest.test_case "fixed path" `Quick test_mesh_fixed_path;
+          Alcotest.test_case "l1 distance from coordinates" `Quick
+            test_l1_distance_matches_coords;
         ] );
       ( "torus",
         [
