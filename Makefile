@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke smoke chaos-smoke churn-smoke serve-smoke obs-smoke check-claims update-baseline update-baseline-full full-timing ci clean
+.PHONY: all build test bench-smoke smoke chaos-smoke churn-smoke serve-smoke obs-smoke check-claims update-baseline update-baseline-full perf-pairs full-timing ci clean
 
 all: build
 
@@ -8,30 +8,22 @@ build:
 test:
 	dune runtest
 
-bench:
-	dune exec bench/main.exe
-
-# Quick percolation hot-path bench (cached vs lazy worlds) plus a
-# schema check on the emitted JSON and the appended history line, then
-# the observability surface: a traced quick experiment must produce
-# valid trace/v1 + metrics/v1 documents whose probe accounting replays
-# exactly, and an instrumented run must leave the disabled-path cost
-# unchanged. Everything lands under artifacts/ (gitignored), not the
-# repo root.
+# The pair arithmetic of bench/pairs.py (its doctests: ties, the 9-of-10
+# gain rule, quartile distances, worse, unresolved, lower and higher),
+# then the observability surface: a traced quick experiment must
+# produce valid trace/v1 + metrics/v1 documents whose probe accounting
+# replays exactly, and an instrumented run must leave the disabled-path
+# cost unchanged (bench/main.exe, the obs guard). Everything lands under
+# artifacts/ (gitignored), not the repo root.
 bench-smoke:
 	mkdir -p artifacts
-	dune exec bench/main.exe -- --quick --out artifacts/SMOKE_bench.json --history artifacts/SMOKE_history.jsonl
-	grep -q '"schema": "bench_percolation/v3"' artifacts/SMOKE_bench.json
-	grep -q '"speedup"' artifacts/SMOKE_bench.json
-	tail -1 artifacts/SMOKE_history.jsonl | grep -q '"churn_step"'
-	grep -q '"commit"' artifacts/SMOKE_bench.json
-	grep -q '"timestamp"' artifacts/SMOKE_bench.json
+	python3 -m doctest bench/pairs.py
 	dune exec bin/faultroute.exe -- exp E1 --quick --strict-shortfall --trace artifacts/SMOKE_trace.jsonl --metrics-out artifacts/SMOKE_metrics.json > /dev/null
 	head -1 artifacts/SMOKE_trace.jsonl | grep -q '"schema": "trace/v1"'
 	grep -q '"schema": "metrics/v1"' artifacts/SMOKE_metrics.json
 	grep -q '"trial.accepts"' artifacts/SMOKE_metrics.json
 	dune exec bin/faultroute.exe -- trace artifacts/SMOKE_trace.jsonl
-	dune exec bench/main.exe -- --obs-guard
+	dune exec bench/main.exe
 
 # The quick catalog on two domains — exercises the parallel engine end
 # to end; output must match a --jobs 1 run byte for byte, and any
@@ -311,7 +303,7 @@ serve-smoke:
 # examples/obs/{route,simulate}-trace-golden.jsonl, so any change to an
 # observed attempt's events moves a byte. Then the cost side:
 # instrumenting the hot paths must leave the disabled path alone
-# (--obs-guard: every switch off after each of three instrumented runs
+# (bench/main.exe: every switch off after each of three instrumented runs
 # and the same minor words per kernel run after them, and the median
 # of three before/after kernel-time shifts under 8% of the kernel's
 # own median time).
@@ -343,7 +335,7 @@ obs-smoke:
 	cmp $(OBS_EX)/route-trace-golden.jsonl artifacts/OBS_route_trace.jsonl
 	./_build/default/bin/faultroute.exe simulate hypercube:5 -p 0.8 --seed 1 --protocol walk --trace artifacts/OBS_simulate_trace.jsonl > /dev/null
 	cmp $(OBS_EX)/simulate-trace-golden.jsonl artifacts/OBS_simulate_trace.jsonl
-	dune exec bench/main.exe -- --obs-guard
+	dune exec bench/main.exe
 
 # EXPERIMENTS.md's verdict column, machine-checked: run the quick
 # catalog, evaluate every experiment's claims and compare the observed
@@ -360,38 +352,22 @@ update-baseline:
 update-baseline-full:
 	dune exec bin/faultroute.exe -- check --update
 
-# Full-mode wall time, which perfbench does not cover yet; kept out of
-# ci because each run takes tens of seconds. Runs full `all --jobs 2`
-# N times (default 3) with this tree's binary and, when given
-# PARENT=path/to/faultroute.exe, with that binary too, alternating
-# which goes first in each round. Every run's stdout must cmp equal to
-# the first run's; then each side's wall times (seconds, from the
-# shell's clock) and their median are printed.
-N ?= 3
-PARENT ?=
+# Alternating pairs of perfbench runs, the checkout PARENT against this
+# tree: N rounds (default 10) of perfbench/run.py at BENCHMARK.json's
+# run_seconds, over WORKLOAD or every workload it lists. Prints each
+# end-to-end metric's medians, spreads, wins and verdict word, each
+# side's failed operations, and one JSON line. About 11 min a workload
+# at N=10 on a 2-vCPU host; kept out of ci.
+perf-pairs:
+	python3 bench/pairs.py perf $(if $(PARENT),--parent "$(PARENT)") $(if $(WORKLOAD),--workload "$(WORKLOAD)") $(if $(N),--n $(N))
+
+# Full-mode wall time and peak RSS, which perfbench does not cover yet:
+# full `all --jobs 2`, N rounds (default 3) of this tree and, given
+# PARENT=checkout, of that checkout too, both built in release.
+# Every run's stdout must cmp equal to the first run's. Kept out of ci
+# because each run takes tens of seconds.
 full-timing:
-	mkdir -p artifacts
-	dune build bin/faultroute.exe
-	if [ -n "$(PARENT)" ]; then test -x "$(PARENT)" || { echo "PARENT=$(PARENT): not an executable"; exit 1; }; fi
-	rm -f artifacts/TIMING_first.txt artifacts/TIMING_times.txt
-	@for i in $$(seq 1 $(N)); do \
-	  if [ -z "$(PARENT)" ]; then order=tree; elif [ $$((i % 2)) -eq 1 ]; then order="parent tree"; else order="tree parent"; fi; \
-	  for side in $$order; do \
-	    if [ $$side = tree ]; then bin=./_build/default/bin/faultroute.exe; else bin="$(PARENT)"; fi; \
-	    t0=$$(date +%s.%N); \
-	    $$bin all --jobs 2 > artifacts/TIMING_out.txt || { echo "$$side run $$i failed"; exit 1; }; \
-	    t1=$$(date +%s.%N); \
-	    if [ -f artifacts/TIMING_first.txt ]; then \
-	      cmp artifacts/TIMING_first.txt artifacts/TIMING_out.txt || { echo "$$side run $$i: output differs"; exit 1; }; \
-	    else mv artifacts/TIMING_out.txt artifacts/TIMING_first.txt; fi; \
-	    echo "$$side $$t0 $$t1" >> artifacts/TIMING_times.txt; \
-	  done; \
-	done
-	@awk '{ t[$$1] = t[$$1] " " sprintf("%.2f", $$3 - $$2) } \
-	  END { for (side in t) { n = split(substr(t[side], 2), v, " "); \
-	    for (i = 2; i <= n; i++) for (j = i; j > 1 && v[j - 1] + 0 > v[j] + 0; j--) { x = v[j]; v[j] = v[j - 1]; v[j - 1] = x } \
-	    median = (n % 2) ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2; \
-	    printf "%s: runs%s s, median %.2f s\n", side, t[side], median } }' artifacts/TIMING_times.txt
+	python3 bench/pairs.py full $(if $(PARENT),--parent "$(PARENT)") $(if $(N),--n $(N))
 
 # Every leg .github/workflows/ci.yml runs, in its order.
 ci: build test smoke chaos-smoke churn-smoke serve-smoke obs-smoke check-claims bench-smoke

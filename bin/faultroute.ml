@@ -1633,8 +1633,7 @@ let obs_cmd =
       & info [] ~docv:"FILE"
           ~doc:
             "Observability artifacts: trace/v1, metrics/v1, profile/v1, \
-             telemetry/v1, runledger/v1, or bench_percolation history files \
-             (sniffed by schema tag).")
+             telemetry/v1 or runledger/v1 files (sniffed by schema tag).")
   in
   let file_a_arg =
     Arg.(
@@ -1679,7 +1678,7 @@ let obs_cmd =
       (Cmd.info "diff"
          ~doc:
            "Diff two artifacts of the same kind: counter/gauge/histogram \
-            deltas, significant span movement, or bench regressions.")
+            deltas or significant span movement.")
       Term.(const cmd_obs_diff $ file_a_arg $ file_b_arg)
   in
   let folded =
@@ -1695,7 +1694,7 @@ let obs_cmd =
        ~doc:
          "Inspect observability artifacts: validate, pretty-print, \
           aggregate and diff the \
-          trace/metrics/profile/telemetry/ledger/bench family.")
+          trace/metrics/profile/telemetry/ledger family.")
     [ validate; report; diff; folded ]
 
 let top_cmd =

@@ -2,7 +2,7 @@
     atomic rename.
 
     A process killed mid-write must never leave a half-written
-    [verdicts/*.json] baseline or a corrupt [BENCH_history.jsonl] line
+    [verdicts/*.json] baseline or a corrupt [runledger/v1] line
     behind: readers see either the old contents or the new, nothing in
     between. POSIX [rename(2)] within one directory gives exactly that,
     so every write lands in a [.tmp.<pid>] sibling first.
@@ -25,6 +25,6 @@ val append_line : path:string -> line:string -> unit
 (** Append [line] (which should include its newline) to [path]
     atomically: the old contents plus the new line are written to a
     temp sibling which then replaces [path], so a crash can corrupt
-    neither the existing history nor the new record. Creates the file
+    neither the existing lines nor the new record. Creates the file
     (and parent directories) when missing. Not for hot paths — cost is
     proportional to the file size. *)

@@ -21,17 +21,15 @@ type artifact =
       table : table;
     }
   | Profile of Timing.tree list
-  | Bench of Bench_history.snapshot list  (* oldest first, non-empty *)
   | Ledger of Ledger.record list
 
-type kind = [ `Trace | `Metrics | `Telemetry | `Profile | `Bench | `Ledger ]
+type kind = [ `Trace | `Metrics | `Telemetry | `Profile | `Ledger ]
 
 let kind = function
   | Trace _ -> `Trace
   | Metrics _ -> `Metrics
   | Telemetry _ -> `Telemetry
   | Profile _ -> `Profile
-  | Bench _ -> `Bench
   | Ledger _ -> `Ledger
 
 let kind_name = function
@@ -39,12 +37,11 @@ let kind_name = function
   | `Metrics -> "metrics/v1"
   | `Telemetry -> "telemetry/v1"
   | `Profile -> "profile/v1"
-  | `Bench -> "bench_percolation history"
   | `Ledger -> "runledger/v1"
 
 let table = function
   | Metrics t | Telemetry { table = t; _ } -> Some t
-  | Trace _ | Profile _ | Bench _ | Ledger _ -> None
+  | Trace _ | Profile _ | Ledger _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Parsing helpers.                                                    *)
@@ -234,10 +231,6 @@ let parse_trace lines =
          (List.length verdict.Trace.Replay.mismatches)
          (List.length verdict.Trace.Replay.count_errors))
 
-let parse_bench lines =
-  let* snapshots = Bench_history.parse_lines lines in
-  if snapshots = [] then Error "no bench snapshots" else Ok (Bench snapshots)
-
 let parse_ledger lines =
   (* Loading IS validation for the ledger too: beyond the schema, every
      recorded artifact digest is cross-checked against the file on disk
@@ -265,7 +258,6 @@ let parse doc lines =
   | Some "profile/v1" -> parse_profile doc
   | Some "telemetry/v1" -> parse_telemetry lines
   | Some "runledger/v1" -> parse_ledger lines
-  | Some s when String.starts_with ~prefix:"bench_percolation/" s -> parse_bench lines
   | Some s -> Error (Printf.sprintf "unknown schema %S" s)
 
 let load path =
@@ -446,16 +438,6 @@ let report ppf = function
               Format.fprintf ppf "    %s %s@." a.Ledger.digest a.Ledger.path)
             r.Ledger.artifacts)
         records
-  | Bench snapshots ->
-      Format.fprintf ppf "bench history: %d snapshot%s@." (List.length snapshots)
-        (if List.length snapshots = 1 then "" else "s");
-      List.iter
-        (fun (s : Bench_history.snapshot) ->
-          Format.fprintf ppf "  %-6s %-22s %-12s %d metrics@." s.mode
-            (Option.value s.timestamp ~default:"-")
-            (Option.value s.commit ~default:"-")
-            (List.length s.metrics))
-        snapshots
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation and diff.                                               *)
@@ -543,29 +525,6 @@ let diff ppf a b =
         vx.Trace.Replay.attempts vy.Trace.Replay.attempts
         vx.Trace.Replay.accepted vy.Trace.Replay.accepted
         vx.Trace.Replay.checked vy.Trace.Replay.checked;
-      Ok ()
-  | Bench xs, Bench ys ->
-      (* The second history's newest snapshot against the first
-         history's newest of the same mode: every metric both carry,
-         with its ratio. Host speed moves every timing, so no threshold
-         turns a ratio into a verdict. *)
-      let current = List.nth ys (List.length ys - 1) in
-      let commit (s : Bench_history.snapshot) = Option.value s.commit ~default:"-" in
-      (match Bench_history.trailing_baseline ~mode:current.mode xs with
-      | None ->
-          Format.fprintf ppf "  no %s-mode snapshot in the first history@."
-            current.mode
-      | Some baseline ->
-          Format.fprintf ppf "  %s mode, %s -> %s@." current.mode (commit baseline)
-            (commit current);
-          List.iter
-            (fun (key, current_ns) ->
-              match List.assoc_opt key baseline.metrics with
-              | Some baseline_ns ->
-                  Format.fprintf ppf "  %-40s %14.0f -> %-14.0f ns  %.2fx@." key
-                    baseline_ns current_ns (current_ns /. baseline_ns)
-              | None -> ())
-            current.metrics);
       Ok ()
   | a, b ->
       Error

@@ -9,9 +9,9 @@
     heartbeats; the last line wins),
     [runledger/v1] (JSONL run records; every recorded artifact digest
     is cross-checked against the file on disk, so a tampered or stale
-    artifact fails the load) and [bench_percolation/v1..v3] documents
-    or history trails. A successful load {e is} schema validation —
-    "obs validate" prints nothing but the verdict. *)
+    artifact fails the load). Any other schema is refused. A successful
+    load {e is} schema validation — "obs validate" prints nothing but
+    the verdict. *)
 
 type table = {
   counters : (string * float) list;  (** name-sorted *)
@@ -23,7 +23,7 @@ type table = {
 
 type artifact
 
-type kind = [ `Trace | `Metrics | `Telemetry | `Profile | `Bench | `Ledger ]
+type kind = [ `Trace | `Metrics | `Telemetry | `Profile | `Ledger ]
 
 val kind : artifact -> kind
 val kind_name : kind -> string
@@ -70,9 +70,8 @@ val report : Format.formatter -> artifact -> unit
     pool utilization derived from the [pool.domain.<slot>.*] gauges),
     histogram quantile rows (p50/p95/p99/max, [_ns] names scaled to
     ms), the indented span tree for profiles, the replay verdict for
-    traces (including the query-span lifecycle audit), run rows with
-    their artifact digests for ledgers, and the snapshot list (mode,
-    timestamp, commit, metric count) for bench histories. An empty table
+    traces (including the query-span lifecycle audit) and run rows with
+    their artifact digests for ledgers. An empty table
     prints an explicit ["(no samples)"] row; telemetry with heartbeat
     [seq] gaps prints a warning line. *)
 
@@ -84,10 +83,7 @@ val diff : Format.formatter -> artifact -> artifact -> (unit, string) result
 (** Print what changed from the first artifact to the second. Both
     must be the same kind: counter/gauge/histogram deltas for metrics
     and telemetry, significant span-time movement for profiles
-    (>1% and >0.1 ms), replay-verdict counts for traces, and for bench
-    histories every metric shared by the second history's newest
-    snapshot and the first history's newest snapshot of the same mode,
-    as baseline -> current and their ratio. *)
+    (>1% and >0.1 ms) and replay-verdict counts for traces. *)
 
 val folded_of_profile : artifact -> (string list, string) result
 (** Flamegraph folded-stack lines ["a;b;c <self-us>"] from a

@@ -3,8 +3,7 @@
     Just enough machinery for the [trace/v1] and [metrics/v1] wire
     formats: objects, arrays, strings, booleans, null, and numbers
     (integers kept exact as [Int]). No external dependency — the repo
-    policy is hand-rolled JSON, see [bench/main.ml]'s
-    [bench_percolation/v1] emitter. *)
+    policy is hand-rolled JSON. *)
 
 type t =
   | Null

@@ -43,8 +43,6 @@ type reject_reason = Disconnected | Reveal_limit
 type qstage = Admit | Enqueue | Execute | Tally
 (** Lifecycle stage of one admitted serve query. *)
 
-val qstage_string : qstage -> string
-
 type event =
   | Attempt_start of { index : int }
   | Reveal_step of { v : int; dist : int }

@@ -25,9 +25,6 @@ val survival : p:float -> float
     non-negative root of [q = 1 - (1 - p·q)²], namely
     [(2p - 1)/p²] for [p > 1/2] and [0] otherwise. *)
 
-val extinction : p:float -> float
-(** [1 - survival ~p]. *)
-
 val expected_total_progeny : p:float -> float
 (** Expected total number of nodes (root included) of the process when
     it is {e subcritical or critical-conditioned-finite}: for [p < 1/2]

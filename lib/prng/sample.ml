@@ -32,43 +32,9 @@ let geometric t ~p =
   if not (p > 0.0 && p <= 1.0) then invalid_arg "Sample.geometric: p must be in (0,1]";
   geometric_draw (Stream.generator t) ~log_q:(Float.log1p (-.p))
 
-let rec binomial t ~n ~p =
-  if n < 0 then invalid_arg "Sample.binomial: n must be non-negative";
-  if not (p >= 0.0 && p <= 1.0) then invalid_arg "Sample.binomial: p must be in [0,1]";
-  if p = 0.0 || n = 0 then 0
-  else if p = 1.0 then n
-  else if p > 0.5 then n - (binomial_complement t ~n ~p:(1.0 -. p))
-  else binomial_complement t ~n ~p
-
-(* Geometric-skip: jump between successes; expected O(np). *)
-and binomial_complement t ~n ~p =
-  let rec loop position successes =
-    let position = position + geometric t ~p in
-    if position > n then successes else loop position (successes + 1)
-  in
-  loop 0 0
-
 let exponential t ~rate =
   if rate <= 0.0 then invalid_arg "Sample.exponential: rate must be positive";
   -.log1p (-.Stream.float_unit t) /. rate
-
-let rec poisson t ~mean =
-  if mean < 0.0 then invalid_arg "Sample.poisson: mean must be non-negative";
-  if mean = 0.0 then 0
-  else if mean > 30.0 then begin
-    (* Split: Poisson(m) = Binomial(k, m1/m) conditioned style splitting is
-       not exact; instead use the sum property Poisson(m) =
-       Poisson(m/2) + Poisson(m/2) recursively down to small means. *)
-    poisson t ~mean:(mean /. 2.0) + poisson t ~mean:(mean /. 2.0)
-  end
-  else begin
-    let limit = exp (-.mean) in
-    let rec loop k prod =
-      let prod = prod *. Stream.float_unit t in
-      if prod <= limit then k else loop (k + 1) prod
-    in
-    loop 0 1.0
-  end
 
 let distinct_pair t n =
   if n < 2 then invalid_arg "Sample.distinct_pair: need n >= 2";

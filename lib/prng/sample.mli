@@ -34,20 +34,9 @@ val geometric : Stream.t -> p:float -> int
     [max_int / 4].
     @raise Invalid_argument if not [0 < p <= 1]. *)
 
-val binomial : Stream.t -> n:int -> p:float -> int
-(** [binomial t ~n ~p] counts successes among [n] Bernoulli([p]) trials.
-    Uses the BG (geometric-skip) method, O(np) expected time, which is fast
-    in the sparse regimes this project uses ([p] small).
-    @raise Invalid_argument if [n < 0] or [p] outside [\[0,1\]]. *)
-
 val exponential : Stream.t -> rate:float -> float
 (** [exponential t ~rate] samples Exp([rate]) by inversion.
     @raise Invalid_argument if [rate <= 0]. *)
-
-val poisson : Stream.t -> mean:float -> int
-(** [poisson t ~mean] samples a Poisson variate by Knuth's product method
-    for small means and by binomial splitting for large means.
-    @raise Invalid_argument if [mean < 0]. *)
 
 val distinct_pair : Stream.t -> int -> int * int
 (** [distinct_pair t n] is a uniformly random ordered pair of distinct

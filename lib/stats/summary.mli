@@ -29,12 +29,6 @@ val mean : t -> float
 val variance : t -> float
 (** Unbiased sample variance; [nan] if fewer than two observations. *)
 
-val stddev : t -> float
-(** Square root of {!variance}. *)
-
-val std_error : t -> float
-(** Standard error of the mean, [stddev / sqrt count]. *)
-
 val min : t -> float
 (** Smallest observation; [nan] if empty. *)
 

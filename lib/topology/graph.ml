@@ -45,16 +45,6 @@ let fold_edges g ~init ~f =
 
 let edge_list g = List.rev (fold_edges g ~init:[] ~f:(fun acc u v -> (u, v) :: acc))
 
-let mean_degree g =
-  if g.vertex_count = 0 then 0.0
-  else begin
-    let total = ref 0 in
-    for v = 0 to g.vertex_count - 1 do
-      total := !total + g.degree v
-    done;
-    float_of_int !total /. float_of_int g.vertex_count
-  end
-
 let bfs_distance g source target =
   check_vertex g source;
   check_vertex g target;

@@ -82,9 +82,6 @@ val fold_edges : t -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
 val edge_list : t -> (int * int) list
 (** All edges as pairs [(u, v)] with [u < v]; same caveat. *)
 
-val mean_degree : t -> float
-(** Average degree, by vertex enumeration. *)
-
 val bfs_distance : t -> int -> int -> int option
 (** [bfs_distance g u v] is the fault-free graph distance by breadth-first
     search — a reference implementation for testing the [distance] field.

@@ -32,9 +32,6 @@ val json_of_value : float -> Obs.Json.t
 (** Finite floats as numbers; non-finite as ["nan"]/["inf"]/["-inf"]
     strings (JSON has no literals for them). *)
 
-val value_of_json : Obs.Json.t -> float option
-(** Inverse of [json_of_value]; also widens [Int]. *)
-
 val to_string : t -> string
 (** Pretty, diff-friendly rendering (one entry per line, trailing
     newline). Non-finite values are encoded as the strings ["nan"],

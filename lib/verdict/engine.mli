@@ -21,10 +21,6 @@ val schema : string
 
 type status = Pass | Drift | Fail | New
 
-val status_name : status -> string
-(** ["pass"], ["DRIFT"], ["FAIL"], ["new"] — failure states shout so
-    they stand out in the table. *)
-
 type entry = {
   claim : Experiments.Claim.t;
   status : status;

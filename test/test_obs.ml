@@ -790,18 +790,28 @@ let test_inspect_load_family () =
         (fun () ->
           Alcotest.(check (result string string))
             (expect ^ " loads") (Ok expect) (load_kind path)))
-    cases;
-  (* Outside the family: a clear error naming the path. *)
-  let alien = write_temp_file ".json" "{\"schema\": \"martian/v1\"}\n" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove alien)
-    (fun () ->
-      match load_kind alien with
-      | Ok k -> Alcotest.failf "alien schema loaded as %s" k
-      | Error e ->
-          Alcotest.(check bool) "error cites the path" true
-            (String.length e >= String.length alien
-            && String.sub e 0 (String.length alien) = alien))
+    cases
+
+let test_inspect_refuses_alien () =
+  (* Outside the family, including a snapshot of the deleted kernel
+     bench: a clear error naming the path. *)
+  List.iter
+    (fun content ->
+      let alien = write_temp_file ".json" content in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove alien)
+        (fun () ->
+          match load_kind alien with
+          | Ok k -> Alcotest.failf "alien schema loaded as %s" k
+          | Error e ->
+              Alcotest.(check bool) "error cites the path" true
+                (String.length e >= String.length alien
+                && String.sub e 0 (String.length alien) = alien)))
+    [
+      "{\"schema\": \"martian/v1\"}\n";
+      {|{"schema": "bench_percolation/v3", "mode": "quick", "topologies": [
+          {"name": "churn-stepper", "churn_step": {"ns": 41805983.0, "queries": 354000}}]}|};
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The one histogram: estimator bounds and wire round trips            *)
@@ -864,199 +874,6 @@ let hist_qcheck =
       && (match via_file ".json" metrics "h" with Ok back -> same back | Error _ -> false)
       && (match via_file ".jsonl" telemetry "h_ns" with Ok back -> same back | Error _ -> false)
       && Result.is_ok (via_file ".json" single "h") = (bound land (bound - 1) = 0))
-
-(* ------------------------------------------------------------------ *)
-(* Bench history                                                       *)
-
-let bench_json ?commit ?timestamp ~mode ~cached ~trial () =
-  let provenance =
-    match (commit, timestamp) with
-    | None, None -> ""
-    | _ ->
-        Printf.sprintf "\"commit\": %s, \"timestamp\": %s, "
-          (match commit with Some c -> Printf.sprintf "%S" c | None -> "null")
-          (match timestamp with Some t -> Printf.sprintf "%S" t | None -> "null")
-  in
-  Printf.sprintf
-    {|{"schema": %S, %s"mode": %S, "topologies": [
-        {"name": "mesh2(m=40)",
-         "reveal_bfs": {"cached_ns": %f, "lazy_ns": 99.0},
-         "oracle_probe": {"cached_ns": %f},
-         "trial_run": {"ns": %f}}]}|}
-    (match (commit, timestamp) with
-    | None, None -> "bench_percolation/v1"
-    | _ -> "bench_percolation/v2")
-    provenance mode cached (cached *. 2.0) trial
-
-let parse_snapshot text =
-  match Result.bind (Obs.Json.of_string text) Obs.Bench_history.of_json with
-  | Ok s -> s
-  | Error e -> Alcotest.failf "bench snapshot: %s" e
-
-let test_bench_history_schemas () =
-  let v1 = parse_snapshot (bench_json ~mode:"quick" ~cached:100.0 ~trial:500.0 ()) in
-  Alcotest.(check (option string)) "v1 commit" None v1.Obs.Bench_history.commit;
-  Alcotest.(check (option string)) "v1 timestamp" None
-    v1.Obs.Bench_history.timestamp;
-  Alcotest.(check (option (float 1e-9))) "cached metric" (Some 100.0)
-    (List.assoc_opt "mesh2(m=40)/reveal_bfs.cached_ns"
-       v1.Obs.Bench_history.metrics);
-  Alcotest.(check (option (float 1e-9))) "trial metric" (Some 500.0)
-    (List.assoc_opt "mesh2(m=40)/trial_run.ns" v1.Obs.Bench_history.metrics);
-  (* The lazy-path number is deliberately not tracked. *)
-  Alcotest.(check int) "three tracked metrics" 3
-    (List.length v1.Obs.Bench_history.metrics);
-  let v2 =
-    parse_snapshot
-      (bench_json ~commit:"abc1234" ~timestamp:"2026-08-06T00:00:00Z"
-         ~mode:"full" ~cached:100.0 ~trial:500.0 ())
-  in
-  Alcotest.(check (option string)) "v2 commit" (Some "abc1234")
-    v2.Obs.Bench_history.commit;
-  Alcotest.(check string) "v2 mode" "full" v2.Obs.Bench_history.mode;
-  (match
-     Result.bind
-       (Obs.Json.of_string "{\"schema\": \"bench_percolation/v9\"}")
-       Obs.Bench_history.of_json
-   with
-  | Ok _ -> Alcotest.fail "accepted unknown schema"
-  | Error _ -> ())
-
-let test_bench_history_trailing_baseline () =
-  let lines =
-    [
-      bench_json ~mode:"quick" ~cached:100.0 ~trial:500.0 ();
-      "";
-      bench_json ~mode:"full" ~cached:900.0 ~trial:4000.0 ();
-      bench_json ~commit:"def5678" ~timestamp:"2026-08-06T01:00:00Z"
-        ~mode:"quick" ~cached:110.0 ~trial:520.0 ();
-    ]
-  in
-  match Obs.Bench_history.parse_lines lines with
-  | Error e -> Alcotest.failf "parse_lines: %s" e
-  | Ok history ->
-      Alcotest.(check int) "blank line skipped" 3 (List.length history);
-      (match Obs.Bench_history.trailing_baseline ~mode:"quick" history with
-      | None -> Alcotest.fail "no quick baseline"
-      | Some s ->
-          Alcotest.(check (option string)) "latest quick wins" (Some "def5678")
-            s.Obs.Bench_history.commit);
-      Alcotest.(check bool) "no bench mode" true
-        (Obs.Bench_history.trailing_baseline ~mode:"bench" history = None)
-
-let test_bench_history_parse_error_cites_line () =
-  match Obs.Bench_history.parse_lines [ bench_json ~mode:"quick" ~cached:1.0 ~trial:1.0 (); "{oops" ] with
-  | Ok _ -> Alcotest.fail "accepted malformed line"
-  | Error e ->
-      Alcotest.(check bool) "cites line 2" true
-        (String.length e >= 14 && String.sub e 0 14 = "history line 2")
-
-let test_bench_history_diff () =
-  (* [obs diff] of two histories: the second history's newest snapshot
-     against the first's newest of the same mode, every shared metric
-     as baseline -> current with its ratio, and no verdict however
-     large the ratio. *)
-  let history lines =
-    let one_line json = String.map (fun c -> if c = '\n' then ' ' else c) json in
-    match
-      Obs.Inspect.load
-        (write_temp_file ".jsonl" (String.concat "\n" (List.map one_line lines)))
-    with
-    | Ok artifact -> artifact
-    | Error e -> Alcotest.failf "load: %s" e
-  in
-  let diff a b =
-    Format.asprintf "%a"
-      (fun ppf () ->
-        match Obs.Inspect.diff ppf a b with
-        | Ok () -> ()
-        | Error e -> Alcotest.failf "diff: %s" e)
-      ()
-  in
-  let baseline =
-    history
-      [
-        bench_json ~commit:"aaa1111" ~timestamp:"2026-08-06T00:00:00Z"
-          ~mode:"quick" ~cached:100.0 ~trial:500.0 ();
-        bench_json ~commit:"fff9999" ~timestamp:"2026-08-06T00:30:00Z"
-          ~mode:"full" ~cached:900.0 ~trial:4000.0 ();
-      ]
-  in
-  let current =
-    history
-      [
-        bench_json ~commit:"bbb2222" ~timestamp:"2026-08-06T01:00:00Z"
-          ~mode:"quick" ~cached:130.0 ~trial:550.0 ();
-      ]
-  in
-  let squeeze line =
-    String.concat " " (List.filter (( <> ) "") (String.split_on_char ' ' line))
-  in
-  Alcotest.(check (list string)) "one row per shared metric"
-    [
-      "quick mode, aaa1111 -> bbb2222";
-      "mesh2(m=40)/reveal_bfs.cached_ns 100 -> 130 ns 1.30x";
-      "mesh2(m=40)/oracle_probe.cached_ns 200 -> 260 ns 1.30x";
-      "mesh2(m=40)/trial_run.ns 500 -> 550 ns 1.10x";
-    ]
-    (String.split_on_char '\n' (diff baseline current)
-    |> List.filter (( <> ) "")
-    |> List.map squeeze);
-  (* No same-mode snapshot to compare against: said so, nothing else. *)
-  let full_only =
-    history
-      [
-        bench_json ~commit:"ccc3333" ~timestamp:"2026-08-06T02:00:00Z"
-          ~mode:"full" ~cached:1.0 ~trial:1.0 ();
-      ]
-  in
-  Alcotest.(check string) "no quick baseline"
-    "  no quick-mode snapshot in the first history\n" (diff full_only current)
-
-(* The committed history and snapshot must keep parsing, including the
-   v3 lines written while the bitset reveal engine existed. *)
-let test_bench_history_committed_files () =
-  let read path = In_channel.with_open_text path In_channel.input_all in
-  (match Obs.Bench_history.parse_lines (String.split_on_char '\n' (read "../BENCH_history.jsonl")) with
-  | Error e -> Alcotest.failf "BENCH_history.jsonl: %s" e
-  | Ok history ->
-      Alcotest.(check bool) "several snapshots" true (List.length history >= 3);
-      Alcotest.(check bool) "a v3 line carries bitset_ns" true
-        (List.exists
-           (fun s ->
-             List.exists
-               (fun (key, _) -> Filename.extension key = ".bitset_ns")
-               s.Obs.Bench_history.metrics)
-           history));
-  (match Result.bind (Obs.Json.of_string (read "../BENCH_percolation.json")) Obs.Bench_history.of_json with
-  | Error e -> Alcotest.failf "BENCH_percolation.json: %s" e
-  | Ok snapshot ->
-      Alcotest.(check bool) "churn row harvested" true
-        (List.mem_assoc "churn-stepper/churn_step.ns"
-           snapshot.Obs.Bench_history.metrics));
-  (* The inspector loads both: the JSONL trail and the pretty-printed
-     single snapshot. *)
-  List.iter
-    (fun path ->
-      Alcotest.(check (result string string))
-        (path ^ " loads") (Ok "bench_percolation history") (load_kind path))
-    [ "../BENCH_history.jsonl"; "../BENCH_percolation.json" ]
-
-let test_bench_history_churn_step () =
-  (* The churn-stepper entry carries only its own kernel: it must be
-     harvested into the regression keyspace and satisfy the
-     at-least-one-timing rule on its own. *)
-  let snapshot =
-    parse_snapshot
-      {|{"schema": "bench_percolation/v3", "mode": "quick", "topologies": [
-          {"name": "churn-stepper", "churn_step": {"ns": 41805983.0, "queries": 354000}}]}|}
-  in
-  Alcotest.(check (option (float 1e-3)))
-    "churn metric harvested" (Some 41805983.0)
-    (List.assoc_opt "churn-stepper/churn_step.ns"
-       snapshot.Obs.Bench_history.metrics);
-  Alcotest.(check int) "only the churn metric" 1
-    (List.length snapshot.Obs.Bench_history.metrics)
 
 (* ------------------------------------------------------------------ *)
 (* Run ledger                                                          *)
@@ -1395,6 +1212,11 @@ let () =
             test_seq_gap_flagged;
           Alcotest.test_case "no samples row" `Quick test_report_no_samples;
         ] );
+      ( "inspect-alien",
+        [
+          Alcotest.test_case "unknown schemas refused" `Quick
+            test_inspect_refuses_alien;
+        ] );
       ("hist", [ QCheck_alcotest.to_alcotest hist_qcheck ]);
       ( "ledger",
         [
@@ -1433,19 +1255,5 @@ let () =
         [
           Alcotest.test_case "shortfall marker" `Quick test_shortfall_marker;
           Alcotest.test_case "timing spans" `Quick test_timing_spans;
-        ] );
-      ( "bench-history",
-        [
-          Alcotest.test_case "v1 and v2 schemas" `Quick test_bench_history_schemas;
-          Alcotest.test_case "trailing baseline" `Quick
-            test_bench_history_trailing_baseline;
-          Alcotest.test_case "parse error cites line" `Quick
-            test_bench_history_parse_error_cites_line;
-          Alcotest.test_case "diff lists shared metrics" `Quick
-            test_bench_history_diff;
-          Alcotest.test_case "committed files parse" `Quick
-            test_bench_history_committed_files;
-          Alcotest.test_case "churn-stepper row" `Quick
-            test_bench_history_churn_step;
         ] );
     ]

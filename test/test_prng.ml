@@ -409,46 +409,12 @@ let test_geometric_step_clamps () =
     (Prng.Sample.geometric_draw g ~log_q:Float.neg_infinity);
   Alcotest.(check int64) "no draw" (Prng.Xoshiro256.next h) (Prng.Xoshiro256.next g)
 
-let test_binomial_mean () =
-  let t = Prng.Stream.create 22L in
-  let samples = Array.init 5000 (fun _ -> float_of_int (Prng.Sample.binomial t ~n:100 ~p:0.3)) in
-  let mean = mean_of samples in
-  Alcotest.(check bool) (Printf.sprintf "mean %.2f near 30" mean) true
-    (mean > 29.0 && mean < 31.0)
-
-let test_binomial_extremes () =
-  let t = Prng.Stream.create 22L in
-  Alcotest.(check int) "p=0" 0 (Prng.Sample.binomial t ~n:50 ~p:0.0);
-  Alcotest.(check int) "p=1" 50 (Prng.Sample.binomial t ~n:50 ~p:1.0);
-  Alcotest.(check int) "n=0" 0 (Prng.Sample.binomial t ~n:0 ~p:0.5)
-
-let test_binomial_high_p () =
-  let t = Prng.Stream.create 23L in
-  let samples = Array.init 5000 (fun _ -> float_of_int (Prng.Sample.binomial t ~n:40 ~p:0.9)) in
-  let mean = mean_of samples in
-  Alcotest.(check bool) (Printf.sprintf "mean %.2f near 36" mean) true
-    (mean > 35.3 && mean < 36.7)
-
 let test_exponential_mean () =
   let t = Prng.Stream.create 24L in
   let samples = Array.init 20000 (fun _ -> Prng.Sample.exponential t ~rate:2.0) in
   let mean = mean_of samples in
   Alcotest.(check bool) (Printf.sprintf "mean %.3f near 0.5" mean) true
     (mean > 0.48 && mean < 0.52)
-
-let test_poisson_mean_small () =
-  let t = Prng.Stream.create 25L in
-  let samples = Array.init 20000 (fun _ -> float_of_int (Prng.Sample.poisson t ~mean:3.0)) in
-  let mean = mean_of samples in
-  Alcotest.(check bool) (Printf.sprintf "mean %.2f near 3" mean) true
-    (mean > 2.9 && mean < 3.1)
-
-let test_poisson_mean_large () =
-  let t = Prng.Stream.create 26L in
-  let samples = Array.init 5000 (fun _ -> float_of_int (Prng.Sample.poisson t ~mean:100.0)) in
-  let mean = mean_of samples in
-  Alcotest.(check bool) (Printf.sprintf "mean %.1f near 100" mean) true
-    (mean > 98.0 && mean < 102.0)
 
 let test_distinct_pair () =
   let t = Prng.Stream.create 27L in
@@ -574,12 +540,7 @@ let () =
           case "geometric p=1" test_geometric_p_one;
           case "geometric step boundaries" test_geometric_step_boundaries;
           case "geometric step clamps" test_geometric_step_clamps;
-          case "binomial mean" test_binomial_mean;
-          case "binomial extremes" test_binomial_extremes;
-          case "binomial high p" test_binomial_high_p;
           case "exponential mean" test_exponential_mean;
-          case "poisson small" test_poisson_mean_small;
-          case "poisson large" test_poisson_mean_large;
           case "distinct pair" test_distinct_pair;
           case "subset indices" test_subset_indices;
           case "subset extremes" test_subset_extremes;

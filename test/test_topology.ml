@@ -789,7 +789,6 @@ let test_graph_helpers () =
   let g = Topology.Hypercube.graph 4 in
   Alcotest.(check int) "edge_count" 32 (G.edge_count g);
   Alcotest.(check int) "edge_list" 32 (List.length (G.edge_list g));
-  Alcotest.(check (float 1e-9)) "mean degree" 4.0 (G.mean_degree g);
   Alcotest.(check (option int)) "bfs self" (Some 0) (G.bfs_distance g 3 3);
   Alcotest.(check (option int)) "bfs antipode" (Some 4) (G.bfs_distance g 0 15);
   Alcotest.(check bool) "is_edge" true (G.is_edge g 0 1);
